@@ -76,17 +76,6 @@ class BernoulliSystem:
     def __init__(self, family: bn.BernoulliFamily) -> None:
         self.family = family
 
-    @property
-    def measure_preserving(self) -> bool:
-        fam = self.family
-        if isinstance(fam, bn.IIDFamily):
-            return True
-        if isinstance(fam, bn.CompactFamily):
-            return not fam.window
-        if isinstance(fam, bn.PeriodicFamily):
-            return fam.is_constant
-        return False
-
     def sample(self, seed: int) -> Configuration:
         return self.family.configuration(seed)
 
@@ -156,8 +145,6 @@ class PoissonSystem:
 
     def __init__(self, gs: ps.GroundSpace) -> None:
         self.gs = gs
-
-    measure_preserving = True
 
     def sample(self, seed: int) -> ps.PointSample:
         return ps.PointSample(self.gs, seed)

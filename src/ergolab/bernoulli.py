@@ -1,17 +1,20 @@
 """Non-singular Bernoulli product measures on the full shift.
 
-Site measures are stored as exact rationals; families come in four kinds
+Site measures are stored as exact rationals; families come in three shapes
 with different exactness guarantees:
 
-* ``iid``                 -- every site equals the base measure,
-* ``compactly_perturbed`` -- equals the base outside finitely many sites,
-* ``periodic``            -- sites repeat with a finite period,
-* ``summable``            -- rule-given sites whose log-deviations from the
-                              base are dominated by a summable majorant.
+* ``CompactFamily``  -- base + finite window: equals the base measure outside
+                        finitely many perturbed sites.  An iid family is the
+                        empty window; a constant periodic family is the same
+                        measure and is normalised to it by ``periodic_family``.
+* ``PeriodicFamily`` -- sites repeat with a finite period and are not all
+                        equal, so the shifted measure is singular (Kakutani).
+* ``SummableFamily`` -- rule-given sites whose log-deviations from the base
+                        are dominated by a summable majorant.
 
-Only the first two (and trivially constant periodic) kinds admit certified
-equivalence of the shifted measure with the original one; the cocycle and
-conservativity operations refuse uncertified families rather than guess.
+Only the compact shape admits certified equivalence of the shifted measure
+with the original one; the cocycle and conservativity operations refuse
+uncertified families rather than guess.
 All infinite products are handled in log space with explicit truncation
 error bounds, which are zero whenever the product has finitely many
 non-unit factors.
@@ -123,9 +126,8 @@ def hellinger_sq(a: SiteMeasure, b: SiteMeasure) -> float:
 
 
 class BernoulliFamily:
-    """Base interface; use the concrete kinds below."""
+    """Base interface; use the concrete shapes below."""
 
-    kind: str
     alphabet: Alphabet
 
     def site(self, k: int) -> SiteMeasure:
@@ -150,30 +152,9 @@ class BernoulliFamily:
         raise NotImplementedError
 
 
-class IIDFamily(BernoulliFamily):
-    kind = "iid"
-
-    def __init__(self, base: SiteMeasure) -> None:
-        self.base = base
-        self.alphabet = Alphabet(base.n_symbols)
-
-    def site(self, k: int) -> SiteMeasure:
-        return self.base
-
-    def require_nonsingular(self) -> None:
-        pass
-
-    def reindexed(self, s: int) -> "IIDFamily":
-        return self
-
-    def _tail(self, seed: int) -> LazyTail:
-        return LazyTail.constant(seed, self.base.probs)
-
-
 class CompactFamily(BernoulliFamily):
-    """Equal to ``base`` outside the finitely many perturbed sites."""
-
-    kind = "compactly_perturbed"
+    """Equal to ``base`` outside the finitely many perturbed sites; an empty
+    window is the iid family."""
 
     def __init__(self, base: SiteMeasure, window: Mapping[int, SiteMeasure]) -> None:
         self.base = base
@@ -205,34 +186,31 @@ class CompactFamily(BernoulliFamily):
 
 
 class PeriodicFamily(BernoulliFamily):
-    """site(k) = sites[k mod p]."""
+    """site(k) = sites[k mod p], with at least two distinct sites.
 
-    kind = "periodic"
+    Build through ``periodic_family``, which turns constant sites into the
+    equivalent ``CompactFamily``.
+    """
 
     def __init__(self, sites) -> None:
         self.sites = tuple(sites)
-        if not self.sites:
-            raise ValueError("need at least one site measure")
         if len({m.n_symbols for m in self.sites}) != 1:
             raise ValueError("all site measures must share one alphabet")
+        if len({m.probs for m in self.sites}) < 2:
+            raise ValueError("periodic sites must not all be equal")
         self.alphabet = Alphabet(self.sites[0].n_symbols)
 
     @property
     def period(self) -> int:
         return len(self.sites)
 
-    @property
-    def is_constant(self) -> bool:
-        return all(m.probs == self.sites[0].probs for m in self.sites)
-
     def site(self, k: int) -> SiteMeasure:
         return self.sites[k % self.period]
 
     def require_nonsingular(self) -> None:
-        if not self.is_constant:
-            raise NonSingularError(
-                "periodic family with unequal sites has a divergent Kakutani sum"
-            )
+        raise NonSingularError(
+            "periodic family with unequal sites has a divergent Kakutani sum"
+        )
 
     def reindexed(self, s: int) -> "PeriodicFamily":
         p = self.period
@@ -240,6 +218,17 @@ class PeriodicFamily(BernoulliFamily):
 
     def _tail(self, seed: int) -> LazyTail:
         return LazyTail.periodic(seed, [m.probs for m in self.sites])
+
+
+def periodic_family(sites) -> BernoulliFamily:
+    """Family with site(k) = sites[k mod p]: the iid ``CompactFamily`` when
+    every site is the same measure, a ``PeriodicFamily`` otherwise."""
+    sites = tuple(sites)
+    if not sites:
+        raise ValueError("need at least one site measure")
+    if all(m == sites[0] for m in sites):
+        return CompactFamily(sites[0], {})
+    return PeriodicFamily(sites)
 
 
 class SummableFamily(BernoulliFamily):
@@ -250,8 +239,6 @@ class SummableFamily(BernoulliFamily):
     ``sup`` must dominate the majorant everywhere.  The domination is
     spot-checked at construction.
     """
-
-    kind = "summable"
 
     def __init__(
         self,
@@ -354,15 +341,12 @@ def kakutani_sum(
 ) -> KakutaniResult:
     """Partial sum over |k| <= horizon of the squared Hellinger increments
     between consecutive site measures, with a certified verdict when the
-    family kind supports one.
+    family shape supports one.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     if horizon > RANGE_CAP:
         raise ValueError(f"horizon {horizon} exceeds cap {RANGE_CAP}")
-
-    if isinstance(family, IIDFamily):
-        return KakutaniResult(0.0, CONVERGENT, 0.0)
 
     if isinstance(family, CompactFamily):
         affected = sorted({k for i in family.window for k in (i, i + 1)})
@@ -389,8 +373,6 @@ def kakutani_sum(
                 # count of k in [-horizon, horizon] with k = r (mod p)
                 count = (horizon - r) // p + (horizon + r) // p + 1
                 value += count * t
-        if all(t == 0.0 for t in per_residue):
-            return KakutaniResult(0.0, CONVERGENT, 0.0)
         return KakutaniResult(value, DIVERGENT, None)
 
     assert isinstance(family, SummableFamily)
@@ -412,17 +394,13 @@ def rn_derivative(
 ) -> LogValue:
     """log of d(mu o T^n)/d mu at x, with certified truncation error.
 
-    For iid and compactly perturbed families the infinite product has
-    finitely many non-unit factors and the error bound is zero.
+    For compactly perturbed families the infinite product has finitely many
+    non-unit factors and the error bound is zero.
     """
     family.require_nonsingular()
     if abs(n) > RANGE_CAP:
         raise ValueError(f"|n| exceeds cap {RANGE_CAP}")
     if n == 0:
-        return LogValue(0.0, 0.0)
-
-    if isinstance(family, (IIDFamily, PeriodicFamily)):
-        # non-singular periodic families are constant, hence measure preserving
         return LogValue(0.0, 0.0)
 
     if isinstance(family, CompactFamily):
@@ -450,19 +428,22 @@ def rn_derivative(
     return LogValue(total, family.tail(radius - abs(n)) + family.tail(radius))
 
 
-def cocycle_check(
+def cocycle_gap(
     family: BernoulliFamily,
     x: Configuration,
     n: int,
     m: int,
     tol: float = 1e-12,
-) -> bool:
-    """Chain rule |log (T^{n+m})'(x) - log (T^n)'(T^m x) - log (T^m)'(x)| small."""
+) -> float:
+    """Chain-rule defect |log (T^{n+m})'(x) - log (T^n)'(T^m x) - log (T^m)'(x)|.
+
+    Each of the three terms is within ``tol`` of its limit, so the chain rule
+    holds when the defect is at most ``3 * tol + LOG_SLACK``.
+    """
     total = rn_derivative(family, x, n + m, tol)
     first = rn_derivative(family, x.shifted(m), n, tol)
     second = rn_derivative(family, x, m, tol)
-    gap = abs(total.log_magnitude - first.log_magnitude - second.log_magnitude)
-    return gap <= 3.0 * tol + LOG_SLACK
+    return abs(total.log_magnitude - first.log_magnitude - second.log_magnitude)
 
 
 def rn_log_weights(
@@ -474,20 +455,16 @@ def rn_log_weights(
     """Vectorized log (T^n)'(x) over an array of n values.
 
     Returns (log weights, per-entry truncation error bound).  Exact (bound 0)
-    for iid / compact / constant-periodic families.
+    for compact families.
     """
     family.require_nonsingular()
     ns = np.asarray(ns, dtype=np.int64)
-    if isinstance(family, (IIDFamily, PeriodicFamily)):
-        return np.zeros(len(ns)), 0.0
-
     if isinstance(family, CompactFamily):
         window, err = family.window, 0.0
-        base = family.base
     else:
         assert isinstance(family, SummableFamily)
         window, err = family.effective_window(tol)
-        base = family.base
+    base = family.base
 
     if not window:
         return np.zeros(len(ns)), err
@@ -508,9 +485,7 @@ def rn_log_weights(
 
 
 def uniformity_fraction(family: BernoulliFamily) -> Fraction:
-    """Exact sup_k max/min site probability ratio (certified kinds only)."""
-    if isinstance(family, IIDFamily):
-        return family.base.ratio
+    """Exact sup_k max/min site probability ratio (compact and periodic)."""
     if isinstance(family, CompactFamily):
         return max(
             [family.base.ratio] + [m.ratio for m in family.window.values()]
@@ -523,8 +498,8 @@ def uniformity_fraction(family: BernoulliFamily) -> Fraction:
 def uniformity_constant(family: BernoulliFamily, horizon: int = 0) -> UniformityBound:
     """Uniform bound on per-site max/min probability ratios.
 
-    Exact for iid / compactly perturbed / periodic kinds; a horizon-scan
-    supremum flagged ``exact=False`` for summable kinds.
+    Exact for compact and periodic families; a horizon-scan supremum
+    flagged ``exact=False`` for summable ones.
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
@@ -617,9 +592,9 @@ def conservativity_probe(
 ) -> ConservativityReport:
     """Partial sums of sum_{k=1..n} (T^{-k})'(x) at checkpoints.
 
-    Divergence is certified for iid and compactly perturbed kinds through a
-    computed uniform per-term lower bound; summable kinds get a labeled
-    heuristic verdict from the growth of the partial sums.
+    Divergence is certified for compact families through a computed uniform
+    per-term lower bound (0 for the empty window); summable families get a
+    labeled heuristic verdict from the growth of the partial sums.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -628,11 +603,9 @@ def conservativity_probe(
     pts = series_checkpoints(horizon)
     checkpoints = tuple((n, float(sums[n - 1])) for n in pts)
 
-    if isinstance(family, (IIDFamily, PeriodicFamily)):
-        return ConservativityReport(checkpoints, DIVERGENT, 0.0)
     if isinstance(family, CompactFamily):
         L = float(uniformity_fraction(family))
-        floor = -2.0 * len(family.window) * math.log(L)
+        floor = -2.0 * len(family.window) * math.log(L) if family.window else 0.0
         return ConservativityReport(checkpoints, DIVERGENT, floor)
 
     total = float(sums[-1])

@@ -4,8 +4,11 @@
     ergolab --experiment NAME [--seed N] [--out DIR] [--format json|csv]
     ergolab --config PATH     [--seed N] [--out DIR] [--format json|csv]
 
-Exit codes: 0 success, 2 invalid config, 3 certified operation failure,
-4 I/O failure.
+Exit codes: 0 success, 2 invalid input (a bad config, or a family the
+operation cannot accept, such as a singular one), 3 certified failure (a
+search exhausting its horizon, an unachievable truncation tolerance, a
+coordinate range over the cap), 4 I/O failure.  Each of these prints one
+line to stderr.
 """
 
 from __future__ import annotations
@@ -15,10 +18,11 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import CertifiedFailure, ConfigError
+from .errors import CertifiedFailure, ConfigError, ToleranceError
 from .experiments import get_config, list_experiments
 from .reporting import render_report, write_report
 from .runner import run
+from .shift_core import RangeCapError
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,12 +69,16 @@ def main(argv: list[str] | None = None) -> int:
         report = run(config, seed_override=args.seed)
         if args.experiment is not None:
             report["experiment"] = args.experiment
+    except (ToleranceError, RangeCapError, CertifiedFailure) as exc:
+        # the first two are ValueErrors, so they are caught before those
+        print(f"certified failure: {exc}", file=sys.stderr)
+        return 3
     except ConfigError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2
-    except CertifiedFailure as exc:
-        print(f"certified failure: {exc}", file=sys.stderr)
-        return 3
+    except ValueError as exc:  # NonSingularError and other rejected input
+        print(f"invalid input: {exc}", file=sys.stderr)
+        return 2
 
     try:
         if args.out is not None:

@@ -2,9 +2,11 @@
 
 The action translates coordinates, (T_g x)_h = x_{h-g}; the cocycle weight
 attached to g is the density of the translated measure, an exact finite
-product for compactly perturbed families.  Site measures, kinds, and the
-exactness story mirror the one-dimensional module; only boxes replace
-intervals, and the homoclinic notion is agreement outside a box.
+product for compactly perturbed families.  Families come in two shapes:
+``LatticeCompact`` (base + finite window, the iid family being the empty
+window) and ``LatticePeriodic`` (sites repeat modulo a period vector).  Site
+measures and the exactness story mirror the one-dimensional module; only
+boxes replace intervals, and the homoclinic notion is agreement outside a box.
 """
 
 from __future__ import annotations
@@ -35,17 +37,12 @@ def _as_vec(g) -> tuple[int, ...]:
 
 
 class LatticeFamily:
-    """Base interface for Z^d product families; use the concrete kinds."""
+    """Base interface for Z^d product families; use the concrete shapes."""
 
     dimension: int
     alphabet: Alphabet
-    kind: str
 
     def site(self, g) -> SiteMeasure:
-        raise NotImplementedError
-
-    def preserved_by(self, g) -> bool:
-        """Whether translating by g leaves every site measure unchanged."""
         raise NotImplementedError
 
     def configuration(self, seed: int) -> "LatticeConfiguration":
@@ -55,27 +52,9 @@ class LatticeFamily:
         return self.configuration(spawn(master_seed, run))
 
 
-class LatticeIID(LatticeFamily):
-    kind = "iid"
-
-    def __init__(self, dimension: int, base: SiteMeasure) -> None:
-        if not 1 <= dimension <= 3:
-            raise ValueError("dimension must be 1..3")
-        self.dimension = dimension
-        self.base = base
-        self.alphabet = Alphabet(base.n_symbols)
-
-    def site(self, g) -> SiteMeasure:
-        return self.base
-
-    def preserved_by(self, g) -> bool:
-        return True
-
-
 class LatticeCompact(LatticeFamily):
-    """Base measure outside finitely many perturbed lattice sites."""
-
-    kind = "compactly_perturbed"
+    """Base measure outside finitely many perturbed lattice sites; an empty
+    window is the iid family."""
 
     def __init__(
         self, dimension: int, base: SiteMeasure, window: Mapping[object, SiteMeasure]
@@ -98,17 +77,9 @@ class LatticeCompact(LatticeFamily):
     def site(self, g) -> SiteMeasure:
         return self.window.get(_as_vec(g), self.base)
 
-    def preserved_by(self, g) -> bool:
-        vec = _as_vec(g)
-        if all(v == 0 for v in vec):
-            return True
-        return not self.window
-
 
 class LatticePeriodic(LatticeFamily):
     """site(g) determined by the residue of g modulo a period vector."""
-
-    kind = "periodic"
 
     def __init__(self, period, sites: Mapping[object, SiteMeasure]) -> None:
         self.period = _as_vec(period)
@@ -135,6 +106,7 @@ class LatticePeriodic(LatticeFamily):
         return self._sites[self.residue(g)]
 
     def preserved_by(self, g) -> bool:
+        """Whether translating by g leaves every site measure unchanged."""
         return all(
             self._sites[r].probs == self.site(tuple(a + b for a, b in zip(r, _as_vec(g)))).probs
             for r in self._sites
@@ -210,21 +182,17 @@ class LatticeConfiguration:
             [zigzag_vec(m.ravel()).reshape(shape) for m in mesh],
         )
 
-        iid_like = isinstance(self.family, LatticeIID) or (
-            isinstance(self.family, LatticeCompact) and not self.family.window
-        )
-        if isinstance(self.family, (LatticeIID, LatticeCompact)):
+        if isinstance(self.family, LatticeCompact):
             base_cdf = LazyTail.cdf(self.family.base.probs)
             out = (np.searchsorted(base_cdf, u.ravel(), side="right") + 1).astype(
                 np.int16
             ).reshape(shape)
-            if not iid_like:
-                lows = [int(a[0]) for a in axes]
-                for g, m in self.family.window.items():
-                    idx = tuple(v - lo for v, lo in zip(g, lows))
-                    if all(0 <= i < s for i, s in zip(idx, shape)):
-                        cdf = LazyTail.cdf(m.probs)
-                        out[idx] = np.searchsorted(cdf, u[idx], side="right") + 1
+            lows = [int(a[0]) for a in axes]
+            for g, m in self.family.window.items():
+                idx = tuple(v - lo for v, lo in zip(g, lows))
+                if all(0 <= i < s for i, s in zip(idx, shape)):
+                    cdf = LazyTail.cdf(m.probs)
+                    out[idx] = np.searchsorted(cdf, u[idx], side="right") + 1
             return out
         assert isinstance(self.family, LatticePeriodic)
         out = np.empty(shape, dtype=np.int16)
@@ -256,9 +224,6 @@ def kakutani_sum_generator(
     """Squared-Hellinger equivalence sum for the translation along one
     standard basis vector, over the box of the given radius."""
     e = _unit_vector(family.dimension, axis)
-
-    if isinstance(family, LatticeIID):
-        return KakutaniResult(0.0, CONVERGENT, 0.0)
 
     if isinstance(family, LatticeCompact):
         affected = set(family.window)
@@ -297,8 +262,6 @@ def rn_derivative_g(
     product over perturbed sites i of mu_i(x_{i-g}) / mu_i(x_i) paired against
     the base."""
     vec = _as_vec(g)
-    if isinstance(family, LatticeIID):
-        return LogValue(0.0, 0.0)
     if isinstance(family, LatticePeriodic):
         if not family.preserved_by(vec):
             raise NonSingularError(

@@ -205,16 +205,21 @@ class MarkovFamily:
     def marginal(self, n: int) -> tuple[Fraction, ...]:
         if n <= self._lo:
             return self.base_marginal
-        cached = self._marginals.get(n)
-        if cached is None:
-            prev = self.marginal(n - 1)
-            p = self.transition(n - 1)
-            cached = tuple(
-                sum(prev[s] * p[s][t] for s in range(self.sft.n_states))
-                for t in range(self.sft.n_states)
-            )
-            self._marginals[n] = cached
-        return cached
+        if n not in self._marginals:
+            # evolve forward from the nearest cached marginal below n (or the
+            # base one at the window's left end), caching every step
+            k = n - 1
+            while k > self._lo and k not in self._marginals:
+                k -= 1
+            prev = self._marginals.get(k, self.base_marginal)
+            for j in range(k + 1, n + 1):
+                p = self.transition(j - 1)
+                prev = tuple(
+                    sum(prev[s] * p[s][t] for s in range(self.sft.n_states))
+                    for t in range(self.sft.n_states)
+                )
+                self._marginals[j] = prev
+        return self._marginals[n]
 
     def transition_prob(self, n: int, s: int, t: int) -> Fraction:
         return self.transition(n)[s - 1][t - 1]
@@ -260,15 +265,11 @@ def _invert_cdf(weights: Sequence[Fraction], u: float) -> int:
 # Restricted derivatives and the martingale
 
 
-def _read(x, i: int) -> int:
-    return x.symbol(i)
-
-
 def restricted_derivative_fraction(family: MarkovFamily, x, n: int) -> Fraction:
     """Exact restriction of d(mu o T)/d mu to the symmetric n-window at x."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    word = [_read(x, i) for i in range(-n, n + 1)]
+    word = [x.symbol(i) for i in range(-n, n + 1)]
     if not family.sft.admissible(word):
         raise ValueError("configuration window is not admissible")
     out = family.marginal_prob(-n - 1, word[0]) / family.marginal_prob(-n, word[0])
@@ -298,7 +299,7 @@ def rn_derivative_markov(
     exact = radius >= required
     if n_steps == 0:
         return LogValue(0.0, 0.0)
-    word = [_read(x, i) for i in range(-radius, radius + 1)]
+    word = [x.symbol(i) for i in range(-radius, radius + 1)]
     if not family.sft.admissible(word):
         raise ValueError("configuration window is not admissible")
     out = family.marginal_prob(-radius - n_steps, word[0]) / family.marginal_prob(

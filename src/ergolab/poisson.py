@@ -47,19 +47,9 @@ class GroundSpace:
     weight: Callable[[int], Fraction]
     jump: Callable[[int, int], int]
     name: str = "ground"
-    measure_preserving: bool = True
-
-    def forward(self, p: int) -> int:
-        return self.jump(p, 1)
-
-    def backward(self, p: int) -> int:
-        return self.jump(p, -1)
 
     def region_weight(self, region: Iterable[int]) -> Fraction:
         return sum((Fraction(self.weight(p)) for p in region), Fraction(0))
-
-    def check_measure_preserving(self, points: Iterable[int]) -> bool:
-        return all(self.weight(self.jump(p, 1)) == self.weight(p) for p in points)
 
 
 def integer_translation(step: int = 1) -> GroundSpace:

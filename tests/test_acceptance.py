@@ -75,7 +75,7 @@ def test_criterion_1_cocycle_exactness():
 
 def test_criterion_2_kakutani():
     iid_ok = all(
-        bn.kakutani_sum(bn.IIDFamily(HALF), h) == (0.0, bn.CONVERGENT, 0.0)
+        bn.kakutani_sum(bn.CompactFamily(HALF, {}), h) == (0.0, bn.CONVERGENT, 0.0)
         for h in (1, 10, 1000)
     )
 
@@ -185,7 +185,7 @@ def test_criterion_5_variance_decay():
 
 
 def test_criterion_6_ergodicity_probe():
-    iid = av.BernoulliSystem(bn.IIDFamily(HALF))
+    iid = av.BernoulliSystem(bn.CompactFamily(HALF, {}))
     res_a = av.two_subsequence_probe(
         iid,
         av.Observable.indicator(Cylinder.of([1], left=0)),
@@ -327,7 +327,7 @@ def test_criterion_8_martingale():
 
 
 def test_criterion_9_hurewicz_sanity():
-    iid = av.BernoulliSystem(bn.IIDFamily(HALF))
+    iid = av.BernoulliSystem(bn.CompactFamily(HALF, {}))
     x = iid.sample(spawn(MASTER, 9))
     ones = av.dual_series(iid, av.Observable.constant(1.0), x, 2048)
     dual_exact = all(v == float(n) for n, v in zip(ones.checkpoints, ones.values))
@@ -385,7 +385,7 @@ def test_criterion_10_lattice():
         )
     cocycle_ok = worst <= 1e-9
 
-    iid = lt.LatticeIID(2, HALF)
+    iid = lt.LatticeCompact(2, HALF, {})
     series = lt.box_ratio_average(
         iid, [(1.0, {(0, 0): 1})], iid.configuration(spawn(MASTER, 11)), 64
     )

@@ -13,7 +13,7 @@ F = Fraction
 
 
 def iid_system():
-    return av.BernoulliSystem(bn.IIDFamily(bn.SiteMeasure.of(["1/2", "1/2"])))
+    return av.BernoulliSystem(bn.CompactFamily(bn.SiteMeasure.of(["1/2", "1/2"]), {}))
 
 
 def perturbed_system():

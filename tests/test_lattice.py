@@ -15,7 +15,7 @@ TILTED = SiteMeasure.of(["3/4", "1/4"])
 
 
 def iid2():
-    return lt.LatticeIID(2, HALF)
+    return lt.LatticeCompact(2, HALF, {})
 
 
 def compact2():
@@ -201,7 +201,7 @@ class TestBoxRatioAverage:
         assert series.checkpoints == (1, 2, 3, 4, 5)
 
     def test_three_dimensional_supported(self):
-        fam = lt.LatticeIID(3, HALF)
+        fam = lt.LatticeCompact(3, HALF, {})
         series = lt.box_ratio_average(
             fam, [(1.0, {(0, 0, 0): 1})], fam.configuration(5), 8
         )

@@ -145,6 +145,17 @@ class TestCylinderMeasure:
             )
             assert evolved == fam.marginal(n + 1)
 
+    def test_far_right_cylinder_matches_plain_product(self):
+        # 5000 coordinates right of the window: far past the recursion limit
+        fam = perturbed_golden()
+        row = fam.base_marginal
+        for j in range(-3, 5000):
+            p = fam.transition(j)
+            row = tuple(sum(row[s] * p[s][t] for s in range(2)) for t in range(2))
+        expected = row[0] * fam.transition(5000)[0][1]
+        assert mk.markov_cylinder_measure(fam, Cylinder.of([1, 2], 5000)) == expected
+        assert fam.marginal(5000) == row
+
 
 class TestRestrictedDerivative:
     def test_stationary_z_is_one(self):

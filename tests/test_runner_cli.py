@@ -6,9 +6,10 @@ import sys
 import pytest
 
 from ergolab import cli, runner
-from ergolab.errors import ConfigError
+from ergolab.errors import CertifiedFailure, ConfigError, NonSingularError, ToleranceError
 from ergolab.experiments import CATALOG, get_config, list_experiments
 from ergolab.reporting import render_report
+from ergolab.shift_core import RangeCapError
 
 
 def minimal_config(**overrides):
@@ -219,6 +220,45 @@ class TestCli:
 
     def test_unknown_experiment_exit_2(self):
         assert cli.main(["--experiment", "not-a-thing"]) == 2
+
+    def run_config(self, tmp_path, capsys, cfg):
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code = cli.main(["--config", str(cfg_path)])
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        return code
+
+    def test_singular_family_exit_2(self, tmp_path, capsys):
+        cfg = minimal_config(operation={"name": "rn_derivative", "n": "3"})
+        cfg["system"] = {
+            "type": "bernoulli",
+            "kind": "periodic",
+            "sites": [["3/4", "1/4"], ["1/4", "3/4"]],
+        }
+        assert self.run_config(tmp_path, capsys, cfg) == 2
+
+    def test_bad_tolerance_exit_2(self, tmp_path, capsys):
+        cfg = minimal_config(operation={"name": "cocycle_fuzz", "cases": 3, "tol": "abc"})
+        assert self.run_config(tmp_path, capsys, cfg) == 2
+
+    @pytest.mark.parametrize(
+        "error, code",
+        [
+            (ToleranceError, 3),
+            (RangeCapError, 3),
+            (CertifiedFailure, 3),
+            (NonSingularError, 2),
+            (ValueError, 2),
+        ],
+    )
+    def test_library_errors_map_to_exit_codes(self, tmp_path, capsys, monkeypatch, error, code):
+        def fail(config, seed_override=None):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, "run", fail)
+        assert self.run_config(tmp_path, capsys, minimal_config()) == code
 
     def test_console_entry_point(self):
         proc = subprocess.run(
