@@ -281,12 +281,21 @@ def _count_table(mean: float) -> np.ndarray:
 
 
 def sample_count_grid(
-    gs: GroundSpace, master_seed: int, n_runs: int, points: Sequence[int]
+    gs: GroundSpace,
+    master_seed: int,
+    n_runs: int,
+    points: Sequence[int],
+    cap: int | None = None,
 ) -> np.ndarray:
     """(n_runs, len(points)) per-run point counts.
 
     Row r reproduces ``PointSample.for_run(gs, master_seed, r)`` exactly; the
     grid form exists purely so Monte Carlo batches can be vectorized.
+
+    With ``cap`` set, a cell holds ``min(count, cap)`` instead: inversion by
+    summation stops after ``cap`` levels, ``sum_{i<cap} [u >= table[i]]``
+    over the same ``_count_table``.  The table is non-decreasing, so this is
+    ``min(searchsorted(table, u, side="right"), cap)`` bit for bit.
     """
     points = list(points)
     means = np.array([float(gs.weight(p)) for p in points])
@@ -296,17 +305,27 @@ def sample_count_grid(
     seeds = spawn_vec(master_seed, np.arange(n_runs, dtype=np.int64))
     keys = zigzag_vec(np.asarray(points, dtype=np.int64))
     chunk = max(1, (1 << 22) // max(len(points), 1))
+    if cap is not None:
+        # (cap, n_points) thresholds: column j holds the first cap CDF levels
+        # of point j's mean
+        distinct, which = np.unique(means, return_inverse=True)
+        tables = [_count_table(float(mean))[:cap] for mean in distinct]
+        levels = np.ascontiguousarray(np.reshape(tables, (-1, cap))[which].T)
+        hit = np.empty((min(chunk, n_runs), len(points)), dtype=bool)
     for lo in range(0, n_runs, chunk):
         hi = min(lo + chunk, n_runs)
         u = uniform01_grid(seeds[lo:hi], (TAG_POISSON,), keys)
-        block = np.empty_like(u, dtype=np.int16)
-        for mean in np.unique(means):
-            cols = means == mean
-            table = _count_table(float(mean))
-            block[:, cols] = np.searchsorted(table, u[:, cols], side="right").astype(
-                np.int16
-            )
-        out[lo:hi] = block
+        block = out[lo:hi]
+        if cap is None:
+            for mean in np.unique(means):
+                cols = means == mean
+                table = _count_table(float(mean))
+                block[:, cols] = np.searchsorted(table, u[:, cols], side="right")
+        else:
+            block[...] = 0
+            for level in levels:
+                np.greater_equal(u, level, out=hit[: hi - lo])
+                block += hit[: hi - lo]
     return out
 
 
@@ -318,11 +337,18 @@ def indicator_grid(
     times: Sequence[int],
 ) -> np.ndarray:
     """(n_runs, len(times)) 0/1 matrix: entry [r, j] is the indicator of the
-    times[j]-fold suspension image of run r's sample lying in the event."""
+    times[j]-fold suspension image of run r's sample lying in the event.
+
+    Point counts are drawn clipped at ``K + 1``, K the largest constraint
+    count.  That is exact: a point whose count exceeds K reads K + 1, so every
+    region holding it sums above every k <= K whether clipped or not, and a
+    region without such a point sums the same counts either way.
+    """
     pulled = [event.pulled_back(gs, int(t)) for t in times]
     points = sorted({p for ev in pulled for p in ev.support()})
     col = {p: i for i, p in enumerate(points)}
-    counts = sample_count_grid(gs, master_seed, n_runs, points)
+    cap = 1 + max((k for ev in pulled for _, k in ev.constraints), default=0)
+    counts = sample_count_grid(gs, master_seed, n_runs, points, cap=cap)
     out = np.ones((n_runs, len(times)), dtype=bool)
     for j, ev in enumerate(pulled):
         for region, k in ev.constraints:
@@ -455,15 +481,17 @@ def weak_mixing_probe(
     g_vals = np.zeros(n_runs)
     for c, ev in g_terms:
         g_vals += c * indicator_grid(gs, master_seed, n_runs, ev, [0])[:, 0]
+    times = [int(t) for t in times]
+    f_grids = [indicator_grid(gs, master_seed, n_runs, ev, times) for _, ev in f_terms]
     out = []
-    for t in times:
+    for j, t in enumerate(times):
         f_vals = np.zeros(n_runs)
-        for c, ev in f_terms:
-            f_vals += c * indicator_grid(gs, master_seed, n_runs, ev, [int(t)])[:, 0]
+        for (c, _), grid in zip(f_terms, f_grids):
+            f_vals += c * grid[:, j]
         prod = f_vals * g_vals
         out.append(
             CorrelationPoint(
-                int(t),
+                t,
                 float(prod.mean()),
                 3.0 * float(prod.std(ddof=1)) / math.sqrt(n_runs),
                 limit,

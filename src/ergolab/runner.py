@@ -113,6 +113,8 @@ def _site_measure(values) -> bn.SiteMeasure:
 
 def build_system(spec: Mapping[str, Any]):
     kind = spec.get("kind", "iid")
+    if spec["type"] in ("bernoulli", "zd") and kind == "iid" and "window" in spec:
+        raise ConfigError(f"{spec['type']} kind 'iid' takes no window; use kind 'compact'")
     if spec["type"] == "bernoulli":
         if kind == "iid":
             return bn.CompactFamily(_site_measure(spec["base"]), {})
@@ -183,8 +185,17 @@ def build_system(spec: Mapping[str, Any]):
     raise ConfigError(f"unknown system type {spec['type']!r}")
 
 
+def _need(op: Mapping[str, Any], key: str, within: Mapping[str, Any] | None = None):
+    """The value of ``key`` in ``within`` (default: the operation itself) for
+    a key with no default; leaving it out is a config error, not a KeyError."""
+    source = op if within is None else within
+    if key not in source:
+        raise ConfigError(f"operation {op['name']} needs key {key}")
+    return source[key]
+
+
 def _cylinder(op: Mapping[str, Any], key: str = "word", left_key: str = "left") -> Cylinder:
-    word = [parse_int(s) for s in op[key]]
+    word = [parse_int(s) for s in _need(op, key)]
     return Cylinder.of(word, parse_int(op.get(left_key, -(len(word) // 2))))
 
 
@@ -230,7 +241,7 @@ def _op_uniformity(family, op, seed):
 
 def _op_rn_derivative(family, op, seed):
     x = family.configuration(spawn(seed, 0))
-    val = bn.rn_derivative(family, x, parse_int(op["n"]))
+    val = bn.rn_derivative(family, x, parse_int(_need(op, "n")))
     return {"log_value": val.log_magnitude, "error_bound": val.error_bound}
 
 
@@ -306,11 +317,11 @@ def _op_series(built, op, seed, which: str):
 def _op_maximal(built, op, seed):
     system = _wrap_system(built)
     kind = "cylinder" if system.kind == "bernoulli" else "event"
-    f = _observable(op["f"], kind)
+    f = _observable(_need(op, "f"), kind)
     res = averages.maximal_inequality_probe(
         system,
         f,
-        float(parse_number(op["t"])),
+        float(parse_number(_need(op, "t"))),
         parse_int(op.get("runs", 2000)),
         parse_int(op.get("horizon", 128)),
         seed,
@@ -321,7 +332,7 @@ def _op_maximal(built, op, seed):
 def _op_two_subsequence(built, op, seed):
     system = _wrap_system(built)
     kind = "cylinder" if system.kind == "bernoulli" else "event"
-    f = _observable(op["f"], kind)
+    f = _observable(_need(op, "f"), kind)
     blocks = [parse_int(b) for b in op.get("blocks", [16, 64, 256])]
     if "times" in op:
         times = [parse_int(t) for t in op["times"]]
@@ -407,7 +418,10 @@ def _op_couple(family, op, seed):
 
 def _op_tail_probe(family, op, seed):
     cyls = [
-        Cylinder.of([parse_int(s) for s in item["word"]], parse_int(item["left"]))
+        Cylinder.of(
+            [parse_int(s) for s in _need(op, "word", item)],
+            parse_int(_need(op, "left", item)),
+        )
         for item in op.get("cylinders", [])
     ]
     rep = mk.tail_triviality_probe(family, cyls)
@@ -421,11 +435,11 @@ def _op_tail_probe(family, op, seed):
 
 
 def _op_event_probability(gs, op, seed):
-    return {"value": ps.event_probability(gs, _event(op["constraints"]))}
+    return {"value": ps.event_probability(gs, _event(_need(op, "constraints")))}
 
 
 def _op_mixing_gap(gs, op, seed):
-    res = ps.mixing_gap(gs, _event(op["b"]), _event(op["c"]))
+    res = ps.mixing_gap(gs, _event(_need(op, "b")), _event(_need(op, "c")))
     return dict(res._asdict())
 
 
@@ -458,7 +472,7 @@ def _random_event(seed: int, tag: int, n_points: int) -> ps.PoissonEvent:
 
 
 def _op_null_subsequence(gs, op, seed):
-    regions = [[parse_int(p) for p in region] for region in op["regions"]]
+    regions = [[parse_int(p) for p in region] for region in _need(op, "regions")]
     times = ps.find_null_subsequence(
         gs, regions, parse_int(op.get("count", 8)), parse_int(op.get("horizon", 10000))
     )
@@ -505,9 +519,14 @@ def _op_variance_decay(gs, op, seed):
 
 
 def _op_weak_mixing(gs, op, seed):
-    f = [(float(parse_number(t.get("coef", "1"))), _event(t["constraints"])) for t in op["f"]]
-    g = [(float(parse_number(t.get("coef", "1"))), _event(t["constraints"])) for t in op["g"]]
-    times = [parse_int(t) for t in op["times"]]
+    def terms(key):
+        return [
+            (float(parse_number(t.get("coef", "1"))), _event(_need(op, "constraints", t)))
+            for t in _need(op, key)
+        ]
+
+    f, g = terms("f"), terms("g")
+    times = [parse_int(t) for t in _need(op, "times")]
     points = ps.weak_mixing_probe(gs, f, g, times, parse_int(op.get("runs", 2000)), seed)
     return {
         "limit": points[0].limit if points else None,

@@ -145,6 +145,20 @@ class TestSampling:
             sample = ps.PointSample.for_run(gs, 77, r)
             assert list(grid[r]) == [sample.count(p) for p in points]
 
+    @pytest.mark.parametrize("cap", [1, 2, 3, 65])
+    def test_capped_grid_clips_full_grid(self, cap):
+        # several distinct means, one just under the split threshold, whose
+        # counts pass 65 in some runs
+        means = [F(1, 2), F(1), F(7, 3), F(0), F(99, 2), F(12)]
+        gs = ps.weighted_points({p: means[p % len(means)] for p in range(-9, 9)})
+        points = list(range(-9, 9))
+        full = ps.sample_count_grid(gs, 41, 400, points)
+        capped = ps.sample_count_grid(gs, 41, 400, points, cap=cap)
+        assert capped.dtype == full.dtype
+        assert np.array_equal(capped, np.minimum(full, cap))
+        if cap == 65:
+            assert full.max() > 65
+
     def test_empirical_event_frequency_vs_exact(self):
         gs = unit_line()
         ev = ps.PoissonEvent.count([0], 0)
@@ -190,6 +204,36 @@ class TestSuspension:
             sample = ps.PointSample.for_run(gs, 13, r)
             for j, t in enumerate(times):
                 assert grid[r, j] == ps.suspension_indicator(sample, ev, t)
+
+    @pytest.mark.parametrize("ground", ["translation", "weighted"])
+    @pytest.mark.parametrize(
+        "constraints",
+        [
+            [([0, 1, 2], 2), ([1, 5], 0)],
+            [([], 0), ([3, 4], 1)],
+            [([2], 1), ([], 1)],
+        ],
+        ids=["mixed_k", "empty_region_k0", "empty_region_k1"],
+    )
+    def test_indicator_grid_matches_scalar_multi_constraint(self, ground, constraints):
+        if ground == "translation":
+            gs = unit_line()
+        else:
+            gs = ps.weighted_points({p: [F(3, 2), F(1, 3), F(1, 2)][p % 3] for p in range(6)})
+        ev = ps.PoissonEvent.of(constraints)
+        times = [0, 1, 4, 9]
+        grid = ps.indicator_grid(gs, 23, 300, ev, times)
+        expected = [
+            [
+                ps.suspension_indicator(ps.PointSample.for_run(gs, 23, r), ev, t)
+                for t in times
+            ]
+            for r in range(300)
+        ]
+        assert np.array_equal(grid, np.array(expected, dtype=np.float64))
+        # N(empty) = 1 never holds; the other events must both hit and miss
+        if constraints[1] != ([], 1):
+            assert 0 < grid.sum() < grid.size
 
     def test_monte_carlo_mean_matches_exact(self):
         gs = unit_line()
@@ -307,3 +351,28 @@ class TestWeakMixing:
         for pt in points:
             assert pt.limit == pytest.approx(0.0, abs=1e-12)
             assert abs(pt.estimate) <= max(pt.half_width, 1e-2)
+
+    def test_matches_per_time_reference(self):
+        gs = unit_line()
+        f = [
+            (1.0, ps.PoissonEvent.of([([0, 1], 1), ([4], 0)])),
+            (-0.5, ps.PoissonEvent.count([2, 3, 5], 3)),
+            (0.25, ps.PoissonEvent(())),
+        ]
+        g = [(2.0, ps.PoissonEvent.count([1, 2], 2))]
+        times = [0, 3, 1, 7]
+        n_runs, seed = 500, 8
+        g_vals = np.zeros(n_runs)
+        for c, ev in g:
+            g_vals += c * ps.indicator_grid(gs, seed, n_runs, ev, [0])[:, 0]
+        reference = []
+        for t in times:
+            f_vals = np.zeros(n_runs)
+            for c, ev in f:
+                f_vals += c * ps.indicator_grid(gs, seed, n_runs, ev, [t])[:, 0]
+            prod = f_vals * g_vals
+            reference.append(
+                (t, float(prod.mean()), 3.0 * float(prod.std(ddof=1)) / math.sqrt(n_runs))
+            )
+        points = ps.weak_mixing_probe(gs, f, g, times, n_runs, seed)
+        assert [(p.time, p.estimate, p.half_width) for p in points] == reference

@@ -12,6 +12,33 @@ from ergolab.reporting import render_report
 from ergolab.shift_core import RangeCapError
 
 
+BERNOULLI = {"type": "bernoulli", "kind": "iid", "base": ["1/2", "1/2"]}
+POISSON = {"type": "poisson", "ground": "translation", "step": 1}
+MARKOV = {
+    "type": "markov",
+    "sft": [[1, 1], [1, 1]],
+    "transition": [["1/2", "1/2"], ["1/2", "1/2"]],
+}
+
+#: (system, operation, the required key the operation leaves out)
+MISSING_KEY_CASES = [
+    (BERNOULLI, {"name": "rn_derivative"}, "n"),
+    (BERNOULLI, {"name": "maximal_inequality", "f": [{"coef": "1"}]}, "t"),
+    (POISSON, {"name": "two_subsequence_probe"}, "f"),
+    (POISSON, {"name": "event_probability"}, "constraints"),
+    (POISSON, {"name": "mixing_gap", "b": [[["0"], "0"]]}, "c"),
+    (POISSON, {"name": "find_null_subsequence", "count": 2}, "regions"),
+    (POISSON, {"name": "weak_mixing_probe", "f": [], "g": []}, "times"),
+    (
+        POISSON,
+        {"name": "weak_mixing_probe", "f": [{"coef": "1"}], "g": [], "times": [1]},
+        "constraints",
+    ),
+    (MARKOV, {"name": "cylinder_measure"}, "word"),
+    (MARKOV, {"name": "tail_triviality_probe", "cylinders": [{"word": [0]}]}, "left"),
+]
+
+
 def minimal_config(**overrides):
     config = {
         "schema": "v1",
@@ -241,6 +268,40 @@ class TestCli:
 
     def test_bad_tolerance_exit_2(self, tmp_path, capsys):
         cfg = minimal_config(operation={"name": "cocycle_fuzz", "cases": 3, "tol": "abc"})
+        assert self.run_config(tmp_path, capsys, cfg) == 2
+
+    @pytest.mark.parametrize(
+        "system, op, key",
+        MISSING_KEY_CASES,
+        ids=[f"{op['name']}-{key}" for _, op, key in MISSING_KEY_CASES],
+    )
+    def test_missing_required_key_exit_2(self, tmp_path, capsys, system, op, key):
+        cfg = minimal_config(system=system, operation=op)
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli.main(["--config", str(cfg_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"invalid config: operation {op['name']} needs key {key}\n"
+
+    @pytest.mark.parametrize(
+        "system, op",
+        [
+            (dict(BERNOULLI, window={"0": ["3/4", "1/4"]}), "kakutani_sum"),
+            (
+                {
+                    "type": "zd",
+                    "kind": "iid",
+                    "base": ["1/2", "1/2"],
+                    "window": {"0,0": ["3/4", "1/4"]},
+                },
+                "kakutani_generator",
+            ),
+        ],
+        ids=["bernoulli", "zd"],
+    )
+    def test_iid_with_window_exit_2(self, tmp_path, capsys, system, op):
+        cfg = minimal_config(system=system, operation={"name": op})
         assert self.run_config(tmp_path, capsys, cfg) == 2
 
     @pytest.mark.parametrize(
