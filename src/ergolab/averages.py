@@ -217,12 +217,18 @@ def birkhoff_series(system, f: Observable, x, horizon: int) -> SumSeries:
     )
 
 
-def dual_series(system, f: Observable, x, horizon: int, tol: float = 1e-12) -> SumSeries:
-    """Raw dual sums sum_{k<n} d(mu o T^-k)/d mu (x) f(T^-k x)."""
+def _dual_sums(system, f: Observable, x, horizon: int, tol: float = 1e-12):
+    """Cumulative dual sums of f at x for n = 1..horizon, the cocycle weights
+    d(mu o T^-k)/d mu (x) for k < horizon, and the weights' error bound."""
     logs, err = system.dual_log_weights(x, horizon, tol)
     weights = np.exp(logs)
     values = system.value_series(x, f, -np.arange(horizon))
-    sums = np.cumsum(weights * values)
+    return np.cumsum(weights * values), weights, err
+
+
+def dual_series(system, f: Observable, x, horizon: int, tol: float = 1e-12) -> SumSeries:
+    """Raw dual sums sum_{k<n} d(mu o T^-k)/d mu (x) f(T^-k x)."""
+    sums, _, err = _dual_sums(system, f, x, horizon, tol)
     pts = series_checkpoints(horizon)
     return SumSeries(
         tuple(pts),
@@ -234,10 +240,7 @@ def dual_series(system, f: Observable, x, horizon: int, tol: float = 1e-12) -> S
 
 def hurewicz_ratio_series(system, f: Observable, x, horizon: int, tol: float = 1e-12) -> SumSeries:
     """Dual-weighted ratio averages: dual sums of f over dual sums of 1."""
-    logs, _ = system.dual_log_weights(x, horizon, tol)
-    weights = np.exp(logs)
-    values = system.value_series(x, f, -np.arange(horizon))
-    num = np.cumsum(weights * values)
+    num, weights, _ = _dual_sums(system, f, x, horizon, tol)
     den = np.cumsum(weights)
     pts = series_checkpoints(horizon)
     return SumSeries(tuple(pts), tuple(float(num[n - 1] / den[n - 1]) for n in pts), "ratio")
@@ -268,11 +271,8 @@ def maximal_inequality_probe(
         raise ValueError("threshold t must be positive")
     exceed = 0
     for r in range(n_runs):
-        x = system.run_sample(master_seed, r)
-        logs, _ = system.dual_log_weights(x, horizon)
-        weights = np.exp(logs)
-        values = system.value_series(x, f, -np.arange(horizon))
-        ratios = np.cumsum(weights * values) / np.cumsum(weights)
+        num, weights, _ = _dual_sums(system, f, system.run_sample(master_seed, r), horizon)
+        ratios = num / np.cumsum(weights)
         if np.max(np.abs(ratios)) > t:
             exceed += 1
     tail = exceed / n_runs

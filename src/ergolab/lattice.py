@@ -118,7 +118,7 @@ def alternating_rows(axis: int = 1, dimension: int = 2) -> LatticePeriodic:
     coordinate: the lattice analogue of the alternating one-dimensional family."""
     even = SiteMeasure.of(["3/4", "1/4"])
     odd = SiteMeasure.of(["1/4", "3/4"])
-    period = tuple(2 if i == axis else 1 for i in range(dimension))
+    period = tuple(1 + e for e in _unit_vector(dimension, axis))
     sites = {}
     for r in _box_residues(period):
         sites[r] = even if r[axis] == 0 else odd

@@ -72,6 +72,8 @@ class SFT:
 
     def words(self, length: int) -> Iterator[tuple[int, ...]]:
         """All admissible words of the given length, lexicographic order."""
+        if length < 0:
+            raise ValueError(f"word length {length} is negative")
         if length == 0:
             yield ()
             return

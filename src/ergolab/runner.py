@@ -1,254 +1,249 @@
 """Declarative experiment runner: validate a config, build the system,
 dispatch one operation, and return a reproducible report.
 
-Configs are JSON with schema tag "v1".  All numeric leaves are decimal or
-rational strings ("0.75", "3/4") so that exact-rational systems are built
-from exact inputs; integer counts may be plain JSON integers.  Unknown
-fields are rejected.
+Configs are JSON with schema tag "v1".  Each key is declared once, with its
+parser and default, in `_SYSTEMS` or `_HANDLERS`; validation and parsing
+both come from these tables, so an unknown key, a missing required key or
+a wrong-typed value is a ConfigError at any level.  Numbers are decimal or
+rational strings ("0.75", "3/4"), so exact systems get exact inputs;
+integers may also be plain JSON integers.
 """
 
 from __future__ import annotations
 
+import re
 import time
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from typing import Any, Callable, Mapping
 
 import numpy as np
-from jsonschema import Draft202012Validator
 
 from . import __version__, averages, bernoulli as bn, lattice as lt, markov_sft as mk
 from . import poisson as ps
 from .errors import ConfigError
-from .reporting import series_rows
+from .reporting import jsonable, series_rows
 from .seeding import spawn, uniform01
 from .shift_core import Cylinder
 
-_NUM = {"type": "string", "pattern": r"^-?\d+(\.\d+)?(/\d+)?$"}
-_INT = {"type": ["integer", "string"], "pattern": r"^-?\d+$"}
-_PROBS = {"type": "array", "items": _NUM, "minItems": 2}
-_MATRIX = {"type": "array", "items": {"type": "array", "items": _NUM}}
+_INTEGER = re.compile(r"-?\d+")
+_NUMBER = re.compile(r"-?\d+(\.\d+)?(/\d+)?")
 
-CONFIG_SCHEMA: dict[str, Any] = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["schema", "seed", "system", "operation"],
-    "properties": {
-        "schema": {"const": "v1"},
-        "seed": _INT,
-        "name": {"type": "string"},
-        "system": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["type"],
-            "properties": {
-                "type": {"enum": ["bernoulli", "markov", "poisson", "zd"]},
-                "kind": {"type": "string"},
-                "base": _PROBS,
-                "window": {
-                    "type": "object",
-                    "additionalProperties": _PROBS,
-                },
-                "sites": {"type": "array", "items": _PROBS},
-                "c": _NUM,
-                "r": _NUM,
-                "sft": {
-                    "type": "array",
-                    "items": {"type": "array", "items": {"enum": [0, 1]}},
-                },
-                "transition": _MATRIX,
-                "marginal": _PROBS,
-                "transition_window": {
-                    "type": "object",
-                    "additionalProperties": _MATRIX,
-                },
-                "ground": {"type": "string"},
-                "step": _INT,
-                "length": _INT,
-                "weights": {"type": "object", "additionalProperties": _NUM},
-                "dimension": _INT,
-                "axis": _INT,
-            },
-        },
-        "operation": {
-            "type": "object",
-            "required": ["name"],
-            "additionalProperties": True,
-            "properties": {"name": {"type": "string"}},
-        },
-    },
-}
-
-_VALIDATOR = Draft202012Validator(CONFIG_SCHEMA)
+# A parser takes (value, where) and returns the parsed value or raises a
+# ConfigError naming ``where``.  A key is declared as (parser, default): the
+# default is a raw config value parsed like a given one, ``...`` for a
+# required key, or None for an optional key the handler fills in.
 
 
-def parse_number(value) -> Fraction:
-    try:
-        return Fraction(str(value))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"bad number {value!r}: {exc}") from exc
-
-
-def parse_int(value) -> int:
-    try:
-        return int(str(value))
-    except ValueError as exc:
-        raise ConfigError(f"bad integer {value!r}: {exc}") from exc
-
-
-def validate_config(config: Mapping[str, Any]) -> None:
-    errors = sorted(_VALIDATOR.iter_errors(config), key=lambda e: list(e.path))
-    if errors:
-        first = errors[0]
-        where = "/".join(str(p) for p in first.path) or "<root>"
-        raise ConfigError(f"config invalid at {where}: {first.message}")
-
-
-def _site_measure(values) -> bn.SiteMeasure:
-    try:
-        return bn.SiteMeasure.of([parse_number(v) for v in values])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def build_system(spec: Mapping[str, Any]):
-    kind = spec.get("kind", "iid")
-    if spec["type"] in ("bernoulli", "zd") and kind == "iid" and "window" in spec:
-        raise ConfigError(f"{spec['type']} kind 'iid' takes no window; use kind 'compact'")
-    if spec["type"] == "bernoulli":
-        if kind == "iid":
-            return bn.CompactFamily(_site_measure(spec["base"]), {})
-        if kind == "compact":
-            window = {
-                parse_int(k): _site_measure(v)
-                for k, v in spec.get("window", {}).items()
-            }
-            return bn.CompactFamily(_site_measure(spec["base"]), window)
-        if kind == "periodic":
-            return bn.periodic_family([_site_measure(s) for s in spec["sites"]])
-        if kind == "summable":
-            return bn.summable_two_symbol(
-                parse_number(spec.get("c", "1/10")), parse_number(spec.get("r", "1/2"))
-            )
-        raise ConfigError(f"unknown bernoulli kind {kind!r}")
-
-    if spec["type"] == "markov":
+def parse_number(value, where: str = "config") -> Fraction:
+    if isinstance(value, str) and _NUMBER.fullmatch(value):
         try:
-            sft = mk.SFT.of(spec["sft"])
-            transition = [
-                [parse_number(e) for e in row] for row in spec["transition"]
-            ]
-            marginal = (
-                [parse_number(e) for e in spec["marginal"]]
-                if "marginal" in spec
-                else None
-            )
-            window = {
-                parse_int(k): [[parse_number(e) for e in row] for row in mat]
-                for k, mat in spec.get("transition_window", {}).items()
-            }
-            return mk.MarkovFamily(sft, transition, marginal, window)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    if spec["type"] == "poisson":
-        ground = spec.get("ground", "translation")
-        if ground == "translation":
-            return ps.integer_translation(parse_int(spec.get("step", 1)))
-        if ground == "identity":
-            return ps.integer_identity()
-        if ground == "cycle":
-            return ps.finite_cycle(parse_int(spec.get("length", 1)))
-        if ground == "weighted":
-            return ps.weighted_points(
-                {parse_int(k): parse_number(v) for k, v in spec["weights"].items()}
-            )
-        raise ConfigError(f"unknown ground space {ground!r}")
-
-    if spec["type"] == "zd":
-        d = parse_int(spec.get("dimension", 2))
-        try:
-            if kind == "iid":
-                return lt.LatticeCompact(d, _site_measure(spec["base"]), {})
-            if kind == "compact":
-                window = {
-                    tuple(parse_int(v) for v in k.split(",")): _site_measure(m)
-                    for k, m in spec.get("window", {}).items()
-                }
-                return lt.LatticeCompact(d, _site_measure(spec["base"]), window)
-            if kind == "alternating":
-                return lt.alternating_rows(parse_int(spec.get("axis", 1)), d)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        raise ConfigError(f"unknown zd kind {kind!r}")
-
-    raise ConfigError(f"unknown system type {spec['type']!r}")
+            return Fraction(value)
+        except ZeroDivisionError:
+            pass
+    raise ConfigError(f"{where}: bad number {value!r}")
 
 
-def _need(op: Mapping[str, Any], key: str, within: Mapping[str, Any] | None = None):
-    """The value of ``key`` in ``within`` (default: the operation itself) for
-    a key with no default; leaving it out is a config error, not a KeyError."""
-    source = op if within is None else within
-    if key not in source:
-        raise ConfigError(f"operation {op['name']} needs key {key}")
-    return source[key]
+def parse_int(value, where: str = "config") -> int:
+    if type(value) is int or (isinstance(value, str) and _INTEGER.fullmatch(value)):
+        return int(value)
+    raise ConfigError(f"{where}: bad integer {value!r}")
 
 
-def _cylinder(op: Mapping[str, Any], key: str = "word", left_key: str = "left") -> Cylinder:
-    word = [parse_int(s) for s in _need(op, key)]
-    return Cylinder.of(word, parse_int(op.get(left_key, -(len(word) // 2))))
+def _float(value, where: str) -> float:
+    return float(parse_number(value, where))
 
 
-def _observable(spec, kind: str) -> averages.Observable:
-    """[{"coef": "1", "word": [...], "left": ...}] or [{"coef", "regions": [[..], k]}]."""
-    terms = []
-    for term in spec:
-        coef = float(parse_number(term.get("coef", "1")))
-        if kind == "cylinder":
-            word = [parse_int(s) for s in term.get("word", [])]
-            left = parse_int(term.get("left", 0))
-            atom = Cylinder.of(word, left) if word else Cylinder.empty()
+def _json(kind: type, what: str) -> Callable:
+    """A parser that accepts values of one JSON type as they are."""
+
+    def parse(value, where):
+        if isinstance(value, kind):
+            return value
+        raise ConfigError(f"{where}: expected {what}, got {value!r}")
+
+    return parse
+
+
+_object, _list, _string = _json(dict, "an object"), _json(list, "a list"), _json(str, "a string")
+
+
+def _enum(*choices) -> Callable:
+    def parse(value, where):
+        if any(type(value) is type(c) and value == c for c in choices):
+            return value
+        raise ConfigError(f"{where}: {value!r} is not one of {', '.join(map(repr, choices))}")
+
+    return parse
+
+
+def _list_of(item: Callable) -> Callable:
+    return lambda value, where: [item(v, where) for v in _list(value, where)]
+
+
+def _map_of(item: Callable, key: Callable | None = None) -> Callable:
+    """An object with free keys (a window, weights); ``key`` parses each key."""
+    return lambda value, where: {
+        key(k, where) if key else k: item(v, where) for k, v in _object(value, where).items()
+    }
+
+
+def _fields(value, keys: Mapping[str, tuple], where: str, skip=()) -> dict:
+    """The keys of the object ``value`` parsed as ``keys`` declares them;
+    ``skip`` names keys that the caller has read already."""
+    for key in _object(value, where):
+        if key not in keys and key not in skip:
+            raise ConfigError(f"{where} has unknown key {key}")
+    out = {}
+    for key, (parse, default) in keys.items():
+        if key in value:
+            out[key] = parse(value[key], where)
+        elif default is ...:
+            raise ConfigError(f"{where} needs key {key}")
         else:
-            atom = ps.PoissonEvent.of(
-                [
-                    ([parse_int(p) for p in region], parse_int(k))
-                    for region, k in term.get("constraints", [])
-                ]
-            )
-        terms.append((coef, atom))
-    return averages.Observable.combine(terms)
+            out[key] = None if default is None else parse(default, where)
+    return out
 
 
-def _event(spec) -> ps.PoissonEvent:
-    return ps.PoissonEvent.of(
-        [([parse_int(p) for p in region], parse_int(k)) for region, k in spec]
-    )
+def _records(keys: Mapping[str, tuple], build: Callable) -> Callable:
+    """A list of objects with the declared keys, each passed to ``build``."""
+    return _list_of(lambda item, where: build(**_fields(item, keys, where)))
+
+
+def _choice(value: dict, key: str, table: Mapping, where: str, default=...) -> str:
+    """The entry name that ``value[key]`` (or the default) gives in ``table``."""
+    if key not in value and default is ...:
+        raise ConfigError(f"{where} needs key {key}")
+    return _enum(*table)(value.get(key, default), f"{where} {key}")
+
+
+def _site(text: str, dimension: int, where: str) -> tuple[int, ...]:
+    """A Z^d site written "i,j,..." with exactly ``dimension`` coordinates."""
+    site = tuple(parse_int(v, where) for v in text.split(","))
+    if len(site) != dimension:
+        raise ConfigError(f"{where}: site {text!r} needs {dimension} coordinates")
+    return site
+
+
+def _site_measure(value, where: str) -> bn.SiteMeasure:
+    return bn.SiteMeasure.of([parse_number(v, where) for v in _list(value, where)])
+
+
+def _values(**fields) -> tuple:
+    return tuple(fields.values())
+
+
+def _constraint(value, where: str) -> tuple[list[int], int]:
+    if len(_list(value, where)) != 2:
+        raise ConfigError(f"{where}: expected a [region, count] pair, got {value!r}")
+    return _ints(value[0], where), parse_int(value[1], where)
+
+
+def _event(value, where: str) -> ps.PoissonEvent:
+    return ps.PoissonEvent.of([_constraint(c, where) for c in _list(value, where)])
+
+
+def _observable(terms: Callable) -> Callable:
+    return lambda value, where: averages.Observable.combine(terms(value, where))
+
+
+_ints = _list_of(parse_int)
+_matrix = _list_of(_list_of(parse_number))
+_COEF = {"coef": (_float, "1")}
+_CYLINDER_TERMS = _records(
+    {**_COEF, "word": (_ints, []), "left": (parse_int, 0)},
+    lambda coef, word, left: (coef, Cylinder.of(word, left) if word else Cylinder.empty()),
+)
+_EVENT_TERMS = _records({**_COEF, "constraints": (_event, [])}, _values)
 
 
 # ---------------------------------------------------------------------------
-# Operation handlers (each returns a JSON-able result dict)
+# Systems
 
 
-def _op_kakutani(family, op, seed):
-    res = bn.kakutani_sum(family, parse_int(op.get("horizon", 100)))
-    return {"value": res.value, "verdict": res.verdict, "tail_bound": res.tail_bound}
+def _markov(sft, transition, marginal, transition_window) -> mk.MarkovFamily:
+    return mk.MarkovFamily(mk.SFT.of(sft), transition, marginal, transition_window)
 
 
-def _op_uniformity(family, op, seed):
-    res = bn.uniformity_constant(family, parse_int(op.get("horizon", 0)))
-    return {"value": res.value, "exact": res.exact}
+def _zd_compact(dimension: int, base, window) -> lt.LatticeCompact:
+    sites = {_site(k, dimension, "system zd/compact"): m for k, m in window.items()}
+    return lt.LatticeCompact(dimension, base, sites)
 
 
-def _op_rn_derivative(family, op, seed):
+_BASE = {"base": (_site_measure, ...)}
+_DIMENSION = {"dimension": (parse_int, 2)}
+
+#: system type -> (the key that picks its shape, that key's default,
+#: shape -> (keys, builder called with the parsed keys)); markov has one shape
+_SYSTEMS: dict[str, tuple[str | None, str | None, dict]] = {
+    "bernoulli": ("kind", "iid", {
+        "iid": (_BASE, partial(bn.CompactFamily, window={})),
+        "compact": ({**_BASE, "window": (_map_of(_site_measure, parse_int), {})}, bn.CompactFamily),
+        "periodic": ({"sites": (_list_of(_site_measure), ...)}, bn.periodic_family),
+        "summable": (
+            {"c": (parse_number, "1/10"), "r": (parse_number, "1/2")},
+            bn.summable_two_symbol,
+        ),
+    }),
+    "markov": (None, None, {None: (
+        {
+            "sft": (_list_of(_list_of(_enum(0, 1))), ...),
+            "transition": (_matrix, ...),
+            "marginal": (_list_of(parse_number), None),
+            "transition_window": (_map_of(_matrix, parse_int), {}),
+        },
+        _markov,
+    )}),
+    "poisson": ("ground", "translation", {
+        "translation": ({"step": (parse_int, 1)}, ps.integer_translation),
+        "identity": ({}, ps.integer_identity),
+        "cycle": ({"length": (parse_int, 1)}, ps.finite_cycle),
+        "weighted": ({"weights": (_map_of(parse_number, parse_int), ...)}, ps.weighted_points),
+    }),
+    "zd": ("kind", "iid", {
+        "iid": ({**_DIMENSION, **_BASE}, partial(lt.LatticeCompact, window={})),
+        "compact": ({**_DIMENSION, **_BASE, "window": (_map_of(_site_measure), {})}, _zd_compact),
+        "alternating": ({**_DIMENSION, "axis": (parse_int, 1)}, lt.alternating_rows),
+    }),
+}
+
+
+def build_system(spec: Mapping[str, Any]):
+    """The family or ground space that a config's system object describes."""
+    system_type = _choice(_object(spec, "system"), "type", _SYSTEMS, "system")
+    selector, default, shapes = _SYSTEMS[system_type]
+    shape = _choice(spec, selector, shapes, f"system {system_type}", default) if selector else None
+    keys, builder = shapes[shape]
+    where = f"system {system_type}" + (f"/{shape}" if shape else "")
+    try:
+        return builder(**_fields(spec, keys, where, skip=("type", selector)))
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+# ---------------------------------------------------------------------------
+# Operation handlers: each takes the built system, the seed and the parsed
+# operation keys, and returns a JSON-able result dict
+
+
+def _kakutani(family, seed, horizon):
+    return bn.kakutani_sum(family, horizon)._asdict()
+
+
+def _uniformity(family, seed, horizon):
+    return bn.uniformity_constant(family, horizon)._asdict()
+
+
+def _rn_derivative(family, seed, n):
     x = family.configuration(spawn(seed, 0))
-    val = bn.rn_derivative(family, x, parse_int(_need(op, "n")))
+    val = bn.rn_derivative(family, x, n)
     return {"log_value": val.log_magnitude, "error_bound": val.error_bound}
 
 
-def _op_cocycle_fuzz(family, op, seed):
-    cases = parse_int(op.get("cases", 1000))
-    span = parse_int(op.get("span", 8))
-    tol = float(parse_number(op.get("tol", 1e-12)))
+def _cocycle_fuzz(family, seed, cases, span, tol):
     worst = 0.0
     ok = True
     for case in range(cases):
@@ -261,9 +256,7 @@ def _op_cocycle_fuzz(family, op, seed):
     return {"cases": cases, "max_gap": worst, "all_ok": ok}
 
 
-def _op_homoclinic_scan(family, op, seed):
-    radius_max = parse_int(op.get("radius_max", 3))
-    n_max = parse_int(op.get("n_max", 8))
+def _homoclinic_scan(family, seed, radius_max, n_max):
     x = family.configuration(spawn(seed, 0))
     checked = violations = 0
     for radius in range(radius_max + 1):
@@ -277,9 +270,9 @@ def _op_homoclinic_scan(family, op, seed):
     return {"pairs_checked": checked, "violations": violations, "all_ok": violations == 0}
 
 
-def _op_conservativity(family, op, seed):
+def _conservativity(family, seed, horizon):
     x = family.configuration(spawn(seed, 0))
-    rep = bn.conservativity_probe(family, x, parse_int(op.get("horizon", 4096)))
+    rep = bn.conservativity_probe(family, x, horizon)
     return {
         "verdict": rep.verdict,
         "term_log_floor": rep.term_log_floor,
@@ -288,84 +281,45 @@ def _op_conservativity(family, op, seed):
     }
 
 
-def _wrap_system(built) -> object:
-    if isinstance(built, bn.BernoulliFamily):
-        return averages.BernoulliSystem(built)
-    if isinstance(built, ps.GroundSpace):
-        return averages.PoissonSystem(built)
-    raise ConfigError("series operations need a bernoulli or poisson system")
+def _series(which: str, series: Callable) -> Callable:
+    def handler(system, seed, f, horizon):
+        out = series(system, f, system.run_sample(seed, 0), horizon)
+        return {"final_value": out.final_value, "series": {which: series_rows(out)}}
+
+    return handler
 
 
-def _op_series(built, op, seed, which: str):
-    system = _wrap_system(built)
-    kind = "cylinder" if system.kind == "bernoulli" else "event"
-    f = _observable(op.get("f", [{"coef": "1"}]), kind)
-    x = system.run_sample(seed, 0)
-    horizon = parse_int(op.get("horizon", 1024))
-    if which == "birkhoff":
-        series = averages.birkhoff_series(system, f, x, horizon)
-    elif which == "dual":
-        series = averages.dual_series(system, f, x, horizon)
-    else:
-        series = averages.hurewicz_ratio_series(system, f, x, horizon)
-    return {
-        "final_value": series.final_value,
-        "series": {which: series_rows(series)},
-    }
+def _maximal(system, seed, f, t, runs, horizon):
+    return averages.maximal_inequality_probe(system, f, t, runs, horizon, seed)._asdict()
 
 
-def _op_maximal(built, op, seed):
-    system = _wrap_system(built)
-    kind = "cylinder" if system.kind == "bernoulli" else "event"
-    f = _observable(_need(op, "f"), kind)
-    res = averages.maximal_inequality_probe(
-        system,
-        f,
-        float(parse_number(_need(op, "t"))),
-        parse_int(op.get("runs", 2000)),
-        parse_int(op.get("horizon", 128)),
-        seed,
-    )
-    return dict(res._asdict())
+def _two_subsequence(system, seed, f, blocks, times, times_rule, spacing, alpha, runs):
+    if times is None:
+        n = max(blocks)
+        times = list(range(n)) if times_rule == "all" else [spacing * (j + 1) for j in range(n)]
+    res = averages.two_subsequence_probe(system, f, times, blocks, alpha, runs, seed)
+    return {**res._asdict(), "block_sizes": sorted(blocks)}
 
 
-def _op_two_subsequence(built, op, seed):
-    system = _wrap_system(built)
-    kind = "cylinder" if system.kind == "bernoulli" else "event"
-    f = _observable(_need(op, "f"), kind)
-    blocks = [parse_int(b) for b in op.get("blocks", [16, 64, 256])]
-    if "times" in op:
-        times = [parse_int(t) for t in op["times"]]
-    elif op.get("times_rule", "all") == "all":
-        times = list(range(max(blocks)))
-    else:
-        spacing = parse_int(op.get("spacing", 10))
-        times = [spacing * (j + 1) for j in range(max(blocks))]
-    res = averages.two_subsequence_probe(
-        system,
-        f,
-        times,
-        blocks,
-        float(parse_number(op.get("alpha", "1"))),
-        parse_int(op.get("runs", 400)),
-        seed,
-    )
-    out = dict(res._asdict())
-    out["block_sizes"] = sorted(blocks)
-    return out
+def _cylinder(word: list[int], left: int | None) -> Cylinder:
+    """The cylinder ``word`` at ``left``, centred on 0 when no left is given."""
+    return Cylinder.of(word, -(len(word) // 2) if left is None else left)
 
 
-def _op_primitivity(family, op, seed):
+def _primitivity(family, seed):
     return {"index": mk.primitivity_index(family.sft)}
 
 
-def _op_cylinder_measure(family, op, seed):
-    value = mk.markov_cylinder_measure(family, _cylinder(op))
+def _cylinder_measure(family, seed, word, left):
+    value = mk.markov_cylinder_measure(family, _cylinder(word, left))
     return {"value": value, "value_float": float(value)}
 
 
-def _op_martingale(family, op, seed):
-    radius = parse_int(op.get("radius", 3))
+def _transition_ratio(family, seed):
+    return mk.transition_ratio_constant(family)._asdict()
+
+
+def _martingale(family, seed, radius):
     gaps = {n: mk.martingale_max_gap(family, n) for n in range(1, radius + 1)}
     return {
         "max_gap": max(gaps.values()),
@@ -374,21 +328,13 @@ def _op_martingale(family, op, seed):
     }
 
 
-def _op_transition_ratio(family, op, seed):
-    res = mk.transition_ratio_constant(family)
-    return dict(res._asdict())
-
-
-def _op_coupling_scan(family, op, seed):
-    n = parse_int(op.get("n", 1))
+def _coupling_scan(family, seed, n):
     words = list(family.sft.words(2 * n + 1))
     pairs = strong = 0
     weak_all = bij_all = push_all = True
     for wb in words:
         for wc in words:
-            cert = mk.couple_cylinders(
-                family, Cylinder(-n, n, wb), Cylinder(-n, n, wc)
-            )
+            cert = mk.couple_cylinders(family, Cylinder(-n, n, wb), Cylinder(-n, n, wc))
             pairs += 1
             strong += int(cert.b_bound_strong_ok and cert.c_bound_strong_ok)
             weak_all = weak_all and cert.b_bound_weak_ok and cert.c_bound_weak_ok
@@ -403,12 +349,8 @@ def _op_coupling_scan(family, op, seed):
     }
 
 
-def _op_couple(family, op, seed):
-    cert = mk.couple_cylinders(
-        family,
-        _cylinder(op, key="b_word", left_key="b_left"),
-        _cylinder(op, key="c_word", left_key="c_left"),
-    )
+def _couple(family, seed, b_word, b_left, c_word, c_left):
+    cert = mk.couple_cylinders(family, _cylinder(b_word, b_left), _cylinder(c_word, c_left))
     out = dict(cert._asdict())
     for key in ("b", "c", "b_prime", "c_prime"):
         cyl = out[key]
@@ -416,15 +358,8 @@ def _op_couple(family, op, seed):
     return out
 
 
-def _op_tail_probe(family, op, seed):
-    cyls = [
-        Cylinder.of(
-            [parse_int(s) for s in _need(op, "word", item)],
-            parse_int(_need(op, "left", item)),
-        )
-        for item in op.get("cylinders", [])
-    ]
-    rep = mk.tail_triviality_probe(family, cyls)
+def _tail_probe(family, seed, cylinders):
+    rep = mk.tail_triviality_probe(family, cylinders)
     return {
         "violated": rep.violated,
         "eps": rep.eps,
@@ -434,23 +369,20 @@ def _op_tail_probe(family, op, seed):
     }
 
 
-def _op_event_probability(gs, op, seed):
-    return {"value": ps.event_probability(gs, _event(_need(op, "constraints")))}
+def _event_probability(gs, seed, constraints):
+    return {"value": ps.event_probability(gs, constraints)}
 
 
-def _op_mixing_gap(gs, op, seed):
-    res = ps.mixing_gap(gs, _event(_need(op, "b")), _event(_need(op, "c")))
-    return dict(res._asdict())
+def _mixing_gap(gs, seed, b, c):
+    return ps.mixing_gap(gs, b, c)._asdict()
 
 
-def _op_mixing_gap_fuzz(gs, op, seed):
-    cases = parse_int(op.get("cases", 500))
-    n_points = parse_int(op.get("points", 8))
+def _mixing_gap_fuzz(gs, seed, cases, points):
     ok_all = True
     worst = -1.0
     for case in range(cases):
-        b = _random_event(seed, 2 * case, n_points)
-        c = _random_event(seed, 2 * case + 1, n_points)
+        b = _random_event(seed, 2 * case, points)
+        c = _random_event(seed, 2 * case + 1, points)
         res = ps.mixing_gap(gs, b, c)
         ok_all = ok_all and res.ok
         worst = max(worst, res.gap - res.bound)
@@ -461,49 +393,33 @@ def _random_event(seed: int, tag: int, n_points: int) -> ps.PoissonEvent:
     n_constraints = 1 + int(uniform01(seed, 3, tag) * 3)
     constraints = []
     for i in range(n_constraints):
-        region = [
-            p
-            for p in range(n_points)
-            if uniform01(seed, 4, tag, i, p) < 0.5
-        ]
+        region = [p for p in range(n_points) if uniform01(seed, 4, tag, i, p) < 0.5]
         k = int(uniform01(seed, 5, tag, i) * 3)
         constraints.append((region, k))
     return ps.PoissonEvent.of(constraints)
 
 
-def _op_null_subsequence(gs, op, seed):
-    regions = [[parse_int(p) for p in region] for region in _need(op, "regions")]
-    times = ps.find_null_subsequence(
-        gs, regions, parse_int(op.get("count", 8)), parse_int(op.get("horizon", 10000))
-    )
-    return {"times": times}
+def _null_subsequence(gs, seed, regions, count, horizon):
+    return {"times": ps.find_null_subsequence(gs, regions, count, horizon)}
 
 
-def _op_banach(gs, op, seed):
-    horizon = parse_int(op.get("horizon", 10000))
-    rule = op.get("sequence", "inverse_n")
-    table = {
-        "inverse_n": lambda n: 1.0 / n,
-        "zero": lambda n: 0.0,
-        "one": lambda n: 1.0,
-    }
-    if rule not in table:
-        raise ConfigError(f"unknown sequence rule {rule!r}")
-    kept, density = ps.banach_density_filter(
-        table[rule], float(parse_number(op.get("eps", "0.01"))), horizon
-    )
+_SEQUENCES = {
+    "inverse_n": lambda n: 1.0 / n,
+    "zero": lambda n: 0.0,
+    "one": lambda n: 1.0,
+}
+
+
+def _banach(gs, seed, horizon, sequence, eps):
+    kept, density = ps.banach_density_filter(_SEQUENCES[sequence], eps, horizon)
     return {"density": density, "kept": len(kept), "first": kept[0] if kept else None}
 
 
-def _op_variance_decay(gs, op, seed):
-    region = [parse_int(p) for p in op.get("region", list(range(10)))]
-    event = ps.PoissonEvent.count(region, parse_int(op.get("k", 0)))
-    blocks = [parse_int(b) for b in op.get("blocks", [16, 64, 256])]
-    spacing = parse_int(op.get("spacing", len(region)))
+def _variance_decay(gs, seed, region, k, blocks, spacing, runs):
+    event = ps.PoissonEvent.count(region, k)
+    spacing = len(region) if spacing is None else spacing
     times = [spacing * (j + 1) for j in range(max(blocks))]
-    res = ps.subsequence_average_experiment(
-        gs, event, times, blocks, parse_int(op.get("runs", 10000)), seed
-    )
+    res = ps.subsequence_average_experiment(gs, event, times, blocks, runs, seed)
     # "fits C/N within a factor of 2": some C has C/2 <= var_N * N <= 2C for
     # every N, equivalently max/min of the scaled variances is at most 4
     scaled = [v * n for n, v in zip(res.block_sizes, res.variances)]
@@ -518,16 +434,8 @@ def _op_variance_decay(gs, op, seed):
     }
 
 
-def _op_weak_mixing(gs, op, seed):
-    def terms(key):
-        return [
-            (float(parse_number(t.get("coef", "1"))), _event(_need(op, "constraints", t)))
-            for t in _need(op, key)
-        ]
-
-    f, g = terms("f"), terms("g")
-    times = [parse_int(t) for t in _need(op, "times")]
-    points = ps.weak_mixing_probe(gs, f, g, times, parse_int(op.get("runs", 2000)), seed)
+def _weak_mixing(gs, seed, f, g, times, runs):
+    points = ps.weak_mixing_probe(gs, f, g, times, runs, seed)
     return {
         "limit": points[0].limit if points else None,
         "series": {
@@ -536,16 +444,12 @@ def _op_weak_mixing(gs, op, seed):
     }
 
 
-def _op_zd_kakutani(family, op, seed):
-    res = lt.kakutani_sum_generator(
-        family, parse_int(op.get("axis", 0)), parse_int(op.get("horizon", 64))
-    )
+def _zd_kakutani(family, seed, axis, horizon):
+    res = lt.kakutani_sum_generator(family, axis, horizon)
     return {"value": res.value, "verdict": res.verdict}
 
 
-def _op_zd_cocycle_fuzz(family, op, seed):
-    cases = parse_int(op.get("cases", 200))
-    span = parse_int(op.get("span", 4))
+def _zd_cocycle_fuzz(family, seed, cases, span):
     worst = 0.0
     d = family.dimension
     for case in range(cases):
@@ -566,7 +470,18 @@ def _op_zd_cocycle_fuzz(family, op, seed):
     return {"cases": cases, "max_gap": worst, "all_ok": worst <= bn.LOG_SLACK}
 
 
-def _op_determinism_audit(_system, op, seed):
+def _box_average(family, seed, f, n_max):
+    d = family.dimension
+    atoms = [
+        (coef, {_site(k, d, "operation box_ratio_average"): s for k, s in pattern.items()})
+        for coef, pattern in f
+    ] if f is not None else [(1.0, {(0,) * d: 1})]
+    x = family.run_configuration(seed, 0)
+    series = lt.box_ratio_average(family, atoms, x, n_max)
+    return {"final_value": series.final_value, "series": {"box_ratio": series_rows(series)}}
+
+
+def _determinism_audit(_system, seed):
     """Re-run representative sub-experiments with one seed and compare."""
     sub_configs = [
         {
@@ -593,60 +508,148 @@ def _op_determinism_audit(_system, op, seed):
             },
         },
     ]
-    from .reporting import jsonable
-
-    matches = []
-    for sub in sub_configs:
-        first = jsonable(run(sub)["results"])
-        second = jsonable(run(sub)["results"])
-        matches.append(first == second)
-    return {"sub_experiments": len(sub_configs), "all_identical": all(matches)}
+    same = [jsonable(run(sub)["results"]) == jsonable(run(sub)["results"]) for sub in sub_configs]
+    return {"sub_experiments": len(sub_configs), "all_identical": all(same)}
 
 
-def _op_box_average(family, op, seed):
-    atoms = []
-    for term in op.get("f", [{"coef": "1", "pattern": {"0,0": 1}}]):
-        pattern = {
-            tuple(parse_int(v) for v in key.split(",")): parse_int(sym)
-            for key, sym in term.get("pattern", {}).items()
-        }
-        atoms.append((float(parse_number(term.get("coef", "1"))), pattern))
-    x = family.run_configuration(seed, 0)
-    series = lt.box_ratio_average(family, atoms, x, parse_int(op.get("n_max", 32)))
-    return {"final_value": series.final_value, "series": {"box_ratio": series_rows(series)}}
+def _on(types: str, handler: Callable, **keys) -> dict[str, tuple[dict, Callable]]:
+    return {system_type: (keys, handler) for system_type in types.split()}
 
 
-_HANDLERS: dict[str, tuple[set[str], Callable]] = {
-    "kakutani_sum": ({"bernoulli"}, _op_kakutani),
-    "uniformity_constant": ({"bernoulli"}, _op_uniformity),
-    "rn_derivative": ({"bernoulli"}, _op_rn_derivative),
-    "cocycle_fuzz": ({"bernoulli"}, _op_cocycle_fuzz),
-    "homoclinic_scan": ({"bernoulli"}, _op_homoclinic_scan),
-    "conservativity_probe": ({"bernoulli"}, _op_conservativity),
-    "birkhoff_series": ({"bernoulli", "poisson"}, lambda b, o, s: _op_series(b, o, s, "birkhoff")),
-    "dual_series": ({"bernoulli", "poisson"}, lambda b, o, s: _op_series(b, o, s, "dual")),
-    "ratio_series": ({"bernoulli", "poisson"}, lambda b, o, s: _op_series(b, o, s, "ratio")),
-    "maximal_inequality": ({"bernoulli", "poisson"}, _op_maximal),
-    "two_subsequence_probe": ({"bernoulli", "poisson"}, _op_two_subsequence),
-    "primitivity_index": ({"markov"}, _op_primitivity),
-    "cylinder_measure": ({"markov"}, _op_cylinder_measure),
-    "martingale_check": ({"markov"}, _op_martingale),
-    "transition_ratio": ({"markov"}, _op_transition_ratio),
-    "coupling_scan": ({"markov"}, _op_coupling_scan),
-    "couple_cylinders": ({"markov"}, _op_couple),
-    "tail_triviality_probe": ({"markov"}, _op_tail_probe),
-    "event_probability": ({"poisson"}, _op_event_probability),
-    "mixing_gap": ({"poisson"}, _op_mixing_gap),
-    "mixing_gap_fuzz": ({"poisson"}, _op_mixing_gap_fuzz),
-    "find_null_subsequence": ({"poisson"}, _op_null_subsequence),
-    "banach_density": ({"poisson"}, _op_banach),
-    "variance_decay": ({"poisson"}, _op_variance_decay),
-    "weak_mixing_probe": ({"poisson"}, _op_weak_mixing),
-    "kakutani_generator": ({"zd"}, _op_zd_kakutani),
-    "zd_cocycle_fuzz": ({"zd"}, _op_zd_cocycle_fuzz),
-    "box_ratio_average": ({"zd"}, _op_box_average),
-    "determinism_audit": ({"bernoulli", "markov", "poisson", "zd"}, _op_determinism_audit),
+def _with(engine: type, handler: Callable) -> Callable:
+    return lambda built, seed, **keys: handler(engine(built), seed, **keys)
+
+
+#: sampled paths: (system type, observable parser, the averages engine)
+_PATHS = (
+    ("bernoulli", _observable(_CYLINDER_TERMS), averages.BernoulliSystem),
+    ("poisson", _observable(_EVENT_TERMS), averages.PoissonSystem),
+)
+
+
+def _on_paths(handler: Callable, f_default=..., **keys) -> dict[str, tuple[dict, Callable]]:
+    """An operation on the sampled paths of a shift or a suspension."""
+    return {
+        system_type: ({"f": (observable, f_default), **keys}, _with(engine, handler))
+        for system_type, observable, engine in _PATHS
+    }
+
+
+_BLOCKS = {"blocks": (_ints, [16, 64, 256])}
+_WEAK_MIXING_TERMS = _records({**_COEF, "constraints": (_event, ...)}, _values)
+
+#: operation name -> accepted system type -> (keys, handler); a handler
+#: takes the built system, the seed and the parsed keys as keyword args
+_HANDLERS: dict[str, dict[str, tuple[dict, Callable]]] = {
+    "kakutani_sum": _on("bernoulli", _kakutani, horizon=(parse_int, 100)),
+    "uniformity_constant": _on("bernoulli", _uniformity, horizon=(parse_int, 0)),
+    "rn_derivative": _on("bernoulli", _rn_derivative, n=(parse_int, ...)),
+    "cocycle_fuzz": _on(
+        "bernoulli", _cocycle_fuzz,
+        cases=(parse_int, 1000), span=(parse_int, 8), tol=(_float, "0.000000000001"),
+    ),
+    "homoclinic_scan": _on(
+        "bernoulli", _homoclinic_scan, radius_max=(parse_int, 3), n_max=(parse_int, 8)
+    ),
+    "conservativity_probe": _on("bernoulli", _conservativity, horizon=(parse_int, 4096)),
+    "birkhoff_series": _on_paths(
+        _series("birkhoff", averages.birkhoff_series), [{"coef": "1"}], horizon=(parse_int, 1024)
+    ),
+    "dual_series": _on_paths(
+        _series("dual", averages.dual_series), [{"coef": "1"}], horizon=(parse_int, 1024)
+    ),
+    "ratio_series": _on_paths(
+        _series("ratio", averages.hurewicz_ratio_series), [{"coef": "1"}],
+        horizon=(parse_int, 1024),
+    ),
+    "maximal_inequality": _on_paths(
+        _maximal, t=(_float, ...), runs=(parse_int, 2000), horizon=(parse_int, 128)
+    ),
+    "two_subsequence_probe": _on_paths(
+        _two_subsequence,
+        **_BLOCKS,
+        times=(_ints, None),
+        times_rule=(_enum("all", "spaced"), "all"),
+        spacing=(parse_int, 10),
+        alpha=(_float, "1"),
+        runs=(parse_int, 400),
+    ),
+    "primitivity_index": _on("markov", _primitivity),
+    "cylinder_measure": _on("markov", _cylinder_measure, word=(_ints, ...), left=(parse_int, None)),
+    "martingale_check": _on("markov", _martingale, radius=(parse_int, 3)),
+    "transition_ratio": _on("markov", _transition_ratio),
+    "coupling_scan": _on("markov", _coupling_scan, n=(parse_int, 1)),
+    "couple_cylinders": _on(
+        "markov", _couple,
+        b_word=(_ints, ...), b_left=(parse_int, None),
+        c_word=(_ints, ...), c_left=(parse_int, None),
+    ),
+    "tail_triviality_probe": _on(
+        "markov", _tail_probe,
+        cylinders=(_records({"word": (_ints, ...), "left": (parse_int, ...)}, Cylinder.of), []),
+    ),
+    "event_probability": _on("poisson", _event_probability, constraints=(_event, ...)),
+    "mixing_gap": _on("poisson", _mixing_gap, b=(_event, ...), c=(_event, ...)),
+    "mixing_gap_fuzz": _on(
+        "poisson", _mixing_gap_fuzz, cases=(parse_int, 500), points=(parse_int, 8)
+    ),
+    "find_null_subsequence": _on(
+        "poisson", _null_subsequence,
+        regions=(_list_of(_ints), ...), count=(parse_int, 8), horizon=(parse_int, 10000),
+    ),
+    "banach_density": _on(
+        "poisson", _banach,
+        horizon=(parse_int, 10000),
+        sequence=(_enum(*_SEQUENCES), "inverse_n"),
+        eps=(_float, "0.01"),
+    ),
+    "variance_decay": _on(
+        "poisson", _variance_decay,
+        region=(_ints, list(range(10))),
+        k=(parse_int, 0),
+        **_BLOCKS,
+        spacing=(parse_int, None),
+        runs=(parse_int, 10000),
+    ),
+    "weak_mixing_probe": _on(
+        "poisson", _weak_mixing,
+        f=(_WEAK_MIXING_TERMS, ...),
+        g=(_WEAK_MIXING_TERMS, ...),
+        times=(_ints, ...),
+        runs=(parse_int, 2000),
+    ),
+    "kakutani_generator": _on("zd", _zd_kakutani, axis=(parse_int, 0), horizon=(parse_int, 64)),
+    "zd_cocycle_fuzz": _on("zd", _zd_cocycle_fuzz, cases=(parse_int, 200), span=(parse_int, 4)),
+    "box_ratio_average": _on(
+        "zd", _box_average,
+        f=(_records({**_COEF, "pattern": (_map_of(parse_int), {})}, _values), None),
+        n_max=(parse_int, 32),
+    ),
+    "determinism_audit": _on("bernoulli markov poisson zd", _determinism_audit),
 }
+
+_TOP_KEYS = {
+    "schema": (_enum("v1"), ...),
+    "seed": (parse_int, ...),
+    "name": (_string, None),
+    "system": (_object, ...),
+    "operation": (_object, ...),
+}
+
+
+def validate_config(config: Mapping[str, Any]) -> tuple[int, Callable, dict]:
+    """Check the config's top level and its operation against the tables and
+    return the seed, the handler and its parsed keys; build_system checks
+    the system's own keys as it parses them."""
+    top = _fields(config, _TOP_KEYS, "config")
+    system_type = _choice(top["system"], "type", _SYSTEMS, "system")
+    name = _choice(top["operation"], "name", _HANDLERS, "operation")
+    entries = _HANDLERS[name]
+    if system_type not in entries:
+        raise ConfigError(f"operation {name!r} needs a system of type {sorted(entries)}")
+    keys, handler = entries[system_type]
+    where = f"operation {name}"
+    return top["seed"], handler, _fields(top["operation"], keys, where, skip=("name",))
 
 
 def run(config: Mapping[str, Any], seed_override: int | None = None) -> dict[str, Any]:
@@ -655,19 +658,12 @@ def run(config: Mapping[str, Any], seed_override: int | None = None) -> dict[str
     Raises ConfigError for invalid configs and CertifiedFailure when an
     operation certifiably fails (callers map these to exit codes).
     """
-    validate_config(config)
-    seed = seed_override if seed_override is not None else parse_int(config["seed"])
-    name = config["operation"]["name"]
-    if name not in _HANDLERS:
-        raise ConfigError(f"unknown operation {name!r}")
-    allowed, handler = _HANDLERS[name]
-    if config["system"]["type"] not in allowed:
-        raise ConfigError(
-            f"operation {name!r} needs a system of type {sorted(allowed)}"
-        )
+    seed, handler, keys = validate_config(config)
+    if seed_override is not None:
+        seed = seed_override
     system = build_system(config["system"])
     started = time.perf_counter()
-    results = handler(system, config["operation"], seed)
+    results = handler(system, seed, **keys)
     return {
         "schema": "v1",
         "version": __version__,

@@ -1,7 +1,9 @@
 import json
 import math
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +40,35 @@ MISSING_KEY_CASES = [
     (MARKOV, {"name": "tail_triviality_probe", "cylinders": [{"word": [0]}]}, "left"),
 ]
 
+ZD = {"type": "zd", "kind": "iid", "dimension": 2, "base": ["1/2", "1/2"]}
+#: a valid system of each type, for configs built from the key tables
+SYSTEMS = {"bernoulli": BERNOULLI, "markov": MARKOV, "poisson": POISSON, "zd": ZD}
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_table(header: str) -> dict[tuple[str, str], dict[str, str]]:
+    """Rows of the README table under ``header``: (first cell, second cell)
+    -> {key: "required" | "optional" | default as JSON} from the last cell."""
+    lines = README.read_text().splitlines()
+    start = lines.index(header) + 2
+    rows = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        first, second, keys = (cell.strip() for cell in line.strip("|").split("|"))
+        found = re.findall(r"`(\w+)` (?:= `([^`]*)`|\((required|optional)\))", keys)
+        rows[first, second] = {key: default or mark for key, default, mark in found}
+    return rows
+
+
+def declared(keys) -> dict[str, str]:
+    """A key table as the README writes it."""
+    return {
+        key: "required" if default is ... else "optional" if default is None else json.dumps(default)
+        for key, (_, default) in keys.items()
+    }
+
 
 def minimal_config(**overrides):
     config = {
@@ -49,6 +80,112 @@ def minimal_config(**overrides):
     config.update(overrides)
     return config
 
+
+
+def config_on(system, operation):
+    return minimal_config(system=system, operation=operation)
+
+
+ONE_FUZZ = {"name": "mixing_gap_fuzz", "cases": 1}
+SUMMABLE_WITH_WINDOW = {
+    "type": "bernoulli",
+    "kind": "summable",
+    "base": ["1/2", "1/2"],
+    "window": {"0": ["3/4", "1/4"]},
+}
+LETTER = [{"coef": "1", "word": [1], "left": 0}]
+
+#: config -> the words its one stderr line must hold; every one exits 2
+REJECTED = {
+    # rules of the JSON schema that the key tables replace
+    "seed-bool": (minimal_config(seed=True), "bad integer True"),
+    "seed-float": (minimal_config(seed=1.5), "bad integer 1.5"),
+    "seed-missing": (
+        {k: v for k, v in minimal_config().items() if k != "seed"},
+        "config needs key seed",
+    ),
+    "schema-v2": (minimal_config(schema="v2"), "'v2'"),
+    "top-level-list": ([minimal_config()], "expected an object"),
+    "one-probability": (minimal_config(system=dict(BERNOULLI, base=["1"])), "two symbols"),
+    "sft-entry-2": (
+        config_on(dict(MARKOV, sft=[[1, 2], [1, 1]]), {"name": "primitivity_index"}),
+        "2 is not one of 0, 1",
+    ),
+    "step-float": (config_on(dict(POISSON, step=1.5), ONE_FUZZ), "bad integer 1.5"),
+    "step-bool": (config_on(dict(POISSON, step=True), ONE_FUZZ), "bad integer True"),
+    "kind-not-string": (minimal_config(system=dict(BERNOULLI, kind=5)), "kind: 5"),
+    # system keys missing, or not used by the chosen shape
+    "compact-without-base": (
+        minimal_config(system={"type": "bernoulli", "kind": "compact"}),
+        "system bernoulli/compact needs key base",
+    ),
+    "summable-with-base-window": (
+        minimal_config(system=SUMMABLE_WITH_WINDOW),
+        "system bernoulli/summable has unknown key base",
+    ),
+    "markov-without-sft": (
+        config_on({k: v for k, v in MARKOV.items() if k != "sft"}, {"name": "primitivity_index"}),
+        "system markov needs key sft",
+    ),
+    "weighted-without-weights": (
+        config_on({"type": "poisson", "ground": "weighted"}, ONE_FUZZ),
+        "system poisson/weighted needs key weights",
+    ),
+    "poisson-with-kind": (config_on(dict(POISSON, kind="iid"), ONE_FUZZ), "unknown key kind"),
+    "zd-axis-outside-dimension": (
+        config_on({"type": "zd", "kind": "alternating", "axis": 5}, {"name": "zd_cocycle_fuzz"}),
+        "axis 5 outside dimension 2",
+    ),
+    # a negative word length made coupling_scan extend words without end
+    "coupling-scan-negative-n": (
+        config_on(MARKOV, {"name": "coupling_scan", "n": -1}),
+        "word length -1 is negative",
+    ),
+    # malformed operation values, most of them nested
+    "f-list-of-int": (config_on(BERNOULLI, {"name": "dual_series", "f": [1]}), "got 1"),
+    "f-string": (config_on(BERNOULLI, {"name": "dual_series", "f": "abc"}), "got 'abc'"),
+    "f-event-term-on-bernoulli": (
+        config_on(BERNOULLI, {"name": "dual_series", "f": [{"constraints": []}]}),
+        "operation dual_series has unknown key constraints",
+    ),
+    "regions-of-int": (
+        config_on(POISSON, {"name": "find_null_subsequence", "regions": [5]}),
+        "got 5",
+    ),
+    "word-int": (config_on(MARKOV, {"name": "cylinder_measure", "word": 5}), "got 5"),
+    "cylinders-of-int": (
+        config_on(MARKOV, {"name": "tail_triviality_probe", "cylinders": [5]}),
+        "got 5",
+    ),
+    "weak-mixing-f-of-int": (
+        config_on(POISSON, {"name": "weak_mixing_probe", "f": [5], "g": [], "times": [1]}),
+        "got 5",
+    ),
+    "constraint-triple": (
+        config_on(POISSON, {"name": "event_probability", "constraints": [[["0"], "0", "1"]]}),
+        "[region, count] pair",
+    ),
+    "times-rule-misspelled": (
+        config_on(
+            BERNOULLI,
+            {"name": "two_subsequence_probe", "f": LETTER, "times_rule": "spacd", "blocks": [4]},
+        ),
+        "'spacd' is not one of 'all', 'spaced'",
+    ),
+    # Z^d sites need exactly `dimension` coordinates
+    "zd-window-site-1d": (
+        config_on(dict(ZD, kind="compact", window={"0": ["3/4", "1/4"]}), {"name": "zd_cocycle_fuzz"}),
+        "site '0' needs 2 coordinates",
+    ),
+    "pattern-site-1d": (
+        config_on(ZD, {"name": "box_ratio_average", "f": [{"pattern": {"0": 1}}]}),
+        "site '0' needs 2 coordinates",
+    ),
+    "pattern-site-3d": (
+        config_on(ZD, {"name": "box_ratio_average", "f": [{"pattern": {"0,0,0": 1}}]}),
+        "site '0,0,0' needs 2 coordinates",
+    ),
+}
 
 class TestValidation:
     def test_valid_config_runs(self):
@@ -86,6 +223,28 @@ class TestValidation:
         cfg = minimal_config(operation={"name": "mixing_gap_fuzz"})
         with pytest.raises(ConfigError):
             runner.run(cfg)
+
+    def test_readme_lists_every_operation_and_key(self):
+        tabled = {}
+        for name, entries in runner._HANDLERS.items():
+            keys = [declared(keys) for keys, _ in entries.values()]
+            assert all(k == keys[0] for k in keys), name
+            tabled[f"`{name}`", ", ".join(entries)] = keys[0]
+        assert readme_table("| operation | systems | keys |") == tabled
+
+    def test_readme_lists_every_system_shape_and_key(self):
+        tabled = {
+            (f"`{system_type}`", f"`{selector}` = `{json.dumps(shape)}`" if selector else ""):
+            declared(keys)
+            for system_type, (selector, _, shapes) in runner._SYSTEMS.items()
+            for shape, (keys, _) in shapes.items()
+        }
+        assert readme_table("| type | shape | keys |") == tabled
+
+    def test_runner_does_not_import_jsonschema(self):
+        code = "import sys, ergolab.runner; print('jsonschema' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.stdout == "False\n", proc.stderr
 
 
 class TestCatalog:
@@ -173,6 +332,16 @@ class TestOperations:
         }
         assert runner.run(cfg)["results"]["verdict"] == "divergent_certified"
 
+    @pytest.mark.parametrize("dimension", [1, 2, 3])
+    def test_box_average_default_is_the_origin_letter(self, dimension):
+        window = {",".join(["1"] * dimension): ["3/4", "1/4"]}
+        system = dict(ZD, kind="compact", dimension=dimension, window=window)
+        op = {"name": "box_ratio_average", "n_max": 3}
+        origin = {",".join(["0"] * dimension): 1}
+        explicit = dict(op, f=[{"coef": "1", "pattern": origin}])
+        results = [runner.run(config_on(system, o))["results"] for o in (op, explicit)]
+        assert results[0] == results[1]
+
 
 class TestCli:
     def test_list_exits_zero(self, capsys):
@@ -248,14 +417,32 @@ class TestCli:
     def test_unknown_experiment_exit_2(self):
         assert cli.main(["--experiment", "not-a-thing"]) == 2
 
-    def run_config(self, tmp_path, capsys, cfg):
+    def cli_error(self, tmp_path, capsys, cfg):
+        """The exit code and the one stderr line of a CLI run on ``cfg``."""
         cfg_path = tmp_path / "c.json"
         cfg_path.write_text(json.dumps(cfg))
         code = cli.main(["--config", str(cfg_path)])
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
-        return code
+        return code, captured.err
+
+    def run_config(self, tmp_path, capsys, cfg):
+        return self.cli_error(tmp_path, capsys, cfg)[0]
+
+    @pytest.mark.parametrize("cfg, says", REJECTED.values(), ids=list(REJECTED))
+    def test_rejected_config_exit_2(self, tmp_path, capsys, cfg, says):
+        code, err = self.cli_error(tmp_path, capsys, cfg)
+        assert code == 2
+        assert says in err
+
+    @pytest.mark.parametrize("name", list(runner._HANDLERS))
+    def test_unknown_operation_key_exit_2(self, tmp_path, capsys, name):
+        system = SYSTEMS[next(iter(runner._HANDLERS[name]))]
+        cfg = config_on(system, {"name": name, "horzion": 100})
+        code, err = self.cli_error(tmp_path, capsys, cfg)
+        assert code == 2
+        assert err == f"invalid config: operation {name} has unknown key horzion\n"
 
     def test_singular_family_exit_2(self, tmp_path, capsys):
         cfg = minimal_config(operation={"name": "rn_derivative", "n": "3"})
