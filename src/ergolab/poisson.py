@@ -148,8 +148,10 @@ def event_probability(gs: GroundSpace, event: PoissonEvent) -> float:
 
     The constraint regions are split into the atoms of the algebra they
     generate; atom counts are independent Poisson variables, and every
-    consistent assignment of atom counts is enumerated.  Inconsistent
-    constraint systems get probability 0, not an error.
+    consistent assignment of atom counts is enumerated.  The last atom that
+    touches a constraint is not enumerated: its count is whatever the
+    constraint still needs, so only consistent assignments are ever reached.
+    Inconsistent constraint systems get probability 0, not an error.
     """
     constraints = event.constraints
     if not constraints:
@@ -171,19 +173,27 @@ def event_probability(gs: GroundSpace, event: PoissonEvent) -> float:
         (sig, float(gs.region_weight(pts))) for sig, pts in sorted(signature.items())
     ]
     targets = [k for _, k in live]
+    # the constraints each atom is the last to touch
+    last = {i: idx for idx, (sig, _) in enumerate(atoms) for i in sig}
+    closes = [[i for i in sig if last[i] == idx] for idx, (sig, _) in enumerate(atoms)]
 
     total = 0.0
-    counts = [0] * len(atoms)
 
     def recurse(idx: int, remaining: list[int], weight_prob: float) -> None:
         nonlocal total
         if idx == len(atoms):
-            if all(r == 0 for r in remaining):
-                total += weight_prob
+            total += weight_prob
             return
         sig, mean = atoms[idx]
-        cap = min((remaining[i] for i in sig), default=COUNT_CAP)
-        for c in range(cap + 1):
+        cap = min(remaining[i] for i in sig)
+        choices: Iterable[int] = range(cap + 1)
+        if closes[idx]:
+            # a closed constraint never changes again, so it must end at 0
+            forced = remaining[closes[idx][0]]
+            if forced > cap or any(remaining[i] != forced for i in closes[idx]):
+                return
+            choices = (forced,)
+        for c in choices:
             for i in sig:
                 remaining[i] -= c
             recurse(idx + 1, remaining, weight_prob * _poisson_pmf(mean, c))
@@ -378,24 +388,32 @@ def find_null_subsequence(
     horizon exhaustion raises a certified failure naming the first step that
     could not be satisfied (e.g. for maps with an invariant finite part the
     overlap never decays).
+
+    Accepted stages are indexed by point, so a candidate only meets the
+    (stage, old, new) pairs that share a point; a pair sharing none has
+    weight 0, below every threshold.  The shared pairs are checked in the
+    order of the full pairwise scan, so the same pair fails first.
     """
     fixed = [frozenset(int(p) for p in region) for region in regions]
     chosen: list[int] = []
-    shifted: list[list[frozenset[int]]] = [fixed]
+    holders: dict[int, list[tuple[int, int]]] = {}  # point -> (stage, old region)
+    latest = fixed  # stage 0; then the regions of the time accepted last
     candidate = 1
     for j in range(1, count + 1):
+        for old, region in enumerate(latest):
+            for p in region:
+                holders.setdefault(p, []).append((j - 1, old))
         threshold = Fraction(1, 2**j)
         found = None
         for n in range(candidate, horizon + 1):
             pulled = [frozenset(gs.jump(p, -n) for p in region) for region in fixed]
-            if all(
-                gs.region_weight(old & new) < threshold
-                for stage in shifted
-                for old in stage
-                for new in pulled
-            ):
-                found = n
-                shifted.append(pulled)
+            shared: dict[tuple[int, int, int], list[int]] = {}
+            for new, region in enumerate(pulled):
+                for p in region:
+                    for stage, old in holders.get(p, ()):
+                        shared.setdefault((stage, old, new), []).append(p)
+            if all(gs.region_weight(shared[pair]) < threshold for pair in sorted(shared)):
+                found, latest = n, pulled
                 break
         if found is None:
             raise CertifiedFailure(

@@ -55,6 +55,19 @@ def _float(value, where: str) -> float:
     return float(parse_number(value, where))
 
 
+def _at_least(low: int, key: str) -> Callable:
+    """An integer ``key`` of at least ``low``: below it a fuzz or a scan
+    would check nothing and still report ``all_ok``."""
+
+    def parse(value, where):
+        n = parse_int(value, where)
+        if n < low:
+            raise ConfigError(f"{where}: {key} {n} is below {low}")
+        return n
+
+    return parse
+
+
 def _json(kind: type, what: str) -> Callable:
     """A parser that accepts values of one JSON type as they are."""
 
@@ -546,10 +559,12 @@ _HANDLERS: dict[str, dict[str, tuple[dict, Callable]]] = {
     "rn_derivative": _on("bernoulli", _rn_derivative, n=(parse_int, ...)),
     "cocycle_fuzz": _on(
         "bernoulli", _cocycle_fuzz,
-        cases=(parse_int, 1000), span=(parse_int, 8), tol=(_float, "0.000000000001"),
+        cases=(_at_least(1, "cases"), 1000), span=(parse_int, 8),
+        tol=(_float, "0.000000000001"),
     ),
     "homoclinic_scan": _on(
-        "bernoulli", _homoclinic_scan, radius_max=(parse_int, 3), n_max=(parse_int, 8)
+        "bernoulli", _homoclinic_scan,
+        radius_max=(_at_least(0, "radius_max"), 3), n_max=(_at_least(0, "n_max"), 8),
     ),
     "conservativity_probe": _on("bernoulli", _conservativity, horizon=(parse_int, 4096)),
     "birkhoff_series": _on_paths(
@@ -591,7 +606,8 @@ _HANDLERS: dict[str, dict[str, tuple[dict, Callable]]] = {
     "event_probability": _on("poisson", _event_probability, constraints=(_event, ...)),
     "mixing_gap": _on("poisson", _mixing_gap, b=(_event, ...), c=(_event, ...)),
     "mixing_gap_fuzz": _on(
-        "poisson", _mixing_gap_fuzz, cases=(parse_int, 500), points=(parse_int, 8)
+        "poisson", _mixing_gap_fuzz,
+        cases=(_at_least(1, "cases"), 500), points=(_at_least(1, "points"), 8),
     ),
     "find_null_subsequence": _on(
         "poisson", _null_subsequence,
@@ -619,7 +635,9 @@ _HANDLERS: dict[str, dict[str, tuple[dict, Callable]]] = {
         runs=(parse_int, 2000),
     ),
     "kakutani_generator": _on("zd", _zd_kakutani, axis=(parse_int, 0), horizon=(parse_int, 64)),
-    "zd_cocycle_fuzz": _on("zd", _zd_cocycle_fuzz, cases=(parse_int, 200), span=(parse_int, 4)),
+    "zd_cocycle_fuzz": _on(
+        "zd", _zd_cocycle_fuzz, cases=(_at_least(1, "cases"), 200), span=(parse_int, 4)
+    ),
     "box_ratio_average": _on(
         "zd", _box_average,
         f=(_records({**_COEF, "pattern": (_map_of(parse_int), {})}, _values), None),

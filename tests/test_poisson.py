@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ergolab import poisson as ps
 from ergolab.errors import CertifiedFailure
@@ -74,6 +76,91 @@ class TestEventProbability:
     def test_count_cap_enforced(self):
         with pytest.raises(ValueError):
             ps.PoissonEvent.count([0], ps.COUNT_CAP + 1)
+
+
+def full_enumeration_probability(gs, event):
+    """The atom enumeration before forced last atoms: every atom count up to
+    the smallest remaining target, and a leaf test that all reach 0."""
+    constraints = event.constraints
+    if not constraints:
+        return 1.0
+    for region, k in constraints:
+        if not region and k > 0:
+            return 0.0
+    live = [(region, k) for region, k in constraints if region]
+    if not live:
+        return 1.0
+    points = sorted({p for region, _ in live for p in region})
+    signature = {}
+    for p in points:
+        sig = tuple(i for i, (region, _) in enumerate(live) if p in region)
+        signature.setdefault(sig, []).append(p)
+    atoms = [(sig, float(gs.region_weight(pts))) for sig, pts in sorted(signature.items())]
+    total = 0.0
+
+    def recurse(idx, remaining, weight_prob):
+        nonlocal total
+        if idx == len(atoms):
+            if all(r == 0 for r in remaining):
+                total += weight_prob
+            return
+        sig, mean = atoms[idx]
+        cap = min((remaining[i] for i in sig), default=ps.COUNT_CAP)
+        for c in range(cap + 1):
+            for i in sig:
+                remaining[i] -= c
+            recurse(idx + 1, remaining, weight_prob * ps._poisson_pmf(mean, c))
+            for i in sig:
+                remaining[i] += c
+
+    recurse(0, [k for _, k in live], 1.0)
+    return total
+
+
+EIGHT_POINTS = ps.weighted_points(
+    {0: "1", 1: "1/2", 2: "2", 3: "3/4", 4: "1", 5: "1/3", 6: "5/4", 7: "1/2"}
+)
+#: regions that make repeats, nesting ({0} < {0,1} < {0..3}), disjointness
+#: ({0..3} and {4..7}) and empty regions common among the drawn events
+SHAPED_REGIONS = [frozenset(), frozenset({0}), frozenset({0, 1}), frozenset(range(4)),
+                  frozenset(range(4, 8))]
+CONSTRAINTS = st.lists(
+    st.tuples(
+        st.one_of(st.sampled_from(SHAPED_REGIONS), st.frozensets(st.integers(0, 7))),
+        st.integers(0, 4),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+class TestEventProbabilityBitwise:
+    """Forced last atoms reach the same leaves in the same order as the full
+    enumeration, so the float sums are equal bit for bit."""
+
+    @given(constraints=CONSTRAINTS, weighted=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    @example(constraints=[({0, 1}, 2), ({0, 1}, 2)], weighted=True)  # repeated
+    @example(constraints=[({0, 1}, 1), ({0, 1}, 3)], weighted=True)  # inconsistent
+    @example(constraints=[(range(4), 3), ({0, 1}, 2), ({0}, 1)], weighted=True)  # nested
+    @example(constraints=[(range(4), 2), (range(4, 8), 1)], weighted=False)  # disjoint
+    @example(constraints=[(set(), 0), ({2, 5}, 1)], weighted=True)  # empty, k = 0
+    @example(constraints=[(set(), 1), ({2}, 0)], weighted=False)  # empty, k > 0
+    @example(
+        constraints=[({0, 1, 2}, 4), ({1, 2, 3}, 3), ({2, 3, 4}, 2), ({0, 4, 7}, 1)],
+        weighted=True,
+    )
+    def test_matches_full_enumeration(self, constraints, weighted):
+        gs = EIGHT_POINTS if weighted else unit_line()
+        event = ps.PoissonEvent.of(constraints)
+        assert ps.event_probability(gs, event) == full_enumeration_probability(gs, event)
+
+    def test_overlapping_29_29(self):
+        gs = unit_line()
+        event = ps.PoissonEvent.of([(range(0, 30), 29), (range(14, 44), 29)])
+        p = ps.event_probability(gs, event)
+        assert p > 0.0
+        assert p == full_enumeration_probability(gs, event)
 
 
 class TestMixingGap:
@@ -278,6 +365,127 @@ class TestNullSubsequence:
                     for new in stages[j]:
                         overlap = gs.region_weight(old & new)
                         assert overlap < F(1, 2**j)
+
+
+def pairwise_null_subsequence(gs, regions, count, horizon):
+    """The null search before the point index: every candidate checks every
+    (stage, old region, new region) pair of every accepted stage."""
+    fixed = [frozenset(int(p) for p in region) for region in regions]
+    chosen = []
+    shifted = [fixed]
+    candidate = 1
+    for j in range(1, count + 1):
+        threshold = F(1, 2**j)
+        found = None
+        for n in range(candidate, horizon + 1):
+            pulled = [frozenset(gs.jump(p, -n) for p in region) for region in fixed]
+            if all(
+                gs.region_weight(old & new) < threshold
+                for stage in shifted
+                for old in stage
+                for new in pulled
+            ):
+                found = n
+                shifted.append(pulled)
+                break
+        if found is None:
+            raise CertifiedFailure(f"step {j}", step=j)
+        chosen.append(found)
+        candidate = found + 1
+    return chosen
+
+
+def null_outcome(search, gs, regions, count, horizon):
+    """The times found, or the failed step, or the type of the error raised."""
+    try:
+        return "times", search(gs, regions, count, horizon)
+    except CertifiedFailure as err:
+        return "failure", err.step
+    except ValueError as err:
+        return "error", type(err)
+
+
+def halving_translation(step):
+    """Translation by ``step`` with weights 2^-(1 + |p| mod 5): overlapping
+    regions weigh fractions that must be summed against the threshold."""
+    return ps.GroundSpace(
+        weight=lambda p: F(1, 2 ** (1 + abs(p) % 5)),
+        jump=lambda p, k: p + k * step,
+        name=f"halving[{step}]",
+    )
+
+
+class TestNullSubsequenceIndex:
+    """The point-indexed search against the full pairwise scan."""
+
+    def assert_same(self, gs, regions, count, horizon):
+        expected = null_outcome(pairwise_null_subsequence, gs, regions, count, horizon)
+        assert null_outcome(ps.find_null_subsequence, gs, regions, count, horizon) == expected
+        return expected
+
+    @pytest.mark.parametrize("step", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "regions",
+        [[list(range(6))], [list(range(5)), list(range(3, 8))]],
+        ids=["one_region", "two_regions"],
+    )
+    def test_translation(self, step, regions):
+        kind, times = self.assert_same(ps.integer_translation(step), regions, 12, 2000)
+        assert kind == "times" and len(times) == 12
+
+    @pytest.mark.parametrize("step", [1, 2])
+    def test_fractional_weights_overlap(self, step):
+        gs = halving_translation(step)
+        regions = [list(range(-3, 4)), [0, 5, 9]]
+        kind, times = self.assert_same(gs, regions, 8, 2000)
+        assert kind == "times"
+        # some accepted time overlaps an earlier stage with positive weight,
+        # so overlaps were summed and compared, not only skipped
+        stages = [[frozenset(r) for r in regions]] + [
+            [frozenset(gs.jump(p, -n) for p in r) for r in regions] for n in times
+        ]
+        assert any(
+            old & new
+            for j in range(1, len(stages))
+            for stage in stages[:j]
+            for old in stage
+            for new in stages[j]
+        )
+
+    @pytest.mark.parametrize(
+        "gs, regions",
+        [
+            (ps.integer_identity(), [[0, 1]]),
+            (ps.finite_cycle(6), [[0, 1]]),
+            (ps.finite_cycle(8), [[0], [3]]),
+        ],
+        ids=["identity", "cycle6", "cycle8"],
+    )
+    def test_invariant_part_fails_at_same_step(self, gs, regions):
+        kind, _ = self.assert_same(gs, regions, 6, 200)
+        assert kind == "failure"
+
+    def test_unweighted_point_raises_same_error(self):
+        gs = ps.weighted_points({0: "1/8", 1: "1/8"})
+        kind, error = self.assert_same(gs, [[0], [1, 9]], 3, 20)
+        assert (kind, error) == ("error", ValueError)
+
+    def test_failing_pair_before_unweighted_point(self):
+        # the pair of region 0 with itself fails before region 1's unweighted
+        # point is weighed, in both searches
+        gs = ps.weighted_points({0: "1", 1: "1/8"})
+        assert self.assert_same(gs, [[0], [1, 9]], 3, 20) == ("failure", 1)
+
+    def test_pair_order_decides_failure_before_error(self):
+        # at n = 1 the pair (stage 0, old 0, new 1) = {0} fails before the
+        # pair (stage 0, old 1, new 0) = {10} weighs an unweighted point
+        def weight(p):
+            if abs(p) > 5:
+                raise ValueError(f"point {p} has no assigned weight")
+            return F(1)
+
+        gs = ps.GroundSpace(weight=weight, jump=lambda p, k: p + k, name="partial")
+        assert self.assert_same(gs, [[0, 11], [1, 10]], 1, 20) == ("times", [2])
 
 
 class TestBanachDensity:

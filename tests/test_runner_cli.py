@@ -187,6 +187,23 @@ REJECTED = {
     ),
 }
 
+#: (system, operation, key, value, lowest accepted value): below the bound a
+#: fuzz or scan checks nothing and would still report all_ok
+VACUOUS_COUNTS = [
+    (BERNOULLI, {"name": "cocycle_fuzz", "span": 2}, "cases", 0, 1),
+    (POISSON, {"name": "mixing_gap_fuzz"}, "cases", 0, 1),
+    (POISSON, {"name": "mixing_gap_fuzz"}, "points", 0, 1),
+    (ZD, {"name": "zd_cocycle_fuzz", "span": 2}, "cases", 0, 1),
+    (BERNOULLI, {"name": "homoclinic_scan", "n_max": 1}, "radius_max", -1, 0),
+    (BERNOULLI, {"name": "homoclinic_scan", "radius_max": 1}, "n_max", -1, 0),
+]
+each_vacuous_count = pytest.mark.parametrize(
+    "system, op, key, value, low",
+    VACUOUS_COUNTS,
+    ids=[f"{op['name']}-{key}" for _, op, key, _, _ in VACUOUS_COUNTS],
+)
+
+
 class TestValidation:
     def test_valid_config_runs(self):
         report = runner.run(minimal_config())
@@ -452,6 +469,18 @@ class TestCli:
             "sites": [["3/4", "1/4"], ["1/4", "3/4"]],
         }
         assert self.run_config(tmp_path, capsys, cfg) == 2
+
+    @each_vacuous_count
+    def test_vacuous_count_exit_2(self, tmp_path, capsys, system, op, key, value, low):
+        cfg = config_on(system, dict(op, **{key: value}))
+        code, err = self.cli_error(tmp_path, capsys, cfg)
+        assert code == 2
+        assert err == f"invalid config: operation {op['name']}: {key} {value} is below {low}\n"
+
+    @each_vacuous_count
+    def test_smallest_count_checks_something(self, system, op, key, value, low):
+        results = runner.run(config_on(system, dict(op, **{key: low})))["results"]
+        assert results.get("cases", results.get("pairs_checked")) >= 1
 
     def test_bad_tolerance_exit_2(self, tmp_path, capsys):
         cfg = minimal_config(operation={"name": "cocycle_fuzz", "cases": 3, "tol": "abc"})
