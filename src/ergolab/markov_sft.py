@@ -197,10 +197,6 @@ class MarkovFamily:
         """K with transition(n) = base for |n| > K."""
         return max((abs(k) for k in self.window), default=0)
 
-    @property
-    def is_stationary(self) -> bool:
-        return not self.window
-
     def transition(self, n: int) -> tuple[tuple[Fraction, ...], ...]:
         return self.window.get(n, self.base_transition)
 
@@ -319,21 +315,50 @@ def martingale_max_gap(family: MarkovFamily, n: int) -> Fraction:
     """Worst martingale defect of the restricted derivatives over n-words.
 
     The conditional expectation is the exact enumeration of one-symbol
-    extensions on both sides weighted by their cylinder mass.
+    extensions on both sides weighted by their cylinder mass.  A depth-first
+    walk over the n-words carries each word's middle transition product and
+    derivative-ratio product, so an extension multiplies in only the factors
+    of its two new edges (and, on the left, of its new marginal).
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    sft = family.sft
+
+    def edge(j: int, a: int, b: int) -> tuple[Fraction, Fraction]:
+        """Mass factor P_j(a, b) and derivative factor P_{j-1}(a, b) / P_j(a, b)."""
+        p = family.transition_prob(j, a, b)
+        return p, family.transition_prob(j - 1, a, b) / p
+
+    # new left symbol s before a at -n-1: marginal and first edge of the
+    # (n+1)-cylinder; new right symbol t after b at n+1: its last edge
+    left = {}
+    for a in sft.states:
+        for s in sft.predecessors(a):
+            p, r = edge(-n - 1, s, a)
+            pi = family.marginal_prob(-n - 1, s)
+            left[s, a] = (pi * p, family.marginal_prob(-n - 2, s) / pi * r)
+    right = {(b, t): edge(n, b, t) for b in sft.states for t in sft.successors(b)}
+
     worst = Fraction(0)
-    for w in family.sft.words(2 * n + 1):
-        base = Cylinder(-n, n, w)
-        mass = markov_cylinder_measure(family, base)
-        zn = restricted_derivative_fraction(family, base, n)
+    stack = [((s,), Fraction(1), Fraction(1)) for s in reversed(sft.states)]
+    while stack:
+        w, mass_mid, z_mid = stack.pop()
+        if len(w) < 2 * n + 1:
+            j = len(w) - 1 - n  # index of w[-1]
+            for t in reversed(sft.successors(w[-1])):
+                p, r = edge(j, w[-1], t)
+                stack.append((w + (t,), mass_mid * p, z_mid * r))
+            continue
+        a, b = w[0], w[-1]
+        pi = family.marginal_prob(-n, a)
+        zn = family.marginal_prob(-n - 1, a) / pi * z_mid
         acc = Fraction(0)
-        for s in family.sft.predecessors(w[0]):
-            for t in family.sft.successors(w[-1]):
-                ext = Cylinder(-n - 1, n + 1, (s,) + w + (t,))
-                acc += markov_cylinder_measure(family, ext) * restricted_derivative_fraction(
-                    family, ext, n + 1
-                )
-        gap = abs(acc / mass - zn)
+        for s in sft.predecessors(a):
+            left_mass, left_z = left[s, a]
+            for t in sft.successors(b):
+                right_mass, right_z = right[b, t]
+                acc += (left_mass * mass_mid * right_mass) * (left_z * z_mid * right_z)
+        gap = abs(acc / (pi * mass_mid) - zn)
         if gap > worst:
             worst = gap
     return worst
@@ -443,6 +468,117 @@ def _extend_word(
     return Cylinder(-n - path_length, n + path_length, full)
 
 
+class _HubCoupling(NamedTuple):
+    """What every coupling of symmetric n-cylinders shares: the path length
+    N (the primitivity index), the hub state, the bounds |S|^-1 L^-|S|N and
+    |S|^-1 L^-2|S|N, and the one-symbol margins around the hub."""
+
+    n: int
+    path_length: int
+    state: int
+    ratio_constant: Fraction
+    bound_strong: Fraction
+    bound_weak: Fraction
+    left_exts: tuple[int, ...]
+    right_exts: tuple[int, ...]
+
+
+class _WordCoupling(NamedTuple):
+    """One cylinder's side of every coupling it takes part in."""
+
+    cyl: Cylinder
+    prime: Cylinder
+    mu: Fraction
+    mu_prime: Fraction
+    bound_strong_ok: bool
+    bound_weak_ok: bool
+    hub_ok: bool
+    margin_masses: tuple[Fraction, ...]
+    total_ok: bool
+
+
+def _hub_coupling(family: MarkovFamily, n: int) -> _HubCoupling:
+    index = primitivity_index(family.sft)
+    if index is None:
+        raise NonSingularError("SFT is not primitive: no coupling path length")
+    pi = family.marginal(-n - index)
+    hub = max(family.sft.states, key=lambda s: (pi[s - 1], -s))
+    assert pi[hub - 1] >= Fraction(1, family.sft.n_states)
+    size = family.sft.n_states
+    big_l = transition_ratio_constant(family).value
+    return _HubCoupling(
+        n=n,
+        path_length=index,
+        state=hub,
+        ratio_constant=big_l,
+        bound_strong=Fraction(1, size) / big_l ** (size * index),
+        bound_weak=Fraction(1, size) / big_l ** (2 * size * index),
+        left_exts=tuple(sorted(family.sft.predecessors(hub))),
+        right_exts=tuple(sorted(family.sft.successors(hub))),
+    )
+
+
+def _word_coupling(family: MarkovFamily, hub: _HubCoupling, cyl: Cylinder) -> _WordCoupling:
+    prime = _extend_word(family, cyl, hub.state, hub.path_length)
+    mu = markov_cylinder_measure(family, cyl)
+    mu_prime = markov_cylinder_measure(family, prime)
+    # one-margin extensions: R keeps the margins, so bijectivity amounts to
+    # both extended words exposing the hub state at both ends
+    margin_masses = tuple(
+        markov_cylinder_measure(
+            family, Cylinder(prime.left - 1, prime.right + 1, (u,) + prime.word + (v,))
+        )
+        for u in hub.left_exts
+        for v in hub.right_exts
+    )
+    return _WordCoupling(
+        cyl=cyl,
+        prime=prime,
+        mu=mu,
+        mu_prime=mu_prime,
+        bound_strong_ok=mu_prime >= hub.bound_strong * mu,
+        bound_weak_ok=mu_prime >= hub.bound_weak * mu,
+        hub_ok=prime.word[0] == hub.state
+        and prime.word[-1] == hub.state
+        and set(family.sft.predecessors(prime.word[0])) == set(hub.left_exts),
+        margin_masses=margin_masses,
+        total_ok=sum(margin_masses) == mu_prime,
+    )
+
+
+def _certificate(hub: _HubCoupling, b: _WordCoupling, c: _WordCoupling) -> CouplingCertificate:
+    ratio = c.mu_prime / b.mu_prime
+    pushforward = (
+        all(mass_b * ratio == mass_c for mass_b, mass_c in zip(b.margin_masses, c.margin_masses))
+        and b.total_ok
+        and b.mu_prime * ratio == c.mu_prime
+    )
+    return CouplingCertificate(
+        b=b.cyl,
+        c=c.cyl,
+        b_prime=b.prime,
+        c_prime=c.prime,
+        hub_state=hub.state,
+        n=hub.n,
+        path_length=hub.path_length,
+        mu_b=b.mu,
+        mu_c=c.mu,
+        mu_b_prime=b.mu_prime,
+        mu_c_prime=c.mu_prime,
+        ratio=ratio,
+        ratio_constant=hub.ratio_constant,
+        bound_strong=hub.bound_strong,
+        bound_weak=hub.bound_weak,
+        b_bound_strong_ok=b.bound_strong_ok,
+        c_bound_strong_ok=c.bound_strong_ok,
+        b_bound_weak_ok=b.bound_weak_ok,
+        c_bound_weak_ok=c.bound_weak_ok,
+        transported_bound_ok=c.bound_weak_ok,
+        bijective_ok=b.hub_ok and c.hub_ok,
+        pushforward_ok=pushforward,
+    )
+
+
 def couple_cylinders(family: MarkovFamily, b: Cylinder, c: Cylinder) -> CouplingCertificate:
     """Extend two positive symmetric n-cylinders to (n+N)-cylinders sharing a
     hub state at both ends (N the primitivity index), so that the central
@@ -454,79 +590,38 @@ def couple_cylinders(family: MarkovFamily, b: Cylinder, c: Cylinder) -> Coupling
     n = b.right
     if b.left != -n or c.left != -c.right or c.right != n:
         raise ValueError("need symmetric cylinders of equal radius")
-    index = primitivity_index(family.sft)
-    if index is None:
-        raise NonSingularError("SFT is not primitive: no coupling path length")
+    hub = _hub_coupling(family, n)
+    return _certificate(hub, _word_coupling(family, hub, b), _word_coupling(family, hub, c))
 
-    pi = family.marginal(-n - index)
-    hub = max(family.sft.states, key=lambda s: (pi[s - 1], -s))
-    assert pi[hub - 1] >= Fraction(1, family.sft.n_states)
 
-    b_prime = _extend_word(family, b, hub, index)
-    c_prime = _extend_word(family, c, hub, index)
-    mu_b = markov_cylinder_measure(family, b)
-    mu_c = markov_cylinder_measure(family, c)
-    mu_bp = markov_cylinder_measure(family, b_prime)
-    mu_cp = markov_cylinder_measure(family, c_prime)
-    ratio = mu_cp / mu_bp
+class CouplingScan(NamedTuple):
+    pairs: int
+    strong_ok_pairs: int
+    weak_ok_all: bool
+    bijective_all: bool
+    pushforward_all: bool
 
-    size = family.sft.n_states
-    big_l = transition_ratio_constant(family).value
-    bound_strong = Fraction(1, size) / big_l ** (size * index)
-    bound_weak = Fraction(1, size) / big_l ** (2 * size * index)
 
-    # one-margin extensions: R keeps the margins, so bijectivity amounts to
-    # both extended words exposing the hub state at both ends
-    left_exts = set(family.sft.predecessors(hub))
-    right_exts = set(family.sft.successors(hub))
-    bijective = (
-        b_prime.word[0] == hub
-        and b_prime.word[-1] == hub
-        and c_prime.word[0] == hub
-        and c_prime.word[-1] == hub
-        and set(family.sft.predecessors(b_prime.word[0])) == left_exts
-        and set(family.sft.predecessors(c_prime.word[0])) == left_exts
-    )
-    pushforward = True
-    total = Fraction(0)
-    for u in sorted(left_exts):
-        for v in sorted(right_exts):
-            w_b = Cylinder(
-                b_prime.left - 1, b_prime.right + 1, (u,) + b_prime.word + (v,)
-            )
-            w_c = Cylinder(
-                c_prime.left - 1, c_prime.right + 1, (u,) + c_prime.word + (v,)
-            )
-            mass_b = markov_cylinder_measure(family, w_b)
-            mass_c = markov_cylinder_measure(family, w_c)
-            pushforward = pushforward and (mass_b * ratio == mass_c)
-            total += mass_b
-    pushforward = pushforward and (total == mu_bp) and (mu_bp * ratio == mu_cp)
+def coupling_scan(family: MarkovFamily, n: int) -> CouplingScan:
+    """`couple_cylinders` over every ordered pair of symmetric n-cylinders.
 
-    return CouplingCertificate(
-        b=b,
-        c=c,
-        b_prime=b_prime,
-        c_prime=c_prime,
-        hub_state=hub,
-        n=n,
-        path_length=index,
-        mu_b=mu_b,
-        mu_c=mu_c,
-        mu_b_prime=mu_bp,
-        mu_c_prime=mu_cp,
-        ratio=ratio,
-        ratio_constant=big_l,
-        bound_strong=bound_strong,
-        bound_weak=bound_weak,
-        b_bound_strong_ok=mu_bp >= bound_strong * mu_b,
-        c_bound_strong_ok=mu_cp >= bound_strong * mu_c,
-        b_bound_weak_ok=mu_bp >= bound_weak * mu_b,
-        c_bound_weak_ok=mu_cp >= bound_weak * mu_c,
-        transported_bound_ok=mu_cp >= bound_weak * mu_c,
-        bijective_ok=bijective,
-        pushforward_ok=pushforward,
-    )
+    Each word's extension, masses, bound flags and margin masses are built
+    once; every pair then gets its own certificate with its own ratio and
+    exact push-forward equalities.
+    """
+    hub = _hub_coupling(family, n)
+    words = [_word_coupling(family, hub, Cylinder(-n, n, w)) for w in family.sft.words(2 * n + 1)]
+    pairs = strong = 0
+    weak_all = bij_all = push_all = True
+    for wb in words:
+        for wc in words:
+            cert = _certificate(hub, wb, wc)
+            pairs += 1
+            strong += int(cert.b_bound_strong_ok and cert.c_bound_strong_ok)
+            weak_all = weak_all and cert.b_bound_weak_ok and cert.c_bound_weak_ok
+            bij_all = bij_all and cert.bijective_ok
+            push_all = push_all and cert.pushforward_ok
+    return CouplingScan(pairs, strong, weak_all, bij_all, push_all)
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,8 @@ def _float(value, where: str) -> float:
 
 def _at_least(low: int, key: str) -> Callable:
     """An integer ``key`` of at least ``low``: below it a fuzz or a scan
-    would check nothing and still report ``all_ok``."""
+    would check nothing and still report ``all_ok``, a series or a sample
+    would be empty, or a ``ddof=1`` statistic would be ``nan``."""
 
     def parse(value, where):
         n = parse_int(value, where)
@@ -342,24 +343,7 @@ def _martingale(family, seed, radius):
 
 
 def _coupling_scan(family, seed, n):
-    words = list(family.sft.words(2 * n + 1))
-    pairs = strong = 0
-    weak_all = bij_all = push_all = True
-    for wb in words:
-        for wc in words:
-            cert = mk.couple_cylinders(family, Cylinder(-n, n, wb), Cylinder(-n, n, wc))
-            pairs += 1
-            strong += int(cert.b_bound_strong_ok and cert.c_bound_strong_ok)
-            weak_all = weak_all and cert.b_bound_weak_ok and cert.c_bound_weak_ok
-            bij_all = bij_all and cert.bijective_ok
-            push_all = push_all and cert.pushforward_ok
-    return {
-        "pairs": pairs,
-        "strong_ok_pairs": strong,
-        "weak_ok_all": weak_all,
-        "bijective_all": bij_all,
-        "pushforward_all": push_all,
-    }
+    return mk.coupling_scan(family, n)._asdict()
 
 
 def _couple(family, seed, b_word, b_left, c_word, c_left):
@@ -568,17 +552,19 @@ _HANDLERS: dict[str, dict[str, tuple[dict, Callable]]] = {
     ),
     "conservativity_probe": _on("bernoulli", _conservativity, horizon=(parse_int, 4096)),
     "birkhoff_series": _on_paths(
-        _series("birkhoff", averages.birkhoff_series), [{"coef": "1"}], horizon=(parse_int, 1024)
+        _series("birkhoff", averages.birkhoff_series), [{"coef": "1"}],
+        horizon=(_at_least(1, "horizon"), 1024),
     ),
     "dual_series": _on_paths(
-        _series("dual", averages.dual_series), [{"coef": "1"}], horizon=(parse_int, 1024)
+        _series("dual", averages.dual_series), [{"coef": "1"}],
+        horizon=(_at_least(1, "horizon"), 1024),
     ),
     "ratio_series": _on_paths(
         _series("ratio", averages.hurewicz_ratio_series), [{"coef": "1"}],
-        horizon=(parse_int, 1024),
+        horizon=(_at_least(1, "horizon"), 1024),
     ),
     "maximal_inequality": _on_paths(
-        _maximal, t=(_float, ...), runs=(parse_int, 2000), horizon=(parse_int, 128)
+        _maximal, t=(_float, ...), runs=(_at_least(1, "runs"), 2000), horizon=(parse_int, 128)
     ),
     "two_subsequence_probe": _on_paths(
         _two_subsequence,
@@ -587,11 +573,11 @@ _HANDLERS: dict[str, dict[str, tuple[dict, Callable]]] = {
         times_rule=(_enum("all", "spaced"), "all"),
         spacing=(parse_int, 10),
         alpha=(_float, "1"),
-        runs=(parse_int, 400),
+        runs=(_at_least(2, "runs"), 400),
     ),
     "primitivity_index": _on("markov", _primitivity),
     "cylinder_measure": _on("markov", _cylinder_measure, word=(_ints, ...), left=(parse_int, None)),
-    "martingale_check": _on("markov", _martingale, radius=(parse_int, 3)),
+    "martingale_check": _on("markov", _martingale, radius=(_at_least(1, "radius"), 3)),
     "transition_ratio": _on("markov", _transition_ratio),
     "coupling_scan": _on("markov", _coupling_scan, n=(parse_int, 1)),
     "couple_cylinders": _on(
@@ -615,7 +601,7 @@ _HANDLERS: dict[str, dict[str, tuple[dict, Callable]]] = {
     ),
     "banach_density": _on(
         "poisson", _banach,
-        horizon=(parse_int, 10000),
+        horizon=(_at_least(1, "horizon"), 10000),
         sequence=(_enum(*_SEQUENCES), "inverse_n"),
         eps=(_float, "0.01"),
     ),
@@ -625,14 +611,14 @@ _HANDLERS: dict[str, dict[str, tuple[dict, Callable]]] = {
         k=(parse_int, 0),
         **_BLOCKS,
         spacing=(parse_int, None),
-        runs=(parse_int, 10000),
+        runs=(_at_least(2, "runs"), 10000),
     ),
     "weak_mixing_probe": _on(
         "poisson", _weak_mixing,
         f=(_WEAK_MIXING_TERMS, ...),
         g=(_WEAK_MIXING_TERMS, ...),
         times=(_ints, ...),
-        runs=(parse_int, 2000),
+        runs=(_at_least(2, "runs"), 2000),
     ),
     "kakutani_generator": _on("zd", _zd_kakutani, axis=(parse_int, 0), horizon=(parse_int, 64)),
     "zd_cocycle_fuzz": _on(

@@ -246,12 +246,15 @@ def _coupling_families():
     ]
 
 
-def _deep_enumeration_ok(fam, cert) -> bool:
-    """Full-depth oracle: cylinder masses as sums over all margin words."""
+def _deep_enumeration_ok(fam, cert, words_by_length: dict) -> bool:
+    """Full-depth oracle: cylinder masses as sums over all margin words.
+    ``words_by_length`` caches ``fam``'s word lists by length."""
     margin = 1
     total_b = total_c = F(0)
     length = len(cert.b_prime.word) + 2 * margin
-    for w in fam.sft.words(length):
+    if length not in words_by_length:
+        words_by_length[length] = list(fam.sft.words(length))
+    for w in words_by_length[length]:
         if cert.b_prime.matches_word(cert.b_prime.left - margin, w):
             total_b += mk.markov_cylinder_measure(
                 fam, Cylinder(cert.b_prime.left - margin, cert.b_prime.right + margin, w)
@@ -268,6 +271,7 @@ def test_criterion_7_markov_coupling():
     all_ok = True
     for fam, n, stride in _coupling_families():
         words = list(fam.sft.words(2 * n + 1))
+        deep_words = {}
         size = fam.sft.n_states
         index = mk.primitivity_index(fam.sft)
         big_l = mk.transition_ratio_constant(fam).value
@@ -287,7 +291,7 @@ def test_criterion_7_markov_coupling():
                 and cert.mu_c_prime >= bound_weak * cert.mu_c
             )
             if pairs % 17 == 0:
-                case_ok = case_ok and _deep_enumeration_ok(fam, cert)
+                case_ok = case_ok and _deep_enumeration_ok(fam, cert, deep_words)
                 deep_checks += 1
             all_ok = all_ok and case_ok
     _report(7, "Markov coupling certificates", all_ok, f"{pairs} pairs, {deep_checks} deep enumerations")

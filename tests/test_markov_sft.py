@@ -360,3 +360,191 @@ class TestTailTriviality:
         assert rep.violated
         assert rep.forced_lower_bound > 0
         assert rep.witness_b is not None and rep.witness_c is not None
+
+
+# --- pairwise reference for the per-word certificates ----------------------
+#
+# `pairwise_couple` and `pairwise_martingale_gap` are the pairwise
+# `couple_cylinders` and `martingale_max_gap` that recomputed every word's
+# exact data for each pair and each extension; `pairwise_scan` is the
+# runner's scan over them.  The per-word code must give `==` results.
+
+
+def pairwise_couple(family, b: Cylinder, c: Cylinder) -> mk.CouplingCertificate:
+    n = b.right
+    if b.left != -n or c.left != -c.right or c.right != n:
+        raise ValueError("need symmetric cylinders of equal radius")
+    index = mk.primitivity_index(family.sft)
+    pi = family.marginal(-n - index)
+    hub = max(family.sft.states, key=lambda s: (pi[s - 1], -s))
+    b_prime = mk._extend_word(family, b, hub, index)
+    c_prime = mk._extend_word(family, c, hub, index)
+    mu_b = mk.markov_cylinder_measure(family, b)
+    mu_c = mk.markov_cylinder_measure(family, c)
+    mu_bp = mk.markov_cylinder_measure(family, b_prime)
+    mu_cp = mk.markov_cylinder_measure(family, c_prime)
+    ratio = mu_cp / mu_bp
+    size = family.sft.n_states
+    big_l = mk.transition_ratio_constant(family).value
+    bound_strong = F(1, size) / big_l ** (size * index)
+    bound_weak = F(1, size) / big_l ** (2 * size * index)
+    left_exts = set(family.sft.predecessors(hub))
+    right_exts = set(family.sft.successors(hub))
+    bijective = (
+        b_prime.word[0] == hub
+        and b_prime.word[-1] == hub
+        and c_prime.word[0] == hub
+        and c_prime.word[-1] == hub
+        and set(family.sft.predecessors(b_prime.word[0])) == left_exts
+        and set(family.sft.predecessors(c_prime.word[0])) == left_exts
+    )
+    pushforward = True
+    total = F(0)
+    for u in sorted(left_exts):
+        for v in sorted(right_exts):
+            w_b = Cylinder(b_prime.left - 1, b_prime.right + 1, (u,) + b_prime.word + (v,))
+            w_c = Cylinder(c_prime.left - 1, c_prime.right + 1, (u,) + c_prime.word + (v,))
+            mass_b = mk.markov_cylinder_measure(family, w_b)
+            mass_c = mk.markov_cylinder_measure(family, w_c)
+            pushforward = pushforward and (mass_b * ratio == mass_c)
+            total += mass_b
+    pushforward = pushforward and (total == mu_bp) and (mu_bp * ratio == mu_cp)
+    return mk.CouplingCertificate(
+        b, c, b_prime, c_prime, hub, n, index, mu_b, mu_c, mu_bp, mu_cp, ratio, big_l,
+        bound_strong, bound_weak,
+        mu_bp >= bound_strong * mu_b, mu_cp >= bound_strong * mu_c,
+        mu_bp >= bound_weak * mu_b, mu_cp >= bound_weak * mu_c, mu_cp >= bound_weak * mu_c,
+        bijective, pushforward,
+    )
+
+
+def pairwise_scan(certificates) -> mk.CouplingScan:
+    pairs = strong = 0
+    weak_all = bij_all = push_all = True
+    for cert in certificates:
+        pairs += 1
+        strong += int(cert.b_bound_strong_ok and cert.c_bound_strong_ok)
+        weak_all = weak_all and cert.b_bound_weak_ok and cert.c_bound_weak_ok
+        bij_all = bij_all and cert.bijective_ok
+        push_all = push_all and cert.pushforward_ok
+    return mk.CouplingScan(pairs, strong, weak_all, bij_all, push_all)
+
+
+def pairwise_martingale_gap(family, n: int) -> Fraction:
+    worst = F(0)
+    for w in family.sft.words(2 * n + 1):
+        base = Cylinder(-n, n, w)
+        mass = mk.markov_cylinder_measure(family, base)
+        zn = mk.restricted_derivative_fraction(family, base, n)
+        acc = F(0)
+        for s in family.sft.predecessors(w[0]):
+            for t in family.sft.successors(w[-1]):
+                ext = Cylinder(-n - 1, n + 1, (s,) + w + (t,))
+                acc += mk.markov_cylinder_measure(family, ext) * mk.restricted_derivative_fraction(
+                    family, ext, n + 1
+                )
+        worst = max(worst, abs(acc / mass - zn))
+    return worst
+
+
+PRIM3 = [[0, 1, 1], [1, 0, 0], [1, 1, 1]]  # primitivity index 3
+
+#: name -> (SFT, base transition, base marginal or None, a window matrix)
+REFERENCE_FAMILIES = {
+    "golden": (
+        mk.golden_mean(),
+        [[F(3, 4), F(1, 4)], [F(1), F(0)]],
+        [F(4, 5), F(1, 5)],
+        [[F(1, 2), F(1, 2)], [F(1), F(0)]],
+    ),
+    "full2": (
+        mk.full_shift(2),
+        [[F(2, 3), F(1, 3)], [F(1, 4), F(3, 4)]],
+        None,
+        [[F(1, 2), F(1, 2)], [F(1, 3), F(2, 3)]],
+    ),
+    "prim3": (
+        mk.SFT.of(PRIM3),
+        [[F(0), F(1, 3), F(2, 3)], [F(1), F(0), F(0)], [F(1, 4), F(1, 4), F(1, 2)]],
+        None,
+        [[F(0), F(1, 2), F(1, 2)], [F(1), F(0), F(0)], [F(1, 3), F(1, 3), F(1, 3)]],
+    ),
+    "full3": (
+        mk.full_shift(3),
+        [[F(1, 2), F(1, 4), F(1, 4)], [F(1, 4), F(1, 2), F(1, 4)], [F(1, 4), F(1, 4), F(1, 2)]],
+        [F(1, 3)] * 3,
+        [[F(1, 3), F(1, 3), F(1, 3)], [F(1, 2), F(1, 4), F(1, 4)], [F(1, 4), F(1, 4), F(1, 2)]],
+    ),
+}
+WINDOWS = [None, -1, 0, 1]
+#: martingale radii per family: full3 has 3^7 words at radius 3, which the
+#: pairwise reference takes about a second to check
+RADII = {"golden": (1, 2, 3), "full2": (1, 2, 3), "prim3": (1, 2, 3), "full3": (1, 2)}
+
+
+def reference_family(name: str, window_at: int | None) -> mk.MarkovFamily:
+    sft, base, marginal, window = REFERENCE_FAMILIES[name]
+    return mk.MarkovFamily(sft, base, marginal, None if window_at is None else {window_at: window})
+
+
+class TestPerWordReference:
+    @pytest.mark.parametrize("window_at", WINDOWS, ids=lambda k: f"window{k}")
+    @pytest.mark.parametrize(
+        "name, n", [("golden", 1), ("golden", 2), ("full2", 1), ("prim3", 1), ("full3", 1)]
+    )
+    def test_certificates_and_scan_match_pairwise(self, name, n, window_at):
+        fam = reference_family(name, window_at)
+        cylinders = [Cylinder(-n, n, w) for w in fam.sft.words(2 * n + 1)]
+        expected = []
+        for b in cylinders:
+            for c in cylinders:
+                expected.append(pairwise_couple(fam, b, c))
+                assert mk.couple_cylinders(fam, b, c) == expected[-1]
+        assert mk.coupling_scan(fam, n) == pairwise_scan(expected)
+
+    def test_false_weak_bound_scan_matches_pairwise(self):
+        # L = 1 for the uniform golden rows, so the weak bound 1/2 is above
+        # mu(b')/mu(b) = 1/4 for both words: the aggregate is false
+        fam = golden_family(tilted=False)
+        cylinders = [Cylinder(0, 0, w) for w in fam.sft.words(1)]
+        expected = [pairwise_couple(fam, b, c) for b in cylinders for c in cylinders]
+        scan = mk.coupling_scan(fam, 0)
+        assert scan == pairwise_scan(expected)
+        assert scan.weak_ok_all is False
+
+    @pytest.mark.parametrize("name", ["golden", "prim3"])
+    def test_false_pushforward_scan_matches_pairwise(self, name):
+        # a base marginal that is not stationary (set past the constructor's
+        # check) makes the margin masses miss mu(b'), so the exact
+        # push-forward checks fail and must fail alike
+        fam = reference_family(name, 0)
+        fam.base_marginal = tuple(F(1 + s, 1) for s in range(fam.sft.n_states))
+        cylinders = [Cylinder(-1, 1, w) for w in fam.sft.words(3)]
+        expected = []
+        for b in cylinders:
+            for c in cylinders:
+                expected.append(pairwise_couple(fam, b, c))
+                assert mk.couple_cylinders(fam, b, c) == expected[-1]
+        scan = mk.coupling_scan(fam, 1)
+        assert scan == pairwise_scan(expected)
+        assert scan.pushforward_all is False
+
+    # a window at -3 makes the marginals and transitions left of the radius-1
+    # extensions differ, so the new left symbol's factors are not all 1
+    @pytest.mark.parametrize("window_at", WINDOWS + [-3], ids=lambda k: f"window{k}")
+    @pytest.mark.parametrize("name", list(REFERENCE_FAMILIES))
+    def test_martingale_gap_matches_pairwise(self, name, window_at):
+        fam = reference_family(name, window_at)
+        for n in RADII[name]:
+            assert mk.martingale_max_gap(fam, n) == pairwise_martingale_gap(fam, n)
+
+    @pytest.mark.parametrize("name", list(REFERENCE_FAMILIES))
+    def test_nonzero_martingale_gap_matches_pairwise(self, name):
+        # a base marginal that is not stationary (set past the constructor's
+        # check) breaks the martingale, so the gaps compared are not all 0
+        fam = reference_family(name, 0)
+        fam.base_marginal = tuple(F(1 + s, 1) for s in range(fam.sft.n_states))
+        for n in RADII[name]:
+            gap = mk.martingale_max_gap(fam, n)
+            assert gap == pairwise_martingale_gap(fam, n)
+            assert gap > 0

@@ -187,21 +187,60 @@ REJECTED = {
     ),
 }
 
-#: (system, operation, key, value, lowest accepted value): below the bound a
-#: fuzz or scan checks nothing and would still report all_ok
+EVENT_F = [{"constraints": [[[0], 1]]}]
+
+
+def _cases(results):
+    return results.get("cases", results.get("pairs_checked"))
+
+
+#: (system, operation, key, value, lowest accepted value, what a report at
+#: the lowest value shows it checked or sampled): below the bound a fuzz or
+#: scan checks nothing and would still report all_ok, a series or sample is
+#: empty, or a ddof=1 statistic is nan; maximal_inequality shows no count
 VACUOUS_COUNTS = [
-    (BERNOULLI, {"name": "cocycle_fuzz", "span": 2}, "cases", 0, 1),
-    (POISSON, {"name": "mixing_gap_fuzz"}, "cases", 0, 1),
-    (POISSON, {"name": "mixing_gap_fuzz"}, "points", 0, 1),
-    (ZD, {"name": "zd_cocycle_fuzz", "span": 2}, "cases", 0, 1),
-    (BERNOULLI, {"name": "homoclinic_scan", "n_max": 1}, "radius_max", -1, 0),
-    (BERNOULLI, {"name": "homoclinic_scan", "radius_max": 1}, "n_max", -1, 0),
+    (BERNOULLI, {"name": "cocycle_fuzz", "span": 2}, "cases", 0, 1, _cases),
+    (POISSON, {"name": "mixing_gap_fuzz"}, "cases", 0, 1, _cases),
+    (POISSON, {"name": "mixing_gap_fuzz"}, "points", 0, 1, _cases),
+    (ZD, {"name": "zd_cocycle_fuzz", "span": 2}, "cases", 0, 1, _cases),
+    (BERNOULLI, {"name": "homoclinic_scan", "n_max": 1}, "radius_max", -1, 0, _cases),
+    (BERNOULLI, {"name": "homoclinic_scan", "radius_max": 1}, "n_max", -1, 0, _cases),
+    (
+        BERNOULLI, {"name": "birkhoff_series"}, "horizon", 0, 1,
+        lambda r: len(r["series"]["birkhoff"]),
+    ),
+    (POISSON, {"name": "dual_series"}, "horizon", 0, 1, lambda r: len(r["series"]["dual"])),
+    (BERNOULLI, {"name": "ratio_series"}, "horizon", 0, 1, lambda r: len(r["series"]["ratio"])),
+    (POISSON, {"name": "banach_density", "sequence": "zero"}, "horizon", 0, 1, lambda r: r["kept"]),
+    (
+        BERNOULLI, {"name": "maximal_inequality", "f": [{"word": [1]}], "t": "1", "horizon": 4},
+        "runs", 0, 1, None,
+    ),
+    (
+        POISSON, {"name": "two_subsequence_probe", "f": EVENT_F, "blocks": [2]}, "runs", 1, 2,
+        lambda r: len(r["block_means"]),
+    ),
+    (POISSON, {"name": "variance_decay", "blocks": [2]}, "runs", 1, 2, lambda r: len(r["variances"])),
+    (
+        POISSON, {"name": "weak_mixing_probe", "f": EVENT_F, "g": EVENT_F, "times": [1]},
+        "runs", 1, 2, lambda r: len(r["series"]["correlation"]),
+    ),
+    (MARKOV, {"name": "martingale_check"}, "radius", 0, 1, lambda r: len(r["per_radius"])),
 ]
 each_vacuous_count = pytest.mark.parametrize(
-    "system, op, key, value, low",
+    "system, op, key, value, low, checked",
     VACUOUS_COUNTS,
-    ids=[f"{op['name']}-{key}" for _, op, key, _, _ in VACUOUS_COUNTS],
+    ids=[f"{op['name']}-{key}" for _, op, key, *_ in VACUOUS_COUNTS],
 )
+
+
+def _floats(value) -> list[float]:
+    """Every float in a nested report value."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return [x for v in value for x in _floats(v)]
+    return [value] if isinstance(value, float) else []
 
 
 class TestValidation:
@@ -471,16 +510,18 @@ class TestCli:
         assert self.run_config(tmp_path, capsys, cfg) == 2
 
     @each_vacuous_count
-    def test_vacuous_count_exit_2(self, tmp_path, capsys, system, op, key, value, low):
+    def test_vacuous_count_exit_2(self, tmp_path, capsys, system, op, key, value, low, checked):
         cfg = config_on(system, dict(op, **{key: value}))
         code, err = self.cli_error(tmp_path, capsys, cfg)
         assert code == 2
         assert err == f"invalid config: operation {op['name']}: {key} {value} is below {low}\n"
 
     @each_vacuous_count
-    def test_smallest_count_checks_something(self, system, op, key, value, low):
+    @pytest.mark.filterwarnings("error")
+    def test_smallest_count_checks_something(self, system, op, key, value, low, checked):
         results = runner.run(config_on(system, dict(op, **{key: low})))["results"]
-        assert results.get("cases", results.get("pairs_checked")) >= 1
+        assert all(math.isfinite(x) for x in _floats(results))
+        assert checked is None or checked(results) >= 1
 
     def test_bad_tolerance_exit_2(self, tmp_path, capsys):
         cfg = minimal_config(operation={"name": "cocycle_fuzz", "cases": 3, "tol": "abc"})
