@@ -13,8 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import product
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -114,28 +115,50 @@ class BernoulliSystem:
 
     def value_series(self, x: Configuration, obs: Observable, times: np.ndarray) -> np.ndarray:
         """f(T^t x) for each t in times."""
-        times = np.asarray(times, dtype=np.int64)
-        out = np.zeros(len(times))
-        spans = [atom for _, atom in obs.terms if not atom.is_empty]
-        if spans:
-            lo = min(a.left for a in spans) + int(times.min())
-            hi = max(a.right for a in spans) + int(times.max())
-            block = x.block(lo, hi)
-        for c, atom in obs.terms:
-            if atom.is_empty:
-                out += c
-                continue
-            ind = np.ones(len(times), dtype=bool)
-            for j in atom.coords():
-                ind &= block[(j + times) - lo] == atom.symbol(j)
-            out += c * ind
-        return out
+        return _cylinder_values(obs, np.asarray(times, dtype=np.int64), x.block, ())
+
+    def values_matrix(
+        self, master_seed: int, n_runs: int, obs: Observable, times: Sequence[int]
+    ) -> np.ndarray:
+        read = partial(self.family.run_grid, master_seed, n_runs)
+        return _cylinder_values(obs, np.asarray(times, dtype=np.int64), read, (n_runs,))
 
     def dual_log_weights(
         self, x: Configuration, n: int, tol: float = 1e-12
     ) -> tuple[np.ndarray, float]:
         """log d(mu o T^-k)/d mu (x) for k = 0..n-1."""
         return bn.rn_log_weights(self.family, x, -np.arange(n), tol=tol)
+
+    def dual_log_weight_grid(
+        self, master_seed: int, n_runs: int, n: int, tol: float = 1e-12
+    ) -> tuple[np.ndarray, float]:
+        """(n_runs, n): row r is ``dual_log_weights`` at ``run_sample(master_seed, r)``."""
+        return bn.rn_log_weight_grid(self.family, master_seed, n_runs, -np.arange(n), tol=tol)
+
+
+def _cylinder_values(
+    obs: Observable,
+    times: np.ndarray,
+    read: Callable[[int, int], np.ndarray],
+    lead: tuple[int, ...],
+) -> np.ndarray:
+    """f(T^t x) for each t in times, shape ``lead + (len(times),)``, over the
+    symbols ``read(lo, hi)`` returns, shape ``lead + (cells,)``."""
+    out = np.zeros(lead + (len(times),))
+    spans = [atom for _, atom in obs.terms if not atom.is_empty]
+    if spans:
+        lo = min(a.left for a in spans) + int(times.min())
+        hi = max(a.right for a in spans) + int(times.max())
+        block = read(lo, hi)
+    for c, atom in obs.terms:
+        if atom.is_empty:
+            out += c
+            continue
+        ind = np.ones(out.shape, dtype=bool)
+        for j in atom.coords():
+            ind &= block[..., (j + times) - lo] == atom.symbol(j)
+        out += c * ind
+    return out
 
 
 class PoissonSystem:
@@ -180,6 +203,11 @@ class PoissonSystem:
     ) -> tuple[np.ndarray, float]:
         return np.zeros(n), 0.0
 
+    def dual_log_weight_grid(
+        self, master_seed: int, n_runs: int, n: int, tol: float = 1e-12
+    ) -> tuple[np.ndarray, float]:
+        return np.zeros((n_runs, n)), 0.0
+
     def values_matrix(
         self, master_seed: int, n_runs: int, obs: Observable, times: Sequence[int]
     ) -> np.ndarray:
@@ -193,14 +221,9 @@ class PoissonSystem:
 
 
 def values_matrix(system, master_seed: int, n_runs: int, obs: Observable, times) -> np.ndarray:
-    """(runs, times) observable values f(T^t x_r), batched over seeded runs."""
-    times = np.asarray(list(times), dtype=np.int64)
-    if hasattr(system, "values_matrix"):
-        return system.values_matrix(master_seed, n_runs, obs, [int(t) for t in times])
-    out = np.empty((n_runs, len(times)))
-    for r in range(n_runs):
-        out[r] = system.value_series(system.run_sample(master_seed, r), obs, times)
-    return out
+    """(runs, times) observable values f(T^t x_r), batched over seeded runs:
+    row r equals ``value_series`` at ``run_sample(master_seed, r)``."""
+    return system.values_matrix(master_seed, n_runs, obs, [int(t) for t in times])
 
 
 # ---------------------------------------------------------------------------
@@ -269,13 +292,11 @@ def maximal_inequality_probe(
     against the L1-over-t bound."""
     if t <= 0:
         raise ValueError("threshold t must be positive")
-    exceed = 0
-    for r in range(n_runs):
-        num, weights, _ = _dual_sums(system, f, system.run_sample(master_seed, r), horizon)
-        ratios = num / np.cumsum(weights)
-        if np.max(np.abs(ratios)) > t:
-            exceed += 1
-    tail = exceed / n_runs
+    logs, _ = system.dual_log_weight_grid(master_seed, n_runs, horizon)
+    weights = np.exp(logs)
+    values = values_matrix(system, master_seed, n_runs, f, -np.arange(horizon))
+    ratios = np.cumsum(weights * values, axis=1) / np.cumsum(weights, axis=1)
+    tail = int(np.count_nonzero(np.max(np.abs(ratios), axis=1) > t)) / n_runs
     bound = system.abs_expectation(f) / t
     sigma = math.sqrt(max(tail * (1.0 - tail), 1.0 / n_runs) / n_runs)
     return MaximalInequalityResult(tail, bound, sigma, tail <= bound + 3.0 * sigma)

@@ -25,12 +25,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache, partial
+from itertools import pairwise
 from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
 from .errors import NonSingularError, ToleranceError
-from .seeding import spawn
+from .seeding import spawn, spawn_vec
 from .shift_core import RANGE_CAP, Alphabet, Configuration, Cylinder, LazyTail
 
 CONVERGENT = "convergent_certified"
@@ -43,6 +45,10 @@ INCONCLUSIVE = "inconclusive"
 LOG_SLACK = 1e-9
 
 _SUM_TOL = Fraction(1, 10**12)
+
+#: summable sites whose float data is kept; a far site's exact probabilities
+#: are thousands of bits long, so the measures themselves are never kept
+_SITE_CACHE = 4096
 
 
 def _as_fraction(v) -> Fraction:
@@ -86,12 +92,31 @@ class SiteMeasure:
     def min_prob(self) -> Fraction:
         return min(self.probs)
 
-    @property
+    @cached_property
     def ratio(self) -> Fraction:
         return self.max_prob / self.min_prob
 
+    @cached_property
+    def log_ratio(self) -> float:
+        return math.log(float(self.ratio))
+
+    @cached_property
+    def floats(self) -> "SiteFloats":
+        # math.log of a Fraction is math.log of its correctly rounded float,
+        # so each table entry equals math.log(p) of the exact probability
+        probs = [float(p) for p in self.probs]
+        return SiteFloats(tuple(math.log(p) for p in probs), LazyTail.cdf(probs))
+
     def log_probs(self) -> np.ndarray:
-        return np.array([math.log(p) for p in self.probs], dtype=np.float64)
+        return np.array(self.floats.logs, dtype=np.float64)
+
+
+class SiteFloats(NamedTuple):
+    """The float data of a site that the cocycles and the sampler read: the
+    log of each probability and the sampling CDF."""
+
+    logs: tuple[float, ...]
+    cdf: np.ndarray
 
 
 class LogValue(NamedTuple):
@@ -133,6 +158,9 @@ class BernoulliFamily:
     def site(self, k: int) -> SiteMeasure:
         raise NotImplementedError
 
+    def site_floats(self, k: int) -> SiteFloats:
+        return self.site(k).floats
+
     def require_nonsingular(self) -> None:
         raise NotImplementedError
 
@@ -147,6 +175,12 @@ class BernoulliFamily:
 
     def run_configuration(self, master_seed: int, run: int) -> Configuration:
         return self.configuration(spawn(master_seed, run))
+
+    def run_grid(self, master_seed: int, n_runs: int, lo: int, hi: int) -> np.ndarray:
+        """(n_runs, hi - lo + 1) symbols; row r is
+        ``run_configuration(master_seed, r).block(lo, hi)``."""
+        seeds = spawn_vec(master_seed, np.arange(n_runs))
+        return self._tail(master_seed).grid(seeds, lo, hi)
 
     def _tail(self, seed: int) -> LazyTail:
         raise NotImplementedError
@@ -180,9 +214,8 @@ class CompactFamily(BernoulliFamily):
         return CompactFamily(self.base, {k + s: m for k, m in self.window.items()})
 
     def _tail(self, seed: int) -> LazyTail:
-        return LazyTail.with_window(
-            seed, self.base.probs, {k: m.probs for k, m in self.window.items()}
-        )
+        cdfs = {k: m.floats.cdf for k, m in self.window.items()}
+        return LazyTail(seed, self.base.floats.cdf, cdfs)
 
 
 class PeriodicFamily(BernoulliFamily):
@@ -217,7 +250,7 @@ class PeriodicFamily(BernoulliFamily):
         return PeriodicFamily(tuple(self.sites[(r - s) % p] for r in range(p)))
 
     def _tail(self, seed: int) -> LazyTail:
-        return LazyTail.periodic(seed, [m.probs for m in self.sites])
+        return LazyTail(seed, None, None, np.stack([m.floats.cdf for m in self.sites]))
 
 
 def periodic_family(sites) -> BernoulliFamily:
@@ -238,6 +271,9 @@ class SummableFamily(BernoulliFamily):
     ``tail(h)`` must dominate the sum of the majorant over |k| > h, and
     ``sup`` must dominate the majorant everywhere.  The domination is
     spot-checked at construction.
+
+    ``rule`` must be pure: the float data of its sites (log tables and
+    sampling CDFs) is cached per (rule, k) in a bounded cache.
     """
 
     def __init__(
@@ -265,6 +301,9 @@ class SummableFamily(BernoulliFamily):
     def site(self, k: int) -> SiteMeasure:
         return self.rule(k)
 
+    def site_floats(self, k: int) -> SiteFloats:
+        return _rule_floats(self.rule, k)
+
     def require_nonsingular(self) -> None:
         if not math.isfinite(self.tail(0)):
             raise NonSingularError("summable family lacks a finite tail bound")
@@ -280,7 +319,7 @@ class SummableFamily(BernoulliFamily):
         )
 
     def _tail(self, seed: int) -> LazyTail:
-        return LazyTail.from_rule(seed, lambda k: self.rule(k).probs)
+        return LazyTail.from_rule(seed, lambda k: self.site_floats(k).cdf)
 
     def effective_window(self, tol: float) -> tuple[dict[int, SiteMeasure], float]:
         """Sites with majorant above a cutoff; the per-factor truncation error
@@ -291,12 +330,14 @@ class SummableFamily(BernoulliFamily):
             h *= 2
             if h > RANGE_CAP:
                 raise ToleranceError(f"tolerance {tol} unachievable within cap")
-        window = {
-            k: self.rule(k)
-            for k in range(-h, h + 1)
-            if self.rule(k).probs != self.base.probs
-        }
+        sites = ((k, self.rule(k)) for k in range(-h, h + 1))
+        window = {k: m for k, m in sites if m.probs != self.base.probs}
         return window, 2.0 * self.tail(h)
+
+
+@lru_cache(maxsize=_SITE_CACHE)
+def _rule_floats(rule: Callable[[int], SiteMeasure], k: int) -> SiteFloats:
+    return rule(k).floats
 
 
 def summable_two_symbol(
@@ -376,10 +417,8 @@ def kakutani_sum(
         return KakutaniResult(value, DIVERGENT, None)
 
     assert isinstance(family, SummableFamily)
-    value = sum(
-        hellinger_sq(family.site(k), family.site(k - 1))
-        for k in range(-horizon, horizon + 1)
-    )
+    sites = (family.site(k) for k in range(-horizon - 1, horizon + 1))
+    value = sum(hellinger_sq(b, a) for a, b in pairwise(sites))
     tail_bound = math.exp(family.sup) * family.sup * family.tail(horizon - 1)
     verdict = CONVERGENT if tail_bound <= tol else INCONCLUSIVE
     return KakutaniResult(float(value), verdict, tail_bound)
@@ -404,14 +443,12 @@ def rn_derivative(
         return LogValue(0.0, 0.0)
 
     if isinstance(family, CompactFamily):
+        base = family.base.floats.logs
         log_x = 0.0
         for i, m in family.window.items():
-            log_x += math.log(m.prob(x.symbol(i + n))) - math.log(
-                family.base.prob(x.symbol(i + n))
-            )
-            log_x -= math.log(m.prob(x.symbol(i))) - math.log(
-                family.base.prob(x.symbol(i))
-            )
+            logs, there, here = m.floats.logs, x.symbol(i + n) - 1, x.symbol(i) - 1
+            log_x += logs[there] - base[there]
+            log_x -= logs[here] - base[here]
         return LogValue(log_x, 0.0)
 
     assert isinstance(family, SummableFamily)
@@ -421,10 +458,9 @@ def rn_derivative(
         if radius > RANGE_CAP:
             raise ToleranceError(f"tolerance {tol} unachievable within cap")
     total = 0.0
-    for k in range(-radius, radius + 1):
-        total += math.log(family.site(k - n).prob(x.symbol(k))) - math.log(
-            family.site(k).prob(x.symbol(k))
-        )
+    symbols = x.block(-radius, radius).tolist()
+    for k, s in zip(range(-radius, radius + 1), symbols):
+        total += family.site_floats(k - n).logs[s - 1] - family.site_floats(k).logs[s - 1]
     return LogValue(total, family.tail(radius - abs(n)) + family.tail(radius))
 
 
@@ -446,6 +482,37 @@ def cocycle_gap(
     return abs(total.log_magnitude - first.log_magnitude - second.log_magnitude)
 
 
+def _log_weights(
+    family: BernoulliFamily,
+    read: Callable[[int, int], np.ndarray],
+    lead: tuple[int, ...],
+    ns,
+    tol: float,
+) -> tuple[np.ndarray, float]:
+    """log (T^n)' for n in ``ns`` over the symbols ``read(lo, hi)`` returns,
+    shape ``lead + (cells,)``, as an array of shape ``lead + (len(ns),)``,
+    plus the per-entry truncation error bound: the kernel of both
+    ``rn_log_weights`` and ``rn_log_weight_grid``."""
+    family.require_nonsingular()
+    ns = np.asarray(ns, dtype=np.int64)
+    if isinstance(family, CompactFamily):
+        window, err = family.window, 0.0
+    else:
+        assert isinstance(family, SummableFamily)
+        window, err = family.effective_window(tol)
+    out = np.zeros(lead + (len(ns),))
+    if not window:
+        return out, err
+    lo = int(min(k for k in window) + min(ns.min(), 0))
+    hi = int(max(k for k in window) + max(ns.max(), 0))
+    block = read(lo, hi)
+    base_logs = family.base.log_probs()
+    for i, m in window.items():
+        table = m.log_probs() - base_logs
+        out += table[block[..., (i + ns) - lo] - 1] - table[block[..., i - lo, None] - 1]
+    return out, err
+
+
 def rn_log_weights(
     family: BernoulliFamily,
     x: Configuration,
@@ -457,27 +524,20 @@ def rn_log_weights(
     Returns (log weights, per-entry truncation error bound).  Exact (bound 0)
     for compact families.
     """
-    family.require_nonsingular()
-    ns = np.asarray(ns, dtype=np.int64)
-    if isinstance(family, CompactFamily):
-        window, err = family.window, 0.0
-    else:
-        assert isinstance(family, SummableFamily)
-        window, err = family.effective_window(tol)
-    base = family.base
+    return _log_weights(family, x.block, (), ns, tol)
 
-    if not window:
-        return np.zeros(len(ns)), err
-    lo = int(min(k for k in window) + min(ns.min(), 0))
-    hi = int(max(k for k in window) + max(ns.max(), 0))
-    block = x.block(lo, hi)
-    base_logs = base.log_probs()
-    out = np.zeros(len(ns))
-    for i, m in window.items():
-        table = m.log_probs() - base_logs
-        shifted = block[(i + ns) - lo] - 1
-        out += table[shifted] - table[block[i - lo] - 1]
-    return out, err
+
+def rn_log_weight_grid(
+    family: BernoulliFamily,
+    master_seed: int,
+    n_runs: int,
+    ns: np.ndarray,
+    tol: float = 1e-12,
+) -> tuple[np.ndarray, float]:
+    """(n_runs, len(ns)) log weights; row r equals ``rn_log_weights`` at
+    ``family.run_configuration(master_seed, r)``."""
+    read = partial(family.run_grid, master_seed, n_runs)
+    return _log_weights(family, read, (n_runs,), ns, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -547,8 +607,7 @@ def homoclinic_ratio_bound_check(
 
     product_bound = 0.0
     for k in range(-radius, radius + 1):
-        a, b = family.site(k), family.site(k - n)
-        product_bound += math.log(float(a.ratio)) + math.log(float(b.ratio))
+        product_bound += family.site(k).log_ratio + family.site(k - n).log_ratio
     L = uniformity_constant(family, horizon=radius + abs(n)).value
     uniform_bound = 2.0 * (2 * radius + 1) * math.log(L)
 

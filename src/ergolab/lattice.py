@@ -27,7 +27,7 @@ from .bernoulli import (
 )
 from .errors import NonSingularError
 from .seeding import TAG_LATTICE, combine, spawn, uniform01_nd, zigzag, zigzag_vec
-from .shift_core import Alphabet, LazyTail
+from .shift_core import Alphabet
 
 _BOX_CELL_CAP = 1 << 24
 
@@ -150,14 +150,11 @@ class LatticeConfiguration:
             tuple(o - v for o, v in zip(self.offset, vec)),
         )
 
-    def _cdf(self, g: tuple[int, ...]) -> np.ndarray:
-        return LazyTail.cdf(self.family.site(g).probs)
-
     def symbol(self, g) -> int:
         vec = tuple(v + o for v, o in zip(_as_vec(g), self.offset))
         key = combine(self.seed, TAG_LATTICE, *(zigzag(v) for v in vec))
         u = (key >> 11) * 2.0**-53
-        return int(np.searchsorted(self._cdf(vec), u, side="right")) + 1
+        return int(np.searchsorted(self.family.site(vec).floats.cdf, u, side="right")) + 1
 
     def box(self, radius: int, margins=None) -> np.ndarray:
         """Symbols on the product of ranges [-radius - m_i, radius + m_i].
@@ -183,7 +180,7 @@ class LatticeConfiguration:
         )
 
         if isinstance(self.family, LatticeCompact):
-            base_cdf = LazyTail.cdf(self.family.base.probs)
+            base_cdf = self.family.base.floats.cdf
             out = (np.searchsorted(base_cdf, u.ravel(), side="right") + 1).astype(
                 np.int16
             ).reshape(shape)
@@ -191,8 +188,7 @@ class LatticeConfiguration:
             for g, m in self.family.window.items():
                 idx = tuple(v - lo for v, lo in zip(g, lows))
                 if all(0 <= i < s for i, s in zip(idx, shape)):
-                    cdf = LazyTail.cdf(m.probs)
-                    out[idx] = np.searchsorted(cdf, u[idx], side="right") + 1
+                    out[idx] = np.searchsorted(m.floats.cdf, u[idx], side="right") + 1
             return out
         assert isinstance(self.family, LatticePeriodic)
         out = np.empty(shape, dtype=np.int16)
@@ -203,7 +199,7 @@ class LatticeConfiguration:
             for i in range(d):
                 mask &= residues[i] == r[i]
             if mask.any():
-                cdf = LazyTail.cdf(self.family._sites[r].probs)
+                cdf = self.family._sites[r].floats.cdf
                 out[mask] = np.searchsorted(cdf, u[mask], side="right") + 1
         return out
 
@@ -269,13 +265,13 @@ def rn_derivative_g(
             )
         return LogValue(0.0, 0.0)
     assert isinstance(family, LatticeCompact)
-    base = family.base
+    base = family.base.floats.logs
     total = 0.0
     for i, m in family.window.items():
         pulled = tuple(a - b for a, b in zip(i, vec))
-        s_pulled, s_here = x.symbol(pulled), x.symbol(i)
-        total += math.log(float(m.prob(s_pulled))) - math.log(float(base.prob(s_pulled)))
-        total -= math.log(float(m.prob(s_here))) - math.log(float(base.prob(s_here)))
+        logs, there, here = m.floats.logs, x.symbol(pulled) - 1, x.symbol(i) - 1
+        total += logs[there] - base[there]
+        total -= logs[here] - base[here]
     return LogValue(total, 0.0)
 
 

@@ -55,18 +55,30 @@ def _float(value, where: str) -> float:
     return float(parse_number(value, where))
 
 
+def _checked(parse: Callable, ok: Callable, says: str) -> Callable:
+    """``parse``, then a ConfigError saying ``says`` (``{}`` is the value)
+    unless ``ok(value)``: a value that would make a run check or sample
+    nothing, or report ``nan``, is refused rather than run."""
+
+    def check(value, where):
+        out = parse(value, where)
+        if not ok(out):
+            raise ConfigError(f"{where}: {says.format(out)}")
+        return out
+
+    return check
+
+
 def _at_least(low: int, key: str) -> Callable:
     """An integer ``key`` of at least ``low``: below it a fuzz or a scan
     would check nothing and still report ``all_ok``, a series or a sample
     would be empty, or a ``ddof=1`` statistic would be ``nan``."""
+    return _checked(parse_int, lambda n: n >= low, f"{key} {{}} is below {low}")
 
-    def parse(value, where):
-        n = parse_int(value, where)
-        if n < low:
-            raise ConfigError(f"{where}: {key} {n} is below {low}")
-        return n
 
-    return parse
+def _nonempty(items: Callable, key: str) -> Callable:
+    """A non-empty list ``key``: with no times or blocks a probe samples nothing."""
+    return _checked(items, bool, f"{key} is empty")
 
 
 def _json(kind: type, what: str) -> Callable:
@@ -532,7 +544,7 @@ def _on_paths(handler: Callable, f_default=..., **keys) -> dict[str, tuple[dict,
     }
 
 
-_BLOCKS = {"blocks": (_ints, [16, 64, 256])}
+_BLOCKS = {"blocks": (_nonempty(_list_of(_at_least(1, "blocks")), "blocks"), [16, 64, 256])}
 _WEAK_MIXING_TERMS = _records({**_COEF, "constraints": (_event, ...)}, _values)
 
 #: operation name -> accepted system type -> (keys, handler); a handler
@@ -610,14 +622,14 @@ _HANDLERS: dict[str, dict[str, tuple[dict, Callable]]] = {
         region=(_ints, list(range(10))),
         k=(parse_int, 0),
         **_BLOCKS,
-        spacing=(parse_int, None),
+        spacing=(_checked(parse_int, bool, "spacing 0 puts every sample at time 0"), None),
         runs=(_at_least(2, "runs"), 10000),
     ),
     "weak_mixing_probe": _on(
         "poisson", _weak_mixing,
         f=(_WEAK_MIXING_TERMS, ...),
         g=(_WEAK_MIXING_TERMS, ...),
-        times=(_ints, ...),
+        times=(_nonempty(_ints, "times"), ...),
         runs=(_at_least(2, "runs"), 2000),
     ),
     "kakutani_generator": _on("zd", _zd_kakutani, axis=(parse_int, 0), horizon=(parse_int, 64)),

@@ -14,7 +14,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .seeding import TAG_SYMBOL, uniform01, uniform01_vec, zigzag, zigzag_vec
+from .seeding import TAG_SYMBOL, uniform01, uniform01_grid, uniform01_vec, zigzag, zigzag_vec
 
 #: Longest coordinate range a single operation will materialize.
 RANGE_CAP = 1 << 24
@@ -131,16 +131,9 @@ class LazyTail:
         return cls(seed, cls.cdf(probs))
 
     @classmethod
-    def with_window(cls, seed: int, base_probs, window: Mapping[int, object]) -> "LazyTail":
-        return cls(seed, cls.cdf(base_probs), {k: cls.cdf(p) for k, p in window.items()})
-
-    @classmethod
-    def periodic(cls, seed: int, prob_rows) -> "LazyTail":
-        return cls(seed, None, None, np.stack([cls.cdf(p) for p in prob_rows]))
-
-    @classmethod
-    def from_rule(cls, seed: int, rule: Callable[[int], object]) -> "LazyTail":
-        return cls(seed, None, None, None, lambda k: cls.cdf(rule(k)))
+    def from_rule(cls, seed: int, cdf_rule: Callable[[int], np.ndarray]) -> "LazyTail":
+        """Tail whose CDF at coordinate k is ``cdf_rule(k)`` (built by ``cdf``)."""
+        return cls(seed, None, None, None, cdf_rule)
 
     def _cdf_at(self, i: int) -> np.ndarray:
         if i in self._site_cdfs:
@@ -159,28 +152,40 @@ class LazyTail:
         """Symbols on [lo, hi] inclusive, as int16."""
         _check_range(lo, hi)
         coords = np.arange(lo, hi + 1, dtype=np.int64)
-        u = uniform01_vec(self.seed, (TAG_SYMBOL,), zigzag_vec(coords))
+        return self._symbols(lo, uniform01_vec(self.seed, (TAG_SYMBOL,), zigzag_vec(coords)))
+
+    def grid(self, seeds: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """(len(seeds), hi - lo + 1) symbols; row r is the ``block(lo, hi)``
+        of this tail's distribution drawn at seed ``seeds[r]``."""
+        _check_range(lo, hi)
+        coords = np.arange(lo, hi + 1, dtype=np.int64)
+        return self._symbols(lo, uniform01_grid(seeds, (TAG_SYMBOL,), zigzag_vec(coords)))
+
+    def _symbols(self, lo: int, u: np.ndarray) -> np.ndarray:
+        """Inverse-CDF symbols, as int16, of uniforms ``u[..., j]`` drawn at
+        coordinate ``lo + j``."""
+        cells = u.shape[-1]
         if self._period_cdfs is not None:
             p = len(self._period_cdfs)
-            res = np.mod(coords, p)
-            out = np.empty(len(coords), dtype=np.int16)
+            res = np.mod(np.arange(lo, lo + cells), p)
+            out = np.empty(u.shape, dtype=np.int16)
             for r in range(p):
                 mask = res == r
                 if mask.any():
-                    out[mask] = (
-                        np.searchsorted(self._period_cdfs[r], u[mask], side="right") + 1
+                    out[..., mask] = (
+                        np.searchsorted(self._period_cdfs[r], u[..., mask], side="right") + 1
                     )
             return out
         if self._base_cdf is not None:
             out = (np.searchsorted(self._base_cdf, u, side="right") + 1).astype(np.int16)
             for k, cdf in self._site_cdfs.items():
-                if lo <= k <= hi:
-                    out[k - lo] = np.searchsorted(cdf, u[k - lo], side="right") + 1
+                if lo <= k < lo + cells:
+                    out[..., k - lo] = np.searchsorted(cdf, u[..., k - lo], side="right") + 1
             return out
-        out = np.empty(len(coords), dtype=np.int16)
-        for j, i in enumerate(coords):
-            out[j] = np.searchsorted(self._rule_cdf(int(i)), u[j], side="right") + 1
-        return out
+        rows = map(self._rule_cdf, range(lo, lo + cells))
+        cdfs = np.fromiter(rows, (np.float64, len(self._rule_cdf(lo))), cells)
+        # on a nondecreasing CDF, the count of entries <= u is searchsorted(side="right")
+        return ((cdfs <= u[..., None]).sum(axis=-1) + 1).astype(np.int16)
 
 
 class Configuration:

@@ -195,10 +195,11 @@ def _cases(results):
 
 
 #: (system, operation, key, value, lowest accepted value, what a report at
-#: the lowest value shows it checked or sampled): below the bound a fuzz or
-#: scan checks nothing and would still report all_ok, a series or sample is
+#: the lowest value shows it checked or sampled[, what the CLI says when the
+#: value is not an integer below a bound]): below the bound a fuzz or scan
+#: checks nothing and would still report all_ok, a series or sample is
 #: empty, or a ddof=1 statistic is nan; maximal_inequality shows no count
-VACUOUS_COUNTS = [
+_VACUOUS = [
     (BERNOULLI, {"name": "cocycle_fuzz", "span": 2}, "cases", 0, 1, _cases),
     (POISSON, {"name": "mixing_gap_fuzz"}, "cases", 0, 1, _cases),
     (POISSON, {"name": "mixing_gap_fuzz"}, "points", 0, 1, _cases),
@@ -226,9 +227,38 @@ VACUOUS_COUNTS = [
         "runs", 1, 2, lambda r: len(r["series"]["correlation"]),
     ),
     (MARKOV, {"name": "martingale_check"}, "radius", 0, 1, lambda r: len(r["per_radius"])),
+    # a block of 0 times has no average; no times or blocks sample nothing;
+    # a spacing of 0 samples time 0 only, while a negative one is fine
+    (
+        POISSON, {"name": "variance_decay"}, "blocks", [0], [1],
+        lambda r: len(r["variances"]), "blocks 0 is below 1",
+    ),
+    (
+        POISSON, {"name": "variance_decay"}, "blocks", [], [1],
+        lambda r: len(r["variances"]), "blocks is empty",
+    ),
+    (
+        POISSON, {"name": "two_subsequence_probe", "f": EVENT_F}, "blocks", [0], [1],
+        lambda r: len(r["block_means"]), "blocks 0 is below 1",
+    ),
+    (
+        BERNOULLI, {"name": "two_subsequence_probe", "f": LETTER}, "blocks", [], [1],
+        lambda r: len(r["block_means"]), "blocks is empty",
+    ),
+    (
+        POISSON, {"name": "variance_decay", "blocks": [2]}, "spacing", 0, -1,
+        lambda r: len(r["variances"]), "spacing 0 puts every sample at time 0",
+    ),
+    (
+        POISSON, {"name": "weak_mixing_probe", "f": EVENT_F, "g": EVENT_F}, "times", [], [1],
+        lambda r: len(r["series"]["correlation"]), "times is empty",
+    ),
+]
+VACUOUS_COUNTS = [
+    row if len(row) == 7 else (*row, f"{row[2]} {row[3]} is below {row[4]}") for row in _VACUOUS
 ]
 each_vacuous_count = pytest.mark.parametrize(
-    "system, op, key, value, low, checked",
+    "system, op, key, value, low, checked, says",
     VACUOUS_COUNTS,
     ids=[f"{op['name']}-{key}" for _, op, key, *_ in VACUOUS_COUNTS],
 )
@@ -510,15 +540,17 @@ class TestCli:
         assert self.run_config(tmp_path, capsys, cfg) == 2
 
     @each_vacuous_count
-    def test_vacuous_count_exit_2(self, tmp_path, capsys, system, op, key, value, low, checked):
+    def test_vacuous_count_exit_2(
+        self, tmp_path, capsys, system, op, key, value, low, checked, says
+    ):
         cfg = config_on(system, dict(op, **{key: value}))
         code, err = self.cli_error(tmp_path, capsys, cfg)
         assert code == 2
-        assert err == f"invalid config: operation {op['name']}: {key} {value} is below {low}\n"
+        assert err == f"invalid config: operation {op['name']}: {says}\n"
 
     @each_vacuous_count
     @pytest.mark.filterwarnings("error")
-    def test_smallest_count_checks_something(self, system, op, key, value, low, checked):
+    def test_smallest_count_checks_something(self, system, op, key, value, low, checked, says):
         results = runner.run(config_on(system, dict(op, **{key: low})))["results"]
         assert all(math.isfinite(x) for x in _floats(results))
         assert checked is None or checked(results) >= 1

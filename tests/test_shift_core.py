@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -92,12 +93,13 @@ class TestDeterminism:
 
 class TestLazyTailKinds:
     def test_window_tail(self):
-        tail = LazyTail.with_window(3, [0.5, 0.5], {0: [1.0 - 1e-12, 1e-12]})
+        tail = LazyTail(3, LazyTail.cdf([0.5, 0.5]), {0: LazyTail.cdf([1.0 - 1e-12, 1e-12])})
         assert tail.symbol(0) == 1
         assert list(tail.block(-5, 5)) == [tail.symbol(i) for i in range(-5, 6)]
 
     def test_periodic_tail(self):
-        tail = LazyTail.periodic(3, [[1.0 - 1e-12, 1e-12], [1e-12, 1.0 - 1e-12]])
+        rows = [[1.0 - 1e-12, 1e-12], [1e-12, 1.0 - 1e-12]]
+        tail = LazyTail(3, None, None, np.stack([LazyTail.cdf(p) for p in rows]))
         block = tail.block(-6, 5)
         assert all(s == 1 for s in block[::2])  # even coordinates: -6, -4, ...
         assert all(s == 2 for s in block[1::2])
@@ -105,7 +107,7 @@ class TestLazyTailKinds:
 
     def test_rule_tail_matches_scalar(self):
         rule = lambda k: [0.25, 0.75] if k % 3 == 0 else [0.5, 0.5]
-        tail = LazyTail.from_rule(9, rule)
+        tail = LazyTail.from_rule(9, lambda k: LazyTail.cdf(rule(k)))
         assert list(tail.block(-7, 7)) == [tail.symbol(i) for i in range(-7, 8)]
 
 
