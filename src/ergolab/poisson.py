@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import CertifiedFailure
 from .seeding import (
+    GRID_BLOCK,
     TAG_POISSON,
     spawn,
     spawn_vec,
@@ -314,7 +315,9 @@ def sample_count_grid(
     out = np.empty((n_runs, len(points)), dtype=np.int16)
     seeds = spawn_vec(master_seed, np.arange(n_runs, dtype=np.int64))
     keys = zigzag_vec(np.asarray(points, dtype=np.int64))
-    chunk = max(1, (1 << 22) // max(len(points), 1))
+    # one cache-sized block of rows per keyed draw: no float or bool grid
+    # larger than a block is ever held
+    chunk = max(1, GRID_BLOCK // max(len(points), 1))
     if cap is not None:
         # (cap, n_points) thresholds: column j holds the first cap CDF levels
         # of point j's mean
@@ -353,21 +356,34 @@ def indicator_grid(
     count.  That is exact: a point whose count exceeds K reads K + 1, so every
     region holding it sums above every k <= K whether clipped or not, and a
     region without such a point sums the same counts either way.
+
+    Each distinct pulled-back event is evaluated once (on the identity map
+    every time pulls back to the same event).  A constraint's region sums
+    are |region| column takes added into one int32 accumulator, one column
+    per distinct event; integer sums do not depend on their order.
     """
-    pulled = [event.pulled_back(gs, int(t)) for t in times]
-    points = sorted({p for ev in pulled for p in ev.support()})
+    pulled = {t: event.pulled_back(gs, t) for t in dict.fromkeys(int(t) for t in times)}
+    distinct = list(dict.fromkeys(pulled.values()))
+    points = sorted({p for ev in distinct for p in ev.support()})
     col = {p: i for i, p in enumerate(points)}
-    cap = 1 + max((k for ev in pulled for _, k in ev.constraints), default=0)
+    cap = 1 + max((k for _, k in event.constraints), default=0)
     counts = sample_count_grid(gs, master_seed, n_runs, points, cap=cap)
-    out = np.ones((n_runs, len(times)), dtype=bool)
-    for j, ev in enumerate(pulled):
-        for region, k in ev.constraints:
-            idx = [col[p] for p in region]
-            region_counts = (
-                counts[:, idx].sum(axis=1) if idx else np.zeros(n_runs, dtype=np.int64)
-            )
-            out[:, j] &= region_counts == k
-    return out.astype(np.float64)
+    ok = np.ones((n_runs, len(distinct)), dtype=bool)
+    acc = np.empty((n_runs, len(distinct)), dtype=np.int32)
+    term = np.empty((n_runs, len(distinct)), dtype=counts.dtype)
+    for c, (_, k) in enumerate(event.constraints):
+        # (distinct events, |region|) column indices of this constraint
+        idx = np.array(
+            [[col[p] for p in ev.constraints[c][0]] for ev in distinct],
+            dtype=np.intp,
+            ndmin=2,
+        )
+        acc[...] = 0
+        for cols in idx.T:
+            acc += np.take(counts, cols, axis=1, out=term)
+        ok &= acc == k
+    row = {ev: i for i, ev in enumerate(distinct)}
+    return ok[:, [row[pulled[int(t)]] for t in times]].astype(np.float64)
 
 
 # ---------------------------------------------------------------------------

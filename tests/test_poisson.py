@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -329,6 +330,81 @@ class TestSuspension:
         grid = ps.indicator_grid(gs, 17, 10_000, ev, [4])
         sigma = math.sqrt(p * (1 - p) / 10_000)
         assert abs(grid.mean() - p) < 4 * sigma
+
+
+def _scalar_indicators(gs, seed, n_runs, ev, times):
+    return np.array(
+        [
+            [ps.suspension_indicator(ps.PointSample.for_run(gs, seed, r), ev, t) for t in times]
+            for r in range(n_runs)
+        ],
+        dtype=np.float64,
+    )
+
+
+class TestIndicatorGridEdges:
+    """``indicator_grid`` cell by cell against ``suspension_indicator`` where
+    its column map and its deduplication of pulled-back events matter."""
+
+    CASES = {
+        "cycle_wraps": (
+            ps.finite_cycle(7),
+            ps.PoissonEvent.of([([0, 2, 5], 1), ([6], 0)]),
+            [0, 3, 7, 9, 15, 20, -4],
+        ),
+        "identity_one_event": (
+            ps.weighted_points({p: F(p + 1, 4) for p in range(5)}),
+            ps.PoissonEvent.of([([0, 3], 1), ([1, 4], 2)]),
+            [0, 2, 5, 9],
+        ),
+        "repeated_unsorted_times": (
+            ps.integer_translation(),
+            ps.PoissonEvent.count([0, 1, 4], 1),
+            [5, 0, 5, 3, -2, 0, 3],
+        ),
+        "empty_region_k0": (ps.integer_translation(), ps.PoissonEvent.count([], 0), [0, 4, 4]),
+        "empty_region_k1": (ps.integer_translation(), ps.PoissonEvent.count([], 1), [2, 0]),
+        "shared_points": (
+            ps.integer_translation(2),
+            ps.PoissonEvent.of([([0, 1, 2, 3], 2), ([2, 3, 4], 1)]),
+            [1, 0, 6, 2, 1],
+        ),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_matches_scalar(self, name):
+        gs, ev, times = self.CASES[name]
+        grid = ps.indicator_grid(gs, 29, 400, ev, times)
+        assert grid.shape == (400, len(times)) and grid.dtype == np.float64
+        assert np.array_equal(grid, _scalar_indicators(gs, 29, 400, ev, times))
+        if name == "empty_region_k0":
+            assert grid.all()
+        elif name == "empty_region_k1":
+            assert not grid.any()
+        else:
+            assert 0 < grid.sum() < grid.size
+        if name == "identity_one_event":
+            assert (grid == grid[:, :1]).all()
+
+    def test_no_times(self):
+        ev = ps.PoissonEvent.count([0, 1], 1)
+        grid = ps.indicator_grid(unit_line(), 3, 50, ev, [])
+        assert grid.shape == (50, 0) and grid.dtype == np.float64
+
+    def test_memory_stays_block_sized(self):
+        # 10^4 runs x 640 points: the int16 counts are 12.8 MB; a float or
+        # uint64 grid of the same size (51 MB) must never be held
+        gs = ps.integer_translation(1)
+        ev = ps.PoissonEvent.count(range(10), 0)
+        times = range(0, 640, 10)
+        tracemalloc.start()
+        try:
+            grid = ps.indicator_grid(gs, 5, 10_000, ev, times)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert grid.shape == (10_000, 64)
+        assert peak < 32 * 2**20
 
 
 class TestNullSubsequence:
