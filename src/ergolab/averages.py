@@ -22,7 +22,7 @@ import numpy as np
 from . import bernoulli as bn
 from . import poisson as ps
 from .seeding import spawn
-from .shift_core import Configuration, Cylinder
+from .shift_core import Configuration, Cylinder, column_chunks
 
 series_checkpoints = bn.series_checkpoints
 
@@ -146,18 +146,24 @@ def _cylinder_values(
     symbols ``read(lo, hi)`` returns, shape ``lead + (cells,)``."""
     out = np.zeros(lead + (len(times),))
     spans = [atom for _, atom in obs.terms if not atom.is_empty]
-    if spans:
-        lo = min(a.left for a in spans) + int(times.min())
-        hi = max(a.right for a in spans) + int(times.max())
-        block = read(lo, hi)
-    for c, atom in obs.terms:
-        if atom.is_empty:
+    if not spans:
+        for c, _ in obs.terms:
             out += c
-            continue
-        ind = np.ones(out.shape, dtype=bool)
-        for j in atom.coords():
-            ind &= block[..., (j + times) - lo] == atom.symbol(j)
-        out += c * ind
+        return out
+    lo = min(a.left for a in spans) + int(times.min())
+    hi = max(a.right for a in spans) + int(times.max())
+    block = read(lo, hi)
+    for cols, take in column_chunks(block, times):
+        chunk = out[..., cols]
+        ind = np.empty(chunk.shape, dtype=bool)
+        for c, atom in obs.terms:
+            if atom.is_empty:
+                chunk += c
+                continue
+            ind.fill(True)
+            for j in atom.coords():
+                ind &= take(j - lo) == atom.symbol(j)
+            chunk += c * ind
     return out
 
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import NonSingularError, ToleranceError
 from .seeding import spawn, spawn_vec
-from .shift_core import RANGE_CAP, Alphabet, Configuration, Cylinder, LazyTail
+from .shift_core import RANGE_CAP, Alphabet, Configuration, Cylinder, LazyTail, column_chunks
 
 CONVERGENT = "convergent_certified"
 DIVERGENT = "divergent_certified"
@@ -507,9 +507,16 @@ def _log_weights(
     hi = int(max(k for k in window) + max(ns.max(), 0))
     block = read(lo, hi)
     base_logs = family.base.log_probs()
-    for i, m in window.items():
-        table = m.log_probs() - base_logs
-        out += table[block[..., (i + ns) - lo] - 1] - table[block[..., i - lo, None] - 1]
+    # entry s of a site's table is its log ratio at symbol s
+    tables = [np.concatenate(([0.0], m.log_probs() - base_logs)) for m in window.values()]
+    heres = [table[block[..., i - lo, None]] for i, table in zip(window, tables)]
+    for cols, take in column_chunks(block, ns):
+        chunk = out[..., cols]
+        t = np.empty(chunk.shape)
+        for i, table, here in zip(window, tables, heres):
+            np.take(table, take(i - lo), out=t, mode="clip")
+            t -= here
+            chunk += t
     return out, err
 
 

@@ -12,6 +12,7 @@ boxes replace intervals, and the homoclinic notion is agreement outside a box.
 from __future__ import annotations
 
 import math
+from itertools import product
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -26,8 +27,17 @@ from .bernoulli import (
     hellinger_sq,
 )
 from .errors import NonSingularError
-from .seeding import TAG_LATTICE, combine, spawn, uniform01_nd, zigzag, zigzag_vec
-from .shift_core import Alphabet
+from .seeding import (
+    TAG_LATTICE,
+    combine,
+    fold,
+    keyed_symbols,
+    spawn,
+    thresholds,
+    zigzag,
+    zigzag_vec,
+)
+from .shift_core import Alphabet, periodic_levels
 
 _BOX_CELL_CAP = 1 << 24
 
@@ -43,6 +53,12 @@ class LatticeFamily:
     alphabet: Alphabet
 
     def site(self, g) -> SiteMeasure:
+        raise NotImplementedError
+
+    def box_symbols(self, states: np.ndarray, axes: list[np.ndarray]) -> np.ndarray:
+        """(len(states), len(axes[-1])) symbols: row r is drawn at the key
+        path ``states[r]``, which has folded in the r-th prefix (row-major)
+        of the absolute coordinates ``axes[:-1]``, along the last axis."""
         raise NotImplementedError
 
     def configuration(self, seed: int) -> "LatticeConfiguration":
@@ -77,6 +93,20 @@ class LatticeCompact(LatticeFamily):
     def site(self, g) -> SiteMeasure:
         return self.window.get(_as_vec(g), self.base)
 
+    def box_symbols(self, states: np.ndarray, axes: list[np.ndarray]) -> np.ndarray:
+        base = thresholds(self.base.floats.cdf)[:, None]
+        out = keyed_symbols(states, int(axes[-1][0]), len(axes[-1]), lambda a, b: base)
+        for g, m in self.window.items():
+            idx = [v - int(a[0]) for v, a in zip(g, axes)]
+            if all(0 <= i < len(a) for i, a in zip(idx, axes)):
+                row = 0
+                for i, a in zip(idx[:-1], axes):
+                    row = row * len(a) + i
+                site = thresholds(m.floats.cdf)[:, None]
+                drawn = keyed_symbols(states[row : row + 1], g[-1], 1, lambda a, b: site)
+                out[row, idx[-1]] = drawn[0, 0]
+        return out
+
 
 class LatticePeriodic(LatticeFamily):
     """site(g) determined by the residue of g modulo a period vector."""
@@ -105,6 +135,21 @@ class LatticePeriodic(LatticeFamily):
     def site(self, g) -> SiteMeasure:
         return self._sites[self.residue(g)]
 
+    def box_symbols(self, states: np.ndarray, axes: list[np.ndarray]) -> np.ndarray:
+        *prefix, last = axes
+        # the residue class of each row's prefix, numbered row-major
+        classes = np.zeros(1, dtype=np.int64)
+        for a, p in zip(prefix, self.period):
+            classes = np.add.outer(classes * p, a % p).reshape(-1)
+        out = np.empty((len(states), len(last)), dtype=np.int16)
+        for code, r in enumerate(_box_residues(self.period[:-1])):
+            rows = np.flatnonzero(classes == code)
+            if len(rows):
+                cdfs = np.stack([self._sites[r + (j,)].floats.cdf for j in range(self.period[-1])])
+                levels_at = periodic_levels(thresholds(cdfs), len(last))
+                out[rows] = keyed_symbols(states[rows], int(last[0]), len(last), levels_at)
+        return out
+
     def preserved_by(self, g) -> bool:
         """Whether translating by g leaves every site measure unchanged."""
         return all(
@@ -126,9 +171,8 @@ def alternating_rows(axis: int = 1, dimension: int = 2) -> LatticePeriodic:
 
 
 def _box_residues(period: tuple[int, ...]) -> Iterable[tuple[int, ...]]:
-    grids = np.meshgrid(*[np.arange(p) for p in period], indexing="ij")
-    for idx in zip(*[g.ravel() for g in grids]):
-        yield tuple(int(v) for v in idx)
+    """Residue vectors in row-major order; the empty period has one, ()."""
+    return product(*(range(p) for p in period))
 
 
 class LatticeConfiguration:
@@ -172,36 +216,12 @@ class LatticeConfiguration:
         cells = math.prod(shape)
         if cells > _BOX_CELL_CAP:
             raise ValueError(f"box of {cells} cells exceeds cap {_BOX_CELL_CAP}")
-        mesh = np.meshgrid(*axes, indexing="ij")
-        u = uniform01_nd(
-            self.seed,
-            (TAG_LATTICE,),
-            [zigzag_vec(m.ravel()).reshape(shape) for m in mesh],
-        )
-
-        if isinstance(self.family, LatticeCompact):
-            base_cdf = self.family.base.floats.cdf
-            out = (np.searchsorted(base_cdf, u.ravel(), side="right") + 1).astype(
-                np.int16
-            ).reshape(shape)
-            lows = [int(a[0]) for a in axes]
-            for g, m in self.family.window.items():
-                idx = tuple(v - lo for v, lo in zip(g, lows))
-                if all(0 <= i < s for i, s in zip(idx, shape)):
-                    out[idx] = np.searchsorted(m.floats.cdf, u[idx], side="right") + 1
-            return out
-        assert isinstance(self.family, LatticePeriodic)
-        out = np.empty(shape, dtype=np.int16)
-        period = self.family.period
-        residues = [np.mod(mesh[i], period[i]) for i in range(d)]
-        for r in _box_residues(period):
-            mask = np.ones(shape, dtype=bool)
-            for i in range(d):
-                mask &= residues[i] == r[i]
-            if mask.any():
-                cdf = self.family._sites[r].floats.cdf
-                out[mask] = np.searchsorted(cdf, u[mask], side="right") + 1
-        return out
+        # fold the key path one axis at a time; the last axis is folded and
+        # drawn block by block inside keyed_symbols
+        states = np.array([combine(self.seed, TAG_LATTICE)], dtype=np.uint64)
+        for a in axes[:-1]:
+            states = fold(states, zigzag_vec(a))
+        return self.family.box_symbols(states, axes).reshape(shape)
 
 
 # ---------------------------------------------------------------------------

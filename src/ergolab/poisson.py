@@ -318,7 +318,10 @@ def sample_count_grid(
     # one cache-sized block of rows per keyed draw: no float or bool grid
     # larger than a block is ever held
     chunk = max(1, GRID_BLOCK // max(len(points), 1))
-    if cap is not None:
+    if cap is None:
+        # (columns, table) per distinct mean; one mean needs no column mask
+        groups = [(means == mean, _count_table(float(mean))) for mean in np.unique(means)]
+    else:
         # (cap, n_points) thresholds: column j holds the first cap CDF levels
         # of point j's mean
         distinct, which = np.unique(means, return_inverse=True)
@@ -329,10 +332,10 @@ def sample_count_grid(
         hi = min(lo + chunk, n_runs)
         u = uniform01_grid(seeds[lo:hi], (TAG_POISSON,), keys)
         block = out[lo:hi]
-        if cap is None:
-            for mean in np.unique(means):
-                cols = means == mean
-                table = _count_table(float(mean))
+        if cap is None and len(groups) == 1:
+            block[...] = np.searchsorted(groups[0][1], u, side="right")
+        elif cap is None:
+            for cols, table in groups:
                 block[:, cols] = np.searchsorted(table, u[:, cols], side="right")
         else:
             block[...] = 0

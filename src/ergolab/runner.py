@@ -25,7 +25,7 @@ from . import poisson as ps
 from .errors import ConfigError
 from .reporting import jsonable, series_rows
 from .seeding import spawn, uniform01
-from .shift_core import Cylinder
+from .shift_core import RANGE_CAP, Cylinder
 
 _INTEGER = re.compile(r"-?\d+")
 _NUMBER = re.compile(r"-?\d+(\.\d+)?(/\d+)?")
@@ -315,11 +315,22 @@ def _series(which: str, series: Callable) -> Callable:
     return handler
 
 
+def _batched(system, name: str, runs: int, width: int, what: str) -> None:
+    """A Bernoulli probe holds its runs as one (runs, width) matrix: refuse
+    one of more than ``RANGE_CAP`` cells rather than run out of memory."""
+    if system.kind == "bernoulli" and runs * width > RANGE_CAP:
+        raise ConfigError(
+            f"operation {name}: runs x {what} = {runs * width} cells exceeds the cap {RANGE_CAP}"
+        )
+
+
 def _maximal(system, seed, f, t, runs, horizon):
+    _batched(system, "maximal_inequality", runs, horizon, "horizon")
     return averages.maximal_inequality_probe(system, f, t, runs, horizon, seed)._asdict()
 
 
 def _two_subsequence(system, seed, f, blocks, times, times_rule, spacing, alpha, runs):
+    _batched(system, "two_subsequence_probe", runs, max(blocks), "largest block")
     if times is None:
         n = max(blocks)
         times = list(range(n)) if times_rule == "all" else [spacing * (j + 1) for j in range(n)]

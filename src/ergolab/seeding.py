@@ -13,9 +13,15 @@ makes 10^5-coordinate windows and 10^4-seed Monte Carlo batches cheap; grids
 are mixed in cache-sized row blocks.  The design is counter-based (Salmon
 et al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011): a draw is
 a pure function of (seed, key), so any blocking gives the same bits.
+
+Symbols are drawn by ``keyed_symbols`` against integer inverse-CDF
+``thresholds``, one cache-sized block at a time, without forming the
+uniforms; the result equals ``searchsorted`` on the uniforms bit for bit.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
@@ -113,8 +119,33 @@ def uniform01_vec(seed: int, parts: tuple[int, ...], keys: np.ndarray) -> np.nda
 
 
 def zigzag_vec(n: np.ndarray) -> np.ndarray:
-    n = n.astype(np.int64)
-    return np.where(n >= 0, 2 * n, -2 * n - 1).astype(np.uint64)
+    """Vectorized ``zigzag``, by shift-xor: (n << 1) ^ (n >> 63)."""
+    n = np.asarray(n, dtype=np.int64)
+    z = np.left_shift(n, 1)
+    z ^= n >> 63
+    return z.view(np.uint64)
+
+
+def combine_seeds(seeds: np.ndarray, parts: tuple[int, ...]) -> np.ndarray:
+    """Vectorized ``combine(seed, *parts)`` over an array of seeds, as uint64."""
+    h = seeds.astype(np.uint64, order="C")
+    h ^= np.uint64(_GOLDEN)
+    _mix(h)
+    for p in parts:
+        h += np.uint64((_GOLDEN + (p & _MASK)) & _MASK)
+        _mix(h)
+    return h
+
+
+def fold(states: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Key paths extended by one more key, flattened row-major.
+
+    Entry r * len(keys) + j is ``combine(..., k)`` for the key path of
+    ``states[r]`` extended by ``k = keys[j]`` (nonnegative).
+    """
+    k = keys.astype(np.uint64)
+    k += np.uint64(_GOLDEN)
+    return _mix(np.add.outer(states, k).reshape(-1))
 
 
 def uniform01_grid(
@@ -128,12 +159,7 @@ def uniform01_grid(
     cell depends on its own (seed, key) only, so the blocking cannot change
     a bit.
     """
-    h = seeds.astype(np.uint64, order="C")
-    h ^= np.uint64(_GOLDEN)
-    _mix(h)
-    for p in parts:
-        h += np.uint64((_GOLDEN + (p & _MASK)) & _MASK)
-        _mix(h)
+    h = combine_seeds(seeds, parts)
     k = keys.astype(np.uint64)
     k += np.uint64(_GOLDEN)
     out = np.empty((len(h), len(k)))
@@ -165,3 +191,68 @@ def uniform01_nd(seed: int, parts: tuple[int, ...], key_arrays) -> np.ndarray:
         h += np.uint64(_GOLDEN)
         _mix(h)
     return _to_unit(h)
+
+
+def thresholds(cdf: np.ndarray) -> np.ndarray:
+    """Integer inverse-CDF thresholds ceil(c * 2^53), as uint64, of every
+    entry but the last along the last axis.
+
+    A key z draws symbol 1 + #{thresholds t : (z >> 11) >= t}, which is
+    ``searchsorted(cdf, (z >> 11) * 2^-53, side="right") + 1`` bit for bit:
+    the uniform is exact and c * 2^53 is exact, so c <= u exactly when
+    ceil(c * 2^53) <= z >> 11.  The last entry of a CDF is 1.0, and like any
+    entry that rounds to 1.0 it maps to 2^53, which no key reaches.
+    """
+    return np.ceil(np.asarray(cdf)[..., :-1] * 2.0**53).astype(np.uint64)
+
+
+def keyed_symbols(
+    states: np.ndarray,
+    lo: int,
+    cells: int,
+    levels_at: Callable[[int, int], np.ndarray],
+) -> np.ndarray:
+    """(len(states), cells) int16 symbols by integer thresholds.
+
+    ``states[r]`` is the uint64 ``combine(seed, *parts)`` of row r; entry
+    [r, j] is drawn from the key ``combine(seed, *parts, zigzag(lo + j))``
+    against column j of ``levels_at(a, b)``, the ``thresholds`` of the
+    coordinates a .. a + b - 1 as a (levels, b) array, or (levels, 1) when
+    they share one distribution.  Coordinates are zigzagged, keyed, mixed
+    and counted about ``GRID_BLOCK`` cells at a time through reused buffers,
+    so no full-size temporary is formed; each cell depends on its own key
+    only, so the blocking cannot change a bit.
+    """
+    out = np.empty((len(states), cells), dtype=np.int16)
+    width = min(cells, GRID_BLOCK)
+    if width == 0 or len(states) == 0:
+        return out
+    rows = min(len(states), max(1, GRID_BLOCK // width))
+    step = np.arange(width, dtype=np.int64)
+    n = np.empty(width, dtype=np.int64)
+    keys = np.empty(width, dtype=np.int64)
+    z = np.empty(rows * width, dtype=np.uint64)
+    scratch = np.empty(min(z.size, GRID_BLOCK), dtype=np.uint64)
+    hit = np.empty(z.size, dtype=bool)
+    for c0 in range(0, cells, width):
+        b = min(width, cells - c0)
+        nb, kb = n[:b], keys[:b]
+        np.add(step[:b], lo + c0, out=nb)
+        np.left_shift(nb, 1, out=kb)
+        nb >>= 63
+        kb ^= nb
+        kz = kb.view(np.uint64)
+        kz += np.uint64(_GOLDEN)
+        levels = levels_at(lo + c0, b)
+        for r0 in range(0, len(states), rows):
+            r1 = min(r0 + rows, len(states))
+            zb = z[: (r1 - r0) * b].reshape(r1 - r0, b)
+            np.add(states[r0:r1, None], kz, out=zb)
+            _mix(zb, scratch)
+            zb >>= np.uint64(11)
+            hb = hit[: zb.size].reshape(zb.shape)
+            ob = out[r0:r1, c0 : c0 + b]
+            ob.fill(1)
+            for level in levels:
+                ob += np.greater_equal(zb, level, out=hb)
+    return out

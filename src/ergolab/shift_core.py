@@ -9,12 +9,22 @@ offset, so ``shift(shift(x, 3), -3)`` reads back the very same symbols.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
-from .seeding import TAG_SYMBOL, uniform01, uniform01_grid, uniform01_vec, zigzag, zigzag_vec
+from .seeding import (
+    GRID_BLOCK,
+    TAG_SYMBOL,
+    combine,
+    combine_seeds,
+    keyed_symbols,
+    thresholds,
+    uniform01,
+    zigzag,
+)
 
 #: Longest coordinate range a single operation will materialize.
 RANGE_CAP = 1 << 24
@@ -151,41 +161,86 @@ class LazyTail:
     def block(self, lo: int, hi: int) -> np.ndarray:
         """Symbols on [lo, hi] inclusive, as int16."""
         _check_range(lo, hi)
-        coords = np.arange(lo, hi + 1, dtype=np.int64)
-        return self._symbols(lo, uniform01_vec(self.seed, (TAG_SYMBOL,), zigzag_vec(coords)))
+        state = np.array([combine(self.seed, TAG_SYMBOL)], dtype=np.uint64)
+        return self._draw(state, lo, hi - lo + 1)[0]
 
     def grid(self, seeds: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """(len(seeds), hi - lo + 1) symbols; row r is the ``block(lo, hi)``
         of this tail's distribution drawn at seed ``seeds[r]``."""
         _check_range(lo, hi)
-        coords = np.arange(lo, hi + 1, dtype=np.int64)
-        return self._symbols(lo, uniform01_grid(seeds, (TAG_SYMBOL,), zigzag_vec(coords)))
+        return self._draw(combine_seeds(seeds, (TAG_SYMBOL,)), lo, hi - lo + 1)
 
-    def _symbols(self, lo: int, u: np.ndarray) -> np.ndarray:
-        """Inverse-CDF symbols, as int16, of uniforms ``u[..., j]`` drawn at
-        coordinate ``lo + j``."""
-        cells = u.shape[-1]
+    def _draw(self, states: np.ndarray, lo: int, cells: int) -> np.ndarray:
+        """``keyed_symbols`` over coordinates lo .. lo + cells - 1, against
+        the thresholds of each coordinate's CDF as ``_cdf_at`` picks it."""
         if self._period_cdfs is not None:
-            p = len(self._period_cdfs)
-            res = np.mod(np.arange(lo, lo + cells), p)
-            out = np.empty(u.shape, dtype=np.int16)
-            for r in range(p):
-                mask = res == r
-                if mask.any():
-                    out[..., mask] = (
-                        np.searchsorted(self._period_cdfs[r], u[..., mask], side="right") + 1
-                    )
-            return out
-        if self._base_cdf is not None:
-            out = (np.searchsorted(self._base_cdf, u, side="right") + 1).astype(np.int16)
-            for k, cdf in self._site_cdfs.items():
-                if lo <= k < lo + cells:
-                    out[..., k - lo] = np.searchsorted(cdf, u[..., k - lo], side="right") + 1
-            return out
-        rows = map(self._rule_cdf, range(lo, lo + cells))
-        cdfs = np.fromiter(rows, (np.float64, len(self._rule_cdf(lo))), cells)
-        # on a nondecreasing CDF, the count of entries <= u is searchsorted(side="right")
-        return ((cdfs <= u[..., None]).sum(axis=-1) + 1).astype(np.int16)
+            levels_at = periodic_levels(thresholds(self._period_cdfs), cells)
+        elif self._rule_cdf is not None:
+            cdfs = np.array([self._rule_cdf(k) for k in range(lo, lo + cells)])
+            table = np.ascontiguousarray(thresholds(cdfs).T)
+
+            def levels_at(a: int, b: int) -> np.ndarray:
+                return table[:, a - lo : a - lo + b]
+
+        else:
+            base = thresholds(self._base_cdf)[:, None]
+
+            def levels_at(a: int, b: int) -> np.ndarray:
+                return base
+
+        sites = {k: thresholds(c) for k, c in self._site_cdfs.items() if lo <= k < lo + cells}
+        if not sites:
+            return keyed_symbols(states, lo, cells, levels_at)
+
+        def with_sites(a: int, b: int) -> np.ndarray:
+            table = levels_at(a, b)
+            inside = [k for k in sites if a <= k < a + b]
+            if inside:
+                table = np.broadcast_to(table, (len(table), b)).copy()
+                for k in inside:
+                    table[:, k - a] = sites[k]
+            return table
+
+        return keyed_symbols(states, lo, cells, with_sites)
+
+
+def periodic_levels(levels: np.ndarray, cells: int) -> Callable[[int, int], np.ndarray]:
+    """``levels_at`` for a ``keyed_symbols`` read of ``cells`` coordinates
+    whose thresholds repeat: coordinate k draws against row k mod p of the
+    (p, levels) array ``levels``."""
+    p = len(levels)
+    width = min(cells, GRID_BLOCK) + p - 1
+    tiled = np.tile(levels.T, -(-width // p))
+    return lambda a, b: tiled[:, a % p : a % p + b]
+
+
+def column_chunks(
+    block: np.ndarray, offsets: np.ndarray
+) -> Iterator[tuple[slice, Callable[[int], np.ndarray]]]:
+    """Cache-sized chunks of the columns ``block[..., offsets + k]``.
+
+    Yields ``(cols, take)`` for consecutive slices ``cols`` of ``offsets``,
+    about ``GRID_BLOCK`` cells of ``block`` each: ``take(k)`` is
+    ``block[..., offsets[cols] + k]``, written into one reused buffer, so it
+    must be used before the next ``take``.  Every offset plus k must index
+    ``block``.
+    """
+    lead = block.shape[:-1]
+    rows = max(1, math.prod(lead))
+    width = max(1, GRID_BLOCK // rows)
+    idx = np.empty(min(width, len(offsets)), dtype=np.intp)
+    buf = np.empty(rows * len(idx), dtype=block.dtype)
+    for c0 in range(0, len(offsets), width):
+        cols = slice(c0, min(c0 + width, len(offsets)))
+        b = cols.stop - c0
+        shape = lead + (b,)
+
+        def take(k: int) -> np.ndarray:
+            np.add(offsets[cols], k, out=idx[:b])
+            out = buf[: rows * b].reshape(shape)
+            return np.take(block, idx[:b], axis=-1, out=out, mode="clip")
+
+        yield cols, take
 
 
 class Configuration:

@@ -20,7 +20,16 @@ from ergolab import averages as av
 from ergolab import bernoulli as bn
 from ergolab import lattice as lt
 from ergolab import poisson as ps
-from ergolab.seeding import TAG_LATTICE, TAG_SYMBOL, combine, spawn, spawn_vec, uniform01, zigzag
+from ergolab.seeding import (
+    GRID_BLOCK,
+    TAG_LATTICE,
+    TAG_SYMBOL,
+    combine,
+    spawn,
+    spawn_vec,
+    uniform01,
+    zigzag,
+)
 from ergolab.shift_core import Cylinder, LazyTail
 
 F = Fraction
@@ -276,6 +285,19 @@ class TestScalarCocycles:
                 want, want_err = ref_rn_log_weights(family, x, ns, tol)
                 assert got.tolist() == want.tolist() and err == want_err
 
+    @pytest.mark.parametrize("name", ["compact", "three-symbol"])
+    def test_long_reads_across_column_chunks(self, name):
+        # offsets are read GRID_BLOCK columns at a time: cross a chunk edge
+        family = FAMILIES[name]()
+        x = family.configuration(spawn(19, 0)).shifted(-7)
+        ns = -np.arange(GRID_BLOCK + 3)
+        got, err = bn.rn_log_weights(family, x, ns)
+        want, want_err = ref_rn_log_weights(family, x, ns)
+        assert got.tolist() == want.tolist() and err == want_err
+        obs = _bernoulli_observable()
+        system = av.BernoulliSystem(family)
+        assert system.value_series(x, obs, ns).tolist() == ref_value_series(x, obs, ns).tolist()
+
     @pytest.mark.parametrize("name", ["compact", "three-symbol", "summable-r1/2"])
     def test_homoclinic_ratio_bound_check(self, name):
         family = FAMILIES[name]()
@@ -378,23 +400,37 @@ BATCHED = {
 
 
 class TestBatchedRuns:
-    @pytest.mark.parametrize("name", list(BATCHED))
-    def test_values_matrix_matches_per_run_loop(self, name):
+    def check_values_matrix(self, name, times):
         system = BATCHED[name]()
         obs = _bernoulli_observable()
-        times = [-5, 0, 3, 11, -40]
         got = av.values_matrix(system, 17, 23, obs, times)
         assert np.array_equal(got, ref_values_matrix(system, 17, 23, obs, times))
 
-    @pytest.mark.parametrize("name", ["compact", "iid", "summable"])
-    def test_dual_log_weight_grid_matches_per_run(self, name):
+    def check_dual_log_weight_grid(self, name, n):
         system = BATCHED[name]()
-        grid, err = system.dual_log_weight_grid(8, 12, 50)
-        assert grid.shape == (12, 50)
+        grid, err = system.dual_log_weight_grid(8, 12, n)
+        assert grid.shape == (12, n)
         for r in range(12):
             x = system.run_sample(8, r)
-            assert grid[r].tolist() == ref_dual_log_weights(system, x, 50).tolist()
-            assert grid[r].tolist() == system.dual_log_weights(x, 50)[0].tolist()
+            assert grid[r].tolist() == ref_dual_log_weights(system, x, n).tolist()
+            assert grid[r].tolist() == system.dual_log_weights(x, n)[0].tolist()
+
+    @pytest.mark.parametrize("name", list(BATCHED))
+    def test_values_matrix_matches_per_run_loop(self, name):
+        self.check_values_matrix(name, [-5, 0, 3, 11, -40])
+
+    @pytest.mark.parametrize("name", list(BATCHED))
+    def test_values_matrix_across_column_chunks(self, name):
+        # more times than one column chunk of 23 rows holds
+        self.check_values_matrix(name, list(range(-1500, 0)))
+
+    @pytest.mark.parametrize("name", ["compact", "iid", "summable"])
+    def test_dual_log_weight_grid_matches_per_run(self, name):
+        self.check_dual_log_weight_grid(name, 50)
+
+    @pytest.mark.parametrize("name", ["compact", "iid", "summable"])
+    def test_dual_log_weight_grid_across_column_chunks(self, name):
+        self.check_dual_log_weight_grid(name, GRID_BLOCK // 12 + 5)
 
     @pytest.mark.parametrize("name", ["compact", "iid", "summable"])
     def test_bernoulli_maximal_inequality(self, name):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from ergolab import poisson as ps
 from ergolab.errors import CertifiedFailure
-from ergolab.seeding import uniform01
+from ergolab.seeding import GRID_BLOCK, uniform01
 
 F = Fraction
 
@@ -230,6 +230,21 @@ class TestSampling:
         points = list(range(12))
         grid = ps.sample_count_grid(gs, 77, 50, points)
         for r in range(50):
+            sample = ps.PointSample.for_run(gs, 77, r)
+            assert list(grid[r]) == [sample.count(p) for p in points]
+
+    @pytest.mark.parametrize(
+        "weight",
+        [lambda p: F(3, 2), lambda p: F(1, 2) if p % 2 else F(2)],
+        ids=["one-mean", "two-mean"],
+    )
+    def test_uncapped_grid_matches_per_sample_counts_across_row_blocks(self, weight):
+        points = list(range(-5, 7))
+        gs = ps.weighted_points({p: weight(p) for p in points})
+        # one more run than a row block holds, so a second block is drawn
+        block_rows = GRID_BLOCK // len(points)
+        grid = ps.sample_count_grid(gs, 77, block_rows + 1, points)
+        for r in [*range(0, block_rows, 97), block_rows - 1, block_rows]:
             sample = ps.PointSample.for_run(gs, 77, r)
             assert list(grid[r]) == [sample.count(p) for p in points]
 

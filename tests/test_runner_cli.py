@@ -136,6 +136,21 @@ REJECTED = {
         config_on({"type": "zd", "kind": "alternating", "axis": 5}, {"name": "zd_cocycle_fuzz"}),
         "axis 5 outside dimension 2",
     ),
+    # a batched Bernoulli probe over RANGE_CAP cells ran out of memory
+    "maximal-inequality-over-cap": (
+        config_on(
+            BERNOULLI,
+            {"name": "maximal_inequality", "f": LETTER, "t": "1", "runs": 10**7, "horizon": 10**7},
+        ),
+        "runs x horizon = 100000000000000 cells exceeds the cap 16777216",
+    ),
+    "two-subsequence-over-cap": (
+        config_on(
+            BERNOULLI,
+            {"name": "two_subsequence_probe", "f": LETTER, "blocks": [8, 4096], "runs": 4097},
+        ),
+        "runs x largest block = 16781312 cells exceeds the cap 16777216",
+    ),
     # a negative word length made coupling_scan extend words without end
     "coupling-scan-negative-n": (
         config_on(MARKOV, {"name": "coupling_scan", "n": -1}),
