@@ -32,8 +32,19 @@ from typing import Callable, Mapping, NamedTuple
 import numpy as np
 
 from .errors import NonSingularError, ToleranceError
-from .seeding import spawn, spawn_vec
-from .shift_core import RANGE_CAP, Alphabet, Configuration, Cylinder, LazyTail, column_chunks
+from .seeding import spawn, spawn_vec, thresholds
+from .shift_core import (
+    RANGE_CAP,
+    Alphabet,
+    Configuration,
+    Cylinder,
+    LazyTail,
+    LevelsAt,
+    column_chunks,
+    periodic_levels,
+    rule_levels,
+    window_levels,
+)
 
 CONVERGENT = "convergent_certified"
 DIVERGENT = "divergent_certified"
@@ -107,6 +118,11 @@ class SiteMeasure:
         probs = [float(p) for p in self.probs]
         return SiteFloats(tuple(math.log(p) for p in probs), LazyTail.cdf(probs))
 
+    @cached_property
+    def levels(self) -> tuple[int, ...]:
+        """The sampling thresholds (``seeding.thresholds``), as ints."""
+        return tuple(thresholds(self.floats.cdf).tolist())
+
     def log_probs(self) -> np.ndarray:
         return np.array(self.floats.logs, dtype=np.float64)
 
@@ -154,6 +170,9 @@ class BernoulliFamily:
     """Base interface; use the concrete shapes below."""
 
     alphabet: Alphabet
+    #: the sampling thresholds of every coordinate, which ``LazyTail``
+    #: reads; each shape builds it once per family
+    levels_at: LevelsAt
 
     def site(self, k: int) -> SiteMeasure:
         raise NotImplementedError
@@ -171,7 +190,7 @@ class BernoulliFamily:
     def configuration(
         self, seed: int, pinned: Mapping[int, int] | None = None
     ) -> Configuration:
-        return Configuration(self._tail(seed), pinned)
+        return Configuration(LazyTail(seed, self.levels_at), pinned)
 
     def run_configuration(self, master_seed: int, run: int) -> Configuration:
         return self.configuration(spawn(master_seed, run))
@@ -180,10 +199,7 @@ class BernoulliFamily:
         """(n_runs, hi - lo + 1) symbols; row r is
         ``run_configuration(master_seed, r).block(lo, hi)``."""
         seeds = spawn_vec(master_seed, np.arange(n_runs))
-        return self._tail(master_seed).grid(seeds, lo, hi)
-
-    def _tail(self, seed: int) -> LazyTail:
-        raise NotImplementedError
+        return LazyTail(master_seed, self.levels_at).grid(seeds, lo, hi)
 
 
 class CompactFamily(BernoulliFamily):
@@ -213,9 +229,9 @@ class CompactFamily(BernoulliFamily):
     def reindexed(self, s: int) -> "CompactFamily":
         return CompactFamily(self.base, {k + s: m for k, m in self.window.items()})
 
-    def _tail(self, seed: int) -> LazyTail:
-        cdfs = {k: m.floats.cdf for k, m in self.window.items()}
-        return LazyTail(seed, self.base.floats.cdf, cdfs)
+    @cached_property
+    def levels_at(self) -> LevelsAt:
+        return window_levels(self.base.levels, {k: m.levels for k, m in self.window.items()})
 
 
 class PeriodicFamily(BernoulliFamily):
@@ -249,8 +265,9 @@ class PeriodicFamily(BernoulliFamily):
         p = self.period
         return PeriodicFamily(tuple(self.sites[(r - s) % p] for r in range(p)))
 
-    def _tail(self, seed: int) -> LazyTail:
-        return LazyTail(seed, None, None, np.stack([m.floats.cdf for m in self.sites]))
+    @cached_property
+    def levels_at(self) -> LevelsAt:
+        return periodic_levels([m.levels for m in self.sites])
 
 
 def periodic_family(sites) -> BernoulliFamily:
@@ -318,8 +335,9 @@ class SummableFamily(BernoulliFamily):
             check_range=10,
         )
 
-    def _tail(self, seed: int) -> LazyTail:
-        return LazyTail.from_rule(seed, lambda k: self.site_floats(k).cdf)
+    @cached_property
+    def levels_at(self) -> LevelsAt:
+        return rule_levels(lambda k: self.site_floats(k).cdf)
 
     def effective_window(self, tol: float) -> tuple[dict[int, SiteMeasure], float]:
         """Sites with majorant above a cutoff; the per-factor truncation error

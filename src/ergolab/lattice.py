@@ -12,6 +12,8 @@ boxes replace intervals, and the homoclinic notion is agreement outside a box.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from functools import cached_property, reduce
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
@@ -33,11 +35,10 @@ from .seeding import (
     fold,
     keyed_symbols,
     spawn,
-    thresholds,
     zigzag,
     zigzag_vec,
 )
-from .shift_core import Alphabet, periodic_levels
+from .shift_core import Alphabet, LevelsAt, periodic_levels
 
 _BOX_CELL_CAP = 1 << 24
 
@@ -94,7 +95,7 @@ class LatticeCompact(LatticeFamily):
         return self.window.get(_as_vec(g), self.base)
 
     def box_symbols(self, states: np.ndarray, axes: list[np.ndarray]) -> np.ndarray:
-        base = thresholds(self.base.floats.cdf)[:, None]
+        base = np.array(self.base.levels, dtype=np.uint64)[:, None]
         out = keyed_symbols(states, int(axes[-1][0]), len(axes[-1]), lambda a, b: base)
         for g, m in self.window.items():
             idx = [v - int(a[0]) for v, a in zip(g, axes)]
@@ -102,7 +103,7 @@ class LatticeCompact(LatticeFamily):
                 row = 0
                 for i, a in zip(idx[:-1], axes):
                     row = row * len(a) + i
-                site = thresholds(m.floats.cdf)[:, None]
+                site = np.array(m.levels, dtype=np.uint64)[:, None]
                 drawn = keyed_symbols(states[row : row + 1], g[-1], 1, lambda a, b: site)
                 out[row, idx[-1]] = drawn[0, 0]
         return out
@@ -142,13 +143,21 @@ class LatticePeriodic(LatticeFamily):
         for a, p in zip(prefix, self.period):
             classes = np.add.outer(classes * p, a % p).reshape(-1)
         out = np.empty((len(states), len(last)), dtype=np.int16)
-        for code, r in enumerate(_box_residues(self.period[:-1])):
+        for code, levels_at in enumerate(self._row_levels):
             rows = np.flatnonzero(classes == code)
             if len(rows):
-                cdfs = np.stack([self._sites[r + (j,)].floats.cdf for j in range(self.period[-1])])
-                levels_at = periodic_levels(thresholds(cdfs), len(last))
                 out[rows] = keyed_symbols(states[rows], int(last[0]), len(last), levels_at)
         return out
+
+    @cached_property
+    def _row_levels(self) -> list[LevelsAt]:
+        """``levels_at`` along the last axis for each residue class of the
+        other coordinates, in row-major order."""
+        p = self.period[-1]
+        return [
+            periodic_levels([self._sites[r + (j,)].levels for j in range(p)])
+            for r in _box_residues(self.period[:-1])
+        ]
 
     def preserved_by(self, g) -> bool:
         """Whether translating by g leaves every site measure unchanged."""
@@ -197,8 +206,7 @@ class LatticeConfiguration:
     def symbol(self, g) -> int:
         vec = tuple(v + o for v, o in zip(_as_vec(g), self.offset))
         key = combine(self.seed, TAG_LATTICE, *(zigzag(v) for v in vec))
-        u = (key >> 11) * 2.0**-53
-        return int(np.searchsorted(self.family.site(vec).floats.cdf, u, side="right")) + 1
+        return 1 + bisect_right(self.family.site(vec).levels, key >> 11)
 
     def box(self, radius: int, margins=None) -> np.ndarray:
         """Symbols on the product of ranges [-radius - m_i, radius + m_i].
@@ -335,9 +343,9 @@ def box_ratio_average(
     block = x.box(n_max, margins=(reach,) * d)
     lows = (-n_max - reach,) * d
 
-    axes = [np.arange(-n_max, n_max + 1, dtype=np.int64) for _ in range(d)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    radius = np.maximum.reduce([np.abs(m) for m in mesh])
+    # the sup-norm radius of each cell, broadcast from the d axis vectors
+    span = np.abs(np.arange(-n_max, n_max + 1, dtype=np.int64))
+    radius = reduce(np.maximum, np.ix_(*(span,) * d))
 
     def read(shift_vec: tuple[int, ...]) -> np.ndarray:
         # symbols x_{shift - g} arranged over the g grid

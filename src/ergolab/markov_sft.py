@@ -9,19 +9,17 @@ cylinder formula
     mu([b]_k^l) = pi_k(b_k) * prod_{j=k}^{l-1} P_j(b_j, b_{j+1})
 
 is additive under one-symbol extensions (checked in the tests), and it makes
-the restricted derivatives and the N-step cocycle exact finite products.
+the restricted derivatives exact finite products.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
-from .bernoulli import LogValue, _as_fraction
+from .bernoulli import _as_fraction
 from .errors import NonSingularError
-from .seeding import TAG_SYMBOL, uniform01, zigzag
 from .shift_core import Cylinder
 
 _SUM_TOL = Fraction(1, 10**12)
@@ -238,27 +236,6 @@ def markov_cylinder_measure(family: MarkovFamily, cyl: Cylinder) -> Fraction:
     return out
 
 
-def sample_path(family: MarkovFamily, seed: int, lo: int, hi: int) -> Cylinder:
-    """Deterministic seeded admissible word on [lo, hi]: the start symbol is
-    drawn from the marginal at lo, each next symbol from the transition row."""
-    u = uniform01(seed, TAG_SYMBOL, zigzag(lo))
-    symbols = [_invert_cdf(family.marginal(lo), u)]
-    for j in range(lo, hi):
-        u = uniform01(seed, TAG_SYMBOL, zigzag(j + 1))
-        row = family.transition(j)[symbols[-1] - 1]
-        symbols.append(_invert_cdf(row, u))
-    return Cylinder(lo, hi, tuple(symbols))
-
-
-def _invert_cdf(weights: Sequence[Fraction], u: float) -> int:
-    acc = 0.0
-    for i, w in enumerate(weights):
-        acc += float(w)
-        if u < acc:
-            return i + 1
-    return len(weights)
-
-
 # ---------------------------------------------------------------------------
 # Restricted derivatives and the martingale
 
@@ -275,40 +252,6 @@ def restricted_derivative_fraction(family: MarkovFamily, x, n: int) -> Fraction:
         a, b = word[j + n], word[j + n + 1]
         out *= family.transition_prob(j - 1, a, b) / family.transition_prob(j, a, b)
     return out
-
-
-def restricted_derivative(family: MarkovFamily, x, n: int) -> LogValue:
-    """Log of the restricted derivative: a finite product, hence always exact."""
-    return LogValue(math.log(restricted_derivative_fraction(family, x, n)), 0.0)
-
-
-def rn_derivative_markov(
-    family: MarkovFamily, x, n_steps: int, window: int | None = None
-) -> LogValue:
-    """log d(mu o T^N)/d mu at x for N = n_steps.
-
-    The limit over growing symmetric windows stabilizes once the window
-    radius exceeds half_width + |N|; the value is then an exact finite
-    product (error 0).  An explicitly smaller window yields the truncated
-    approximant labeled with an infinite error bound.
-    """
-    required = family.half_width + abs(n_steps) + 1
-    radius = required if window is None else max(int(window), 1)
-    exact = radius >= required
-    if n_steps == 0:
-        return LogValue(0.0, 0.0)
-    word = [x.symbol(i) for i in range(-radius, radius + 1)]
-    if not family.sft.admissible(word):
-        raise ValueError("configuration window is not admissible")
-    out = family.marginal_prob(-radius - n_steps, word[0]) / family.marginal_prob(
-        -radius, word[0]
-    )
-    for j in range(-radius, radius):
-        a, b = word[j + radius], word[j + radius + 1]
-        num = family.transition_prob(j - n_steps, a, b)
-        den = family.transition_prob(j, a, b)
-        out *= num / den
-    return LogValue(math.log(out), 0.0 if exact else math.inf)
 
 
 def martingale_max_gap(family: MarkovFamily, n: int) -> Fraction:

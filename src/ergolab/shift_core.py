@@ -4,14 +4,16 @@ A configuration is a point of ``{1..N}^Z`` given by a finite set of pinned
 coordinates plus a deterministic tail: the symbol at any other coordinate is
 drawn from that coordinate's site distribution through a pure function of
 (seed, absolute coordinate).  Shifting a configuration only moves the origin
-offset, so ``shift(shift(x, 3), -3)`` reads back the very same symbols.
+offset, so ``x.shifted(3).shifted(-3)`` reads back the very same symbols.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping
+from functools import lru_cache
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -28,6 +30,9 @@ from .seeding import (
 
 #: Longest coordinate range a single operation will materialize.
 RANGE_CAP = 1 << 24
+
+#: single-coordinate threshold columns a rule-given tail keeps
+_RULE_CACHE = 4096
 
 
 class RangeCapError(ValueError):
@@ -105,30 +110,28 @@ def _check_range(lo: int, hi: int, cap: int = RANGE_CAP) -> None:
         raise RangeCapError(f"range [{lo}, {hi}] longer than cap {cap}")
 
 
+#: a tail's thresholds table: ``levels_at(a, b)`` is the (levels, b)
+#: ``seeding.thresholds`` of coordinates a .. a + b - 1, or (levels, 1) when
+#: they share one distribution
+LevelsAt = Callable[[int, int], np.ndarray]
+
+
 class LazyTail:
     """Pure (seed, coordinate) -> symbol source.
 
-    The distribution at a coordinate is looked up as: an override CDF for the
-    finitely many perturbed sites, else the period-indexed CDF when periodic,
-    else the base CDF.  The draw itself is inverse-CDF on a keyed uniform, so
-    it never depends on access order.
+    Coordinate k is drawn against column k of the thresholds table
+    ``levels_at`` (built once per family by ``window_levels``,
+    ``periodic_levels`` or ``rule_levels``): the symbol is 1 plus the number
+    of thresholds at or below the top 53 bits of the key (seed, k).  Scalar
+    reads and ``keyed_symbols`` blocks count the same thresholds, so the two
+    agree bit for bit and never depend on access order.
     """
 
-    __slots__ = ("seed", "_base_cdf", "_site_cdfs", "_period_cdfs", "_rule_cdf")
+    __slots__ = ("seed", "levels_at")
 
-    def __init__(
-        self,
-        seed: int,
-        base_cdf: np.ndarray | None,
-        site_cdfs: Mapping[int, np.ndarray] | None = None,
-        period_cdfs: np.ndarray | None = None,
-        rule_cdf: Callable[[int], np.ndarray] | None = None,
-    ) -> None:
+    def __init__(self, seed: int, levels_at: LevelsAt) -> None:
         self.seed = seed
-        self._base_cdf = base_cdf
-        self._site_cdfs = dict(site_cdfs) if site_cdfs else {}
-        self._period_cdfs = period_cdfs
-        self._rule_cdf = rule_cdf
+        self.levels_at = levels_at
 
     @staticmethod
     def cdf(probs) -> np.ndarray:
@@ -138,80 +141,70 @@ class LazyTail:
 
     @classmethod
     def constant(cls, seed: int, probs) -> "LazyTail":
-        return cls(seed, cls.cdf(probs))
-
-    @classmethod
-    def from_rule(cls, seed: int, cdf_rule: Callable[[int], np.ndarray]) -> "LazyTail":
-        """Tail whose CDF at coordinate k is ``cdf_rule(k)`` (built by ``cdf``)."""
-        return cls(seed, None, None, None, cdf_rule)
-
-    def _cdf_at(self, i: int) -> np.ndarray:
-        if i in self._site_cdfs:
-            return self._site_cdfs[i]
-        if self._period_cdfs is not None:
-            return self._period_cdfs[i % len(self._period_cdfs)]
-        if self._rule_cdf is not None:
-            return self._rule_cdf(i)
-        return self._base_cdf
+        return cls(seed, window_levels(thresholds(cls.cdf(probs)), {}))
 
     def symbol(self, i: int) -> int:
+        # u * 2^53 is the key's top 53 bits, exactly
         u = uniform01(self.seed, TAG_SYMBOL, zigzag(i))
-        return int(np.searchsorted(self._cdf_at(i), u, side="right")) + 1
+        return 1 + bisect_right(self.levels_at(i, 1).ravel().tolist(), u * 2.0**53)
 
     def block(self, lo: int, hi: int) -> np.ndarray:
         """Symbols on [lo, hi] inclusive, as int16."""
         _check_range(lo, hi)
         state = np.array([combine(self.seed, TAG_SYMBOL)], dtype=np.uint64)
-        return self._draw(state, lo, hi - lo + 1)[0]
+        return keyed_symbols(state, lo, hi - lo + 1, self.levels_at)[0]
 
     def grid(self, seeds: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """(len(seeds), hi - lo + 1) symbols; row r is the ``block(lo, hi)``
         of this tail's distribution drawn at seed ``seeds[r]``."""
         _check_range(lo, hi)
-        return self._draw(combine_seeds(seeds, (TAG_SYMBOL,)), lo, hi - lo + 1)
-
-    def _draw(self, states: np.ndarray, lo: int, cells: int) -> np.ndarray:
-        """``keyed_symbols`` over coordinates lo .. lo + cells - 1, against
-        the thresholds of each coordinate's CDF as ``_cdf_at`` picks it."""
-        if self._period_cdfs is not None:
-            levels_at = periodic_levels(thresholds(self._period_cdfs), cells)
-        elif self._rule_cdf is not None:
-            cdfs = np.array([self._rule_cdf(k) for k in range(lo, lo + cells)])
-            table = np.ascontiguousarray(thresholds(cdfs).T)
-
-            def levels_at(a: int, b: int) -> np.ndarray:
-                return table[:, a - lo : a - lo + b]
-
-        else:
-            base = thresholds(self._base_cdf)[:, None]
-
-            def levels_at(a: int, b: int) -> np.ndarray:
-                return base
-
-        sites = {k: thresholds(c) for k, c in self._site_cdfs.items() if lo <= k < lo + cells}
-        if not sites:
-            return keyed_symbols(states, lo, cells, levels_at)
-
-        def with_sites(a: int, b: int) -> np.ndarray:
-            table = levels_at(a, b)
-            inside = [k for k in sites if a <= k < a + b]
-            if inside:
-                table = np.broadcast_to(table, (len(table), b)).copy()
-                for k in inside:
-                    table[:, k - a] = sites[k]
-            return table
-
-        return keyed_symbols(states, lo, cells, with_sites)
+        states = combine_seeds(seeds, (TAG_SYMBOL,))
+        return keyed_symbols(states, lo, hi - lo + 1, self.levels_at)
 
 
-def periodic_levels(levels: np.ndarray, cells: int) -> Callable[[int, int], np.ndarray]:
-    """``levels_at`` for a ``keyed_symbols`` read of ``cells`` coordinates
-    whose thresholds repeat: coordinate k draws against row k mod p of the
-    (p, levels) array ``levels``."""
+def window_levels(base: Sequence[int], sites: Mapping[int, Sequence[int]]) -> LevelsAt:
+    """``levels_at`` of a base plus finite window: coordinate k draws against
+    the thresholds ``sites[k]`` at a window site, else against ``base``."""
+    base = np.array(base, dtype=np.uint64)[:, None]
+    columns = {k: np.array(v, dtype=np.uint64)[:, None] for k, v in sites.items()}
+
+    def levels_at(a: int, b: int) -> np.ndarray:
+        if b == 1:
+            return columns.get(a, base)
+        inside = [k for k in columns if a <= k < a + b]
+        if not inside:
+            return base
+        table = np.repeat(base, b, axis=1)
+        for k in inside:
+            table[:, k - a : k - a + 1] = columns[k]
+        return table
+
+    return levels_at
+
+
+def periodic_levels(rows: Sequence[Sequence[int]]) -> LevelsAt:
+    """``levels_at`` of repeating thresholds: coordinate k draws against
+    ``rows[k mod p]``.  The rows are tiled once, wide enough for any block
+    that ``keyed_symbols`` asks for."""
+    levels = np.asarray(rows, dtype=np.uint64)
     p = len(levels)
-    width = min(cells, GRID_BLOCK) + p - 1
-    tiled = np.tile(levels.T, -(-width // p))
+    tiled = np.tile(levels.T, -(-(GRID_BLOCK + p - 1) // p))
     return lambda a, b: tiled[:, a % p : a % p + b]
+
+
+def rule_levels(cdf_at: Callable[[int], np.ndarray]) -> LevelsAt:
+    """``levels_at`` of rule-given sites: coordinate k draws against the
+    thresholds of ``cdf_at(k)``, taken for a whole block at once; the
+    columns of single coordinates, which scalar reads ask for, are cached."""
+    column = lru_cache(maxsize=_RULE_CACHE)(lambda k: thresholds(cdf_at(k))[:, None])
+
+    def levels_at(a: int, b: int) -> np.ndarray:
+        if b == 1:
+            return column(a)
+        cdfs = np.array([cdf_at(k) for k in range(a, a + b)])
+        return np.ascontiguousarray(thresholds(cdfs).T)
+
+    return levels_at
 
 
 def column_chunks(
@@ -280,37 +273,3 @@ class Configuration:
         for i in block.coords():
             new[i + self.offset] = block.symbol(i)
         return Configuration(self.tail, new, self.offset)
-
-
-def shift(x: Configuration, n: int) -> Configuration:
-    """Configuration reading coordinate i as ``x`` reads ``i + n``."""
-    return x.shifted(n)
-
-
-def rewire(x: Configuration, block: Cylinder) -> Configuration:
-    """Copy of ``x`` with the block word written over [left, right]."""
-    return x.rewired(block)
-
-
-def homoclinic_radius(
-    x: Configuration, y: Configuration, horizon: int, slack: int = 0
-) -> int | None:
-    """Smallest certified radius N with x_n = y_n for all N < |n| <= horizon.
-
-    The answer is only certified out to ``horizon``: with ``slack > 0`` the
-    radius is withheld (None) when the outermost disagreement falls in
-    ``(horizon - slack, horizon]``, since the true radius may then exceed the
-    scanned window.
-    """
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
-    xa = x.block(-horizon, horizon)
-    ya = y.block(-horizon, horizon)
-    diff = np.nonzero(xa != ya)[0]
-    if len(diff) == 0:
-        return 0
-    coords = diff - horizon
-    outer = int(np.max(np.abs(coords)))
-    if outer > horizon - slack:
-        return None
-    return outer

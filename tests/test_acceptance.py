@@ -19,7 +19,7 @@ from ergolab import runner
 from ergolab.experiments import get_config
 from ergolab.reporting import jsonable
 from ergolab.seeding import spawn, uniform01
-from ergolab.shift_core import Cylinder, rewire
+from ergolab.shift_core import Cylinder
 
 F = Fraction
 MASTER = 20260809
@@ -120,7 +120,7 @@ def test_criterion_3_homoclinic_ratio_bounds():
                 word = tuple(
                     1 + ((word_index >> j) & 1) for j in range(width)
                 )
-                y = rewire(x, Cylinder(-radius, radius, word))
+                y = x.rewired(Cylinder(-radius, radius, word))
                 for n in range(-8, 9):
                     res = bn.homoclinic_ratio_bound_check(fam, x, y, radius, n)
                     checked += 1

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from ergolab import bernoulli as bn
 from ergolab.errors import NonSingularError, ToleranceError
 from ergolab.seeding import spawn
-from ergolab.shift_core import Cylinder, rewire
+from ergolab.shift_core import Cylinder
 
 HALF = SiteHalf = bn.SiteMeasure.of(["1/2", "1/2"])
 TILTED = bn.SiteMeasure.of(["3/4", "1/4"])
@@ -233,7 +233,7 @@ class TestHomoclinicRatioBounds:
     def test_iid_ratio_exactly_zero(self):
         fam = iid_family()
         x = fam.configuration(2)
-        y = rewire(x, Cylinder.of([2, 1, 2], left=-1))
+        y = x.rewired(Cylinder.of([2, 1, 2], left=-1))
         res = bn.homoclinic_ratio_bound_check(fam, x, y, 1, 4)
         assert res.ratio_log == 0.0 and res.ok
 
@@ -242,7 +242,7 @@ class TestHomoclinicRatioBounds:
         # which is why a 4N-exponent uniform bound cannot be right at N=0
         fam = one_site_family()
         x = fam.configuration(5, pinned={0: 1, 1: 1})
-        y = rewire(x, Cylinder.of([2], left=0))
+        y = x.rewired(Cylinder.of([2], left=0))
         res = bn.homoclinic_ratio_bound_check(fam, x, y, 0, 1)
         assert abs(res.ratio_log) == pytest.approx(math.log(3), abs=1e-12)
         assert res.product_bound_log == pytest.approx(math.log(3), abs=1e-12)
@@ -253,14 +253,14 @@ class TestHomoclinicRatioBounds:
         fam = one_site_family()
         x = fam.configuration(9)
         for word in [(1,), (2,)]:
-            y = rewire(x, Cylinder.of(list(word), left=0))
+            y = x.rewired(Cylinder.of(list(word), left=0))
             for n in range(1, 6):
                 assert bn.homoclinic_ratio_bound_check(fam, x, y, 0, n).ok
 
     def test_product_bound_below_uniform_bound(self):
         fam = wide_family()
         x = fam.configuration(1)
-        y = rewire(x, Cylinder.of([2, 2, 2, 2, 2], left=-2))
+        y = x.rewired(Cylinder.of([2, 2, 2, 2, 2], left=-2))
         for n in range(-6, 7):
             res = bn.homoclinic_ratio_bound_check(fam, x, y, 2, n)
             assert res.product_bound_log <= res.uniform_bound_log + 1e-12

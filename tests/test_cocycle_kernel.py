@@ -27,10 +27,17 @@ from ergolab.seeding import (
     combine,
     spawn,
     spawn_vec,
+    thresholds,
     uniform01,
     zigzag,
 )
-from ergolab.shift_core import Cylinder, LazyTail
+from ergolab.shift_core import (
+    Cylinder,
+    LazyTail,
+    periodic_levels,
+    rule_levels,
+    window_levels,
+)
 
 F = Fraction
 HALF = bn.SiteMeasure.of(["1/2", "1/2"])
@@ -332,21 +339,25 @@ def _rule_probs(k):
     return [F(1, 4), F(3, 4)] if k % 3 == 0 else [F(1, 2), F(1, 2)]
 
 
+def _levels(probs):
+    return thresholds(LazyTail.cdf(probs))
+
+
 def _window_tail(seed):
     window = {0: [F(3, 4), F(1, 4)], 4: [F(1, 9), F(8, 9)]}
-    cdfs = {k: LazyTail.cdf(p) for k, p in window.items()}
-    return LazyTail(seed, LazyTail.cdf([F(2, 5), F(3, 5)]), cdfs)
+    sites = {k: _levels(p) for k, p in window.items()}
+    return LazyTail(seed, window_levels(_levels([F(2, 5), F(3, 5)]), sites))
 
 
 def _periodic_tail(seed):
     rows = [[F(1, 3), F(2, 3)], [F(4, 5), F(1, 5)], [F(1, 2), F(1, 2)]]
-    return LazyTail(seed, None, None, np.stack([LazyTail.cdf(p) for p in rows]))
+    return LazyTail(seed, periodic_levels([_levels(p) for p in rows]))
 
 
 TAILS = {
     "window": _window_tail,
     "periodic": _periodic_tail,
-    "rule": lambda seed: LazyTail.from_rule(seed, lambda k: LazyTail.cdf(_rule_probs(k))),
+    "rule": lambda seed: LazyTail(seed, rule_levels(lambda k: LazyTail.cdf(_rule_probs(k)))),
 }
 
 

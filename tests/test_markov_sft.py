@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import pytest
@@ -176,12 +175,6 @@ class TestRestrictedDerivative:
                 )
             assert mk.restricted_derivative_fraction(fam, cyl, 2) == expected
 
-    def test_z_log_value_exact_flag(self):
-        fam = perturbed_golden()
-        word = next(iter(fam.sft.words(9)))
-        val = mk.restricted_derivative(fam, Cylinder(-4, 4, word), 4)
-        assert val.error_bound == 0.0
-
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_martingale_exact(self, n):
         assert mk.martingale_max_gap(perturbed_golden(), n) == 0
@@ -195,37 +188,6 @@ class TestRestrictedDerivative:
         )
         for n in (1, 2, 3):
             assert mk.martingale_max_gap(fam, n) == 0
-
-    def test_rn_derivative_stabilizes(self):
-        fam = perturbed_golden()
-        word = next(w for w in fam.sft.words(31))
-        cyl = Cylinder(-15, 15, word)
-        base = mk.rn_derivative_markov(fam, cyl, 2)
-        assert base.error_bound == 0.0
-        wider = mk.rn_derivative_markov(fam, cyl, 2, window=7)
-        assert wider.error_bound == 0.0
-        assert base.log_magnitude == pytest.approx(wider.log_magnitude, abs=1e-13)
-
-    def test_rn_derivative_insufficient_window_flagged(self):
-        fam = perturbed_golden()
-        word = next(w for w in fam.sft.words(21))
-        val = mk.rn_derivative_markov(fam, Cylinder(-10, 10, word), 2, window=1)
-        assert math.isinf(val.error_bound)
-
-    def test_stationary_rn_is_zero(self):
-        fam = golden_family()
-        word = next(w for w in fam.sft.words(21))
-        for n in (-3, -1, 1, 2, 5):
-            val = mk.rn_derivative_markov(fam, Cylinder(-10, 10, word), n)
-            assert val.log_magnitude == pytest.approx(0.0, abs=1e-14)
-            assert val.error_bound == 0.0
-
-    def test_sample_path_admissible_and_deterministic(self):
-        fam = perturbed_golden()
-        a = mk.sample_path(fam, 99, -10, 10)
-        b = mk.sample_path(fam, 99, -10, 10)
-        assert a == b
-        assert fam.sft.admissible(a.word)
 
 
 class TestTransitionRatio:

@@ -3,15 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ergolab.seeding import thresholds
 from ergolab.shift_core import (
     Alphabet,
     Configuration,
     Cylinder,
     LazyTail,
     RangeCapError,
-    homoclinic_radius,
-    rewire,
-    shift,
+    periodic_levels,
+    rule_levels,
+    window_levels,
 )
 
 
@@ -44,28 +45,28 @@ class TestAlphabetAndCylinder:
 class TestShift:
     def test_identity_shift(self):
         x = coin_config()
-        assert read_range(shift(x, 0), -20, 20) == read_range(x, -20, 20)
+        assert read_range(x.shifted(0), -20, 20) == read_range(x, -20, 20)
 
     def test_inverse_composition(self):
         x = coin_config()
-        assert read_range(shift(shift(x, 3), -3), -10, 10) == read_range(x, -10, 10)
+        assert read_range(x.shifted(3).shifted(-3), -10, 10) == read_range(x, -10, 10)
 
     def test_window_index_arithmetic(self):
         x = coin_config(overrides={0: 1, 1: 2})
-        assert shift(x, 1).symbol(0) == 2
+        assert x.shifted(1).symbol(0) == 2
 
     @given(a=st.integers(-50, 50), b=st.integers(-50, 50))
     @settings(max_examples=40, deadline=None)
     def test_group_law(self, a, b):
         x = coin_config()
-        assert read_range(shift(shift(x, a), b), -10, 10) == read_range(
-            shift(x, a + b), -10, 10
+        assert read_range(x.shifted(a).shifted(b), -10, 10) == read_range(
+            x.shifted(a + b), -10, 10
         )
 
     def test_shift_preserves_lazy_tail(self):
         x = coin_config()
         far = x.symbol(1000)
-        assert shift(x, 999).symbol(1) == far
+        assert x.shifted(999).symbol(1) == far
 
 
 class TestDeterminism:
@@ -83,7 +84,7 @@ class TestDeterminism:
         assert list(block) == read_range(x, -8, 8)
 
     def test_shifted_block_matches_symbols(self):
-        x = shift(coin_config(overrides={3: 2}), 4)
+        x = coin_config(overrides={3: 2}).shifted(4)
         assert list(x.block(-6, 6)) == read_range(x, -6, 6)
 
     def test_range_cap(self):
@@ -93,13 +94,16 @@ class TestDeterminism:
 
 class TestLazyTailKinds:
     def test_window_tail(self):
-        tail = LazyTail(3, LazyTail.cdf([0.5, 0.5]), {0: LazyTail.cdf([1.0 - 1e-12, 1e-12])})
+        levels = window_levels(
+            thresholds(LazyTail.cdf([0.5, 0.5])), {0: thresholds(LazyTail.cdf([1.0 - 1e-12, 1e-12]))}
+        )
+        tail = LazyTail(3, levels)
         assert tail.symbol(0) == 1
         assert list(tail.block(-5, 5)) == [tail.symbol(i) for i in range(-5, 6)]
 
     def test_periodic_tail(self):
         rows = [[1.0 - 1e-12, 1e-12], [1e-12, 1.0 - 1e-12]]
-        tail = LazyTail(3, None, None, np.stack([LazyTail.cdf(p) for p in rows]))
+        tail = LazyTail(3, periodic_levels([thresholds(LazyTail.cdf(p)) for p in rows]))
         block = tail.block(-6, 5)
         assert all(s == 1 for s in block[::2])  # even coordinates: -6, -4, ...
         assert all(s == 2 for s in block[1::2])
@@ -107,49 +111,25 @@ class TestLazyTailKinds:
 
     def test_rule_tail_matches_scalar(self):
         rule = lambda k: [0.25, 0.75] if k % 3 == 0 else [0.5, 0.5]
-        tail = LazyTail.from_rule(9, lambda k: LazyTail.cdf(rule(k)))
+        tail = LazyTail(9, rule_levels(lambda k: LazyTail.cdf(rule(k))))
         assert list(tail.block(-7, 7)) == [tail.symbol(i) for i in range(-7, 8)]
-
-
-class TestHomoclinicRadius:
-    def test_equal_points(self):
-        x = coin_config()
-        assert homoclinic_radius(x, x, 50) == 0
-
-    def test_single_rewritten_coordinate(self):
-        x = coin_config()
-        other = 2 if x.symbol(5) == 1 else 1
-        y = rewire(x, Cylinder.of([other], left=5))
-        assert homoclinic_radius(x, y, 50) == 5
-
-    def test_independent_tails_not_certified(self):
-        x, y = coin_config(1), coin_config(2)
-        # fair-coin tails agree on the outer 8-ring with chance ~2^-16
-        assert homoclinic_radius(x, y, 64, slack=8) is None
-
-    def test_slack_zero_reports_outermost_difference(self):
-        x = coin_config()
-        other = 2 if x.symbol(-9) == 1 else 1
-        y = rewire(x, Cylinder.of([other], left=-9))
-        assert homoclinic_radius(x, y, 10) == 9
-        assert homoclinic_radius(x, y, 10, slack=2) is None
 
 
 class TestRewire:
     def test_empty_block_is_identity(self):
         x = coin_config()
-        assert read_range(rewire(x, Cylinder.empty()), -30, 30) == read_range(x, -30, 30)
+        assert read_range(x.rewired(Cylinder.empty()), -30, 30) == read_range(x, -30, 30)
 
     def test_radius_zero_when_only_origin_differs(self):
         x = coin_config()
         other = 2 if x.symbol(0) == 1 else 1
-        y = rewire(x, Cylinder.of([other], left=0))
-        assert homoclinic_radius(x, y, 20) == 0
+        y = x.rewired(Cylinder.of([other], left=0))
+        assert np.flatnonzero(x.block(-20, 20) != y.block(-20, 20)).tolist() == [20]
 
     def test_changes_exactly_the_block(self):
         x = coin_config()
         block = Cylinder.of([2, 2, 2], left=4)
-        y = rewire(x, block)
+        y = x.rewired(block)
         for i in range(-40, 41):
             if 4 <= i <= 6:
                 assert y.symbol(i) == 2
@@ -160,12 +140,12 @@ class TestRewire:
         x = coin_config()
         a = Cylinder.of([1, 2], left=-6)
         b = Cylinder.of([2, 1], left=10)
-        one = rewire(rewire(x, a), b)
-        two = rewire(rewire(x, b), a)
+        one = x.rewired(a).rewired(b)
+        two = x.rewired(b).rewired(a)
         assert read_range(one, -20, 20) == read_range(two, -20, 20)
 
     def test_rewire_respects_shift_offset(self):
-        x = shift(coin_config(), 5)
-        y = rewire(x, Cylinder.of([2], left=0))
+        x = coin_config().shifted(5)
+        y = x.rewired(Cylinder.of([2], left=0))
         assert y.symbol(0) == 2
-        assert shift(y, -5).symbol(5) == 2
+        assert y.shifted(-5).symbol(5) == 2

@@ -1,53 +1,88 @@
-"""The cache-blocked symbol kernel against the scalar draws.
+"""The cache-blocked symbol kernel against the scalar draws and the old
+float-CDF draw.
 
 ``LazyTail.block``/``grid`` and ``LatticeConfiguration.box`` take
 coordinates to symbols through ``seeding.keyed_symbols`` and integer
-thresholds; ``LazyTail.symbol`` and ``LatticeConfiguration.symbol`` draw one
-keyed uniform and ``searchsorted`` the float CDF.  Every comparison below is
-``==``: the two must agree bit for bit, on both sides of every block edge.
+thresholds; ``LazyTail.symbol`` and ``LatticeConfiguration.symbol`` count the
+same thresholds for one key.  Since both read one thresholds table, the
+scalar draw alone is no independent check, so every block, grid, edge and
+int64-extreme comparison also runs against ``ref_symbol`` /
+``ref_lattice_symbol`` of ``test_cocycle_kernel``: a keyed uniform and
+``searchsorted`` on a float CDF built from the exact probabilities.  Every
+comparison is ``==``: the draws must agree bit for bit, on both sides of
+every block edge.
 """
 
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
+from test_cocycle_kernel import ref_lattice_symbol, ref_symbol
 
 from ergolab import lattice as lt
 from ergolab import seeding
 from ergolab.bernoulli import SiteMeasure
-from ergolab.seeding import GRID_BLOCK, TAG_SYMBOL, spawn_vec, uniform01, zigzag
-from ergolab.shift_core import LazyTail
+from ergolab.seeding import GRID_BLOCK, TAG_SYMBOL, spawn_vec, thresholds, uniform01, zigzag
+from ergolab.shift_core import LazyTail, periodic_levels, rule_levels, window_levels
 
 F = Fraction
 B = GRID_BLOCK
 
 
+def levels(probs):
+    return thresholds(LazyTail.cdf(probs))
+
+
+WINDOW_BASE = [F(2, 5), F(3, 5)]
+PERIODIC_ROWS = [[F(1, 3), F(2, 3)], [F(4, 5), F(1, 5)], [F(1, 2), F(1, 2)]]
+THREE = [F(1, 6), F(1, 2), F(1, 3)]
+FOUR = [F(1, 10), F(2, 10), F(3, 10), F(4, 10)]
+
+
+def window_sites(lo):
+    """Sites on both sides of the block edges of a read from ``lo``."""
+    return {lo: [F(1, 9), F(8, 9)], lo + B - 1: [F(5, 6), F(1, 6)], lo + B: [F(1, 2), F(1, 2)]}
+
+
 def window_tail(seed, lo=0):
-    """Base plus sites on both sides of the block edges of a read from ``lo``."""
-    sites = {lo: [F(1, 9), F(8, 9)], lo + B - 1: [F(5, 6), F(1, 6)], lo + B: [F(1, 2), F(1, 2)]}
-    cdfs = {k: LazyTail.cdf(p) for k, p in sites.items()}
-    return LazyTail(seed, LazyTail.cdf([F(2, 5), F(3, 5)]), cdfs)
+    sites = {k: levels(p) for k, p in window_sites(lo).items()}
+    return LazyTail(seed, window_levels(levels(WINDOW_BASE), sites))
 
 
 def periodic_tail(seed):
     # period 3 does not divide GRID_BLOCK, so blocks start at every residue
-    rows = [[F(1, 3), F(2, 3)], [F(4, 5), F(1, 5)], [F(1, 2), F(1, 2)]]
-    return LazyTail(seed, None, None, np.stack([LazyTail.cdf(p) for p in rows]))
+    return LazyTail(seed, periodic_levels([levels(p) for p in PERIODIC_ROWS]))
+
+
+def rule_probs(k):
+    return [F(1, 2 + k % 5), 1 - F(1, 2 + k % 5)]
 
 
 def rule_tail(seed):
-    return LazyTail.from_rule(seed, lambda k: LazyTail.cdf([F(1, 2 + k % 5), 1 - F(1, 2 + k % 5)]))
+    return LazyTail(seed, rule_levels(lambda k: LazyTail.cdf(rule_probs(k))))
 
 
+#: kind -> (tail at a seed, exact probabilities at a coordinate)
 TAILS = {
-    "window": window_tail,
-    "periodic": periodic_tail,
-    "rule": rule_tail,
-    "three-symbol": lambda seed: LazyTail.constant(seed, [F(1, 6), F(1, 2), F(1, 3)]),
-    "four-symbol": lambda seed: LazyTail.constant(seed, [F(1, 10), F(2, 10), F(3, 10), F(4, 10)]),
+    "window": (window_tail, lambda k: window_sites(0).get(k, WINDOW_BASE)),
+    "periodic": (periodic_tail, lambda k: PERIODIC_ROWS[k % 3]),
+    "rule": (rule_tail, rule_probs),
+    "three-symbol": (lambda seed: LazyTail.constant(seed, THREE), lambda k: THREE),
+    "four-symbol": (lambda seed: LazyTail.constant(seed, FOUR), lambda k: FOUR),
 }
 each_tail = pytest.mark.parametrize("kind", list(TAILS))
+each_oracle = pytest.mark.parametrize("oracle", ["symbol", "searchsorted"])
+
+
+def scalar_draw(oracle, kind, seed):
+    """The scalar draw of a ``kind`` tail at ``seed``, as a function of the
+    coordinate: the tail's own ``symbol`` or the float-CDF reference."""
+    make, probs_at = TAILS[kind]
+    if oracle == "symbol":
+        return make(seed).symbol
+    return partial(ref_symbol, seed, probs_at)
 
 
 def edge_offsets(cells):
@@ -59,71 +94,90 @@ def edge_offsets(cells):
     return sorted(j for j in edges | set(range(0, cells, 1013)) if 0 <= j < cells)
 
 
+@each_oracle
 @each_tail
 @pytest.mark.parametrize("cells", [B - 1, B, B + 1])
-def test_block_matches_symbols_across_block_edges(kind, cells):
-    tail = TAILS[kind](11)
-    for lo in (0, -cells // 2, -cells - 7):  # from 0, straddling 0, all negative
+def test_block_matches_symbols_across_block_edges(kind, cells, oracle):
+    tail, draw = TAILS[kind][0](11), scalar_draw(oracle, kind, 11)
+    # from 0 (the window sites 0, B - 1 and B), straddling 0, all negative
+    for lo in (0, -cells // 2, -cells - 7):
         block = tail.block(lo, lo + cells - 1)
         assert block.shape == (cells,) and block.dtype == np.int16
         for j in edge_offsets(cells):
-            assert block[j] == tail.symbol(lo + j), (lo, j)
+            assert block[j] == draw(lo + j), (lo, j)
 
 
+@each_oracle
 @pytest.mark.parametrize("lo", [-(2**63), 2**62 - 5, 2**63 - 10], ids=["min", "2^62", "max"])
-def test_block_matches_symbols_near_the_int64_extremes(lo):
-    tail = periodic_tail(13)
-    assert tail.block(lo, lo + 9).tolist() == [tail.symbol(k) for k in range(lo, lo + 10)]
+def test_block_matches_symbols_near_the_int64_extremes(lo, oracle):
+    draw = scalar_draw(oracle, "periodic", 13)
+    assert periodic_tail(13).block(lo, lo + 9).tolist() == [draw(k) for k in range(lo, lo + 10)]
 
 
+@each_oracle
 @each_tail
 @pytest.mark.parametrize("cells", [B - 1, B, B + 1])
-def test_grid_rows_match_symbols_across_block_edges(kind, cells):
+def test_grid_rows_match_symbols_across_block_edges(kind, cells, oracle):
     seeds = spawn_vec(3, np.arange(3))
     lo = -cells // 2
-    grid = TAILS[kind](0).grid(seeds, lo, lo + cells - 1)
+    grid = TAILS[kind][0](0).grid(seeds, lo, lo + cells - 1)
     assert grid.shape == (3, cells) and grid.dtype == np.int16
     for r, seed in enumerate(seeds):
-        tail = TAILS[kind](int(seed))
+        draw = scalar_draw(oracle, kind, int(seed))
         for j in edge_offsets(cells):
-            assert grid[r, j] == tail.symbol(lo + j), (r, j)
+            assert grid[r, j] == draw(lo + j), (r, j)
 
 
-def test_grid_row_blocks_of_narrow_reads():
+@each_oracle
+def test_grid_row_blocks_of_narrow_reads(oracle):
     # 40 cells a row: 819 rows a block, so rows 818 and 819 sit on an edge
     seeds = spawn_vec(8, np.arange(B // 40 + 2))
     grid = periodic_tail(0).grid(seeds, -21, 18)
     for r in [0, B // 40 - 1, B // 40, B // 40 + 1]:
-        assert grid[r].tolist() == [periodic_tail(int(seeds[r])).symbol(k) for k in range(-21, 19)]
+        draw = scalar_draw(oracle, "periodic", int(seeds[r]))
+        assert grid[r].tolist() == [draw(k) for k in range(-21, 19)]
 
 
-def test_window_sites_on_block_edges():
+@each_oracle
+def test_window_sites_on_block_edges(oracle):
     lo = -B // 3
     tail = window_tail(5, lo)
+    sites = window_sites(lo)
+    draw = tail.symbol if oracle == "symbol" else partial(
+        ref_symbol, 5, lambda k: sites.get(k, WINDOW_BASE)
+    )
     block = tail.block(lo, lo + B + 2)
-    for k in (lo, lo + B - 1, lo + B):
-        assert block[k - lo] == tail.symbol(k)
+    # the three window sites and their neighbours off the window
+    for k in (lo - 1, lo, lo + 1, lo + B - 2, lo + B - 1, lo + B, lo + B + 1):
+        if k >= lo:
+            assert block[k - lo] == draw(k), k
+        assert tail.block(k, k)[0] == draw(k), k
     # a read that holds only some of the sites
-    assert tail.block(lo + B - 1, lo + B - 1)[0] == tail.symbol(lo + B - 1)
+    assert tail.block(lo + B - 2, lo + B - 1).tolist() == [draw(lo + B - 2), draw(lo + B - 1)]
+
+
+def cdf_tail(seed, cdf):
+    """A tail drawing every coordinate against the float CDF ``cdf``."""
+    return LazyTail(seed, window_levels(thresholds(np.array(cdf)), {}))
 
 
 def test_cdf_entry_equal_to_a_drawn_uniform():
     seed, k = 17, -3
     u = uniform01(seed, TAG_SYMBOL, zigzag(k))
     for cdf in ([u, 1.0], [u / 2, u, 1.0]):
-        tail = LazyTail(seed, np.array(cdf))
+        tail = cdf_tail(seed, cdf)
         # searchsorted(side="right") counts the entry equal to u
         assert tail.symbol(k) == len(cdf)
         assert tail.block(k - 2, k + 2)[2] == len(cdf)
         # one ulp above u, the entry no longer counts
-        nudged = LazyTail(seed, np.array([*cdf[:-2], np.nextafter(u, 1.0), 1.0]))
+        nudged = cdf_tail(seed, [*cdf[:-2], np.nextafter(u, 1.0), 1.0])
         assert nudged.block(k, k)[0] == nudged.symbol(k) == len(cdf) - 1
 
 
 def test_interior_cdf_entry_that_rounds_to_one():
     cdf = np.array([0.5, float(1 - F(1, 10**20)), 1.0])
     assert cdf[1] == 1.0
-    tail = LazyTail(23, cdf)
+    tail = cdf_tail(23, cdf)
     block = tail.block(-500, 500)
     assert block.tolist() == [tail.symbol(k) for k in range(-500, 501)]
     assert set(block.tolist()) == {1, 2}
@@ -173,26 +227,34 @@ def periodic(d):
     return lt.LatticePeriodic(period, sites)
 
 
+def lattice_draw(oracle, x):
+    return x.symbol if oracle == "symbol" else partial(ref_lattice_symbol, x)
+
+
+@each_oracle
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("shape", [compact, periodic])
-def test_box_matches_symbols_on_a_translated_configuration(shape, d):
+def test_box_matches_symbols_on_a_translated_configuration(shape, d, oracle):
     x = shape(d).configuration(29).translated(TRANSLATION[:d])
+    draw = lattice_draw(oracle, x)
     margins = (1, 0, 2)[:d]
     box = x.box(3, margins=margins)
     assert box.shape == tuple(7 + 2 * m for m in margins) and box.dtype == np.int16
     for idx in np.ndindex(box.shape):
         g = tuple(i - 3 - m for i, m in zip(idx, margins))
-        assert box[idx] == x.symbol(g), g
+        assert box[idx] == draw(g), g
 
 
-def test_box_with_three_symbols_and_a_row_wider_than_a_block():
+@each_oracle
+def test_box_with_three_symbols_and_a_row_wider_than_a_block(oracle):
     family = lt.LatticeCompact(2, THIRDS, {(0, 0): SiteMeasure.of(["1/2", "1/4", "1/4"])})
     x = family.configuration(3)
+    draw = lattice_draw(oracle, x)
     box = x.box(0, margins=(1, B // 2 + 1))
     assert box.shape == (3, B + 3)
     for i in range(3):
         for j in edge_offsets(B + 3):
-            assert box[i, j] == x.symbol((i - 1, j - B // 2 - 1))
+            assert box[i, j] == draw((i - 1, j - B // 2 - 1))
 
 
 # --- memory -------------------------------------------------------------------
