@@ -179,7 +179,7 @@ class PoissonSystem:
         return ps.PointSample(self.gs, seed)
 
     def run_sample(self, master_seed: int, run: int) -> ps.PointSample:
-        return ps.PointSample.for_run(self.gs, master_seed, run)
+        return self.sample(spawn(master_seed, run))
 
     def expectation(self, obs: Observable) -> float:
         return float(
@@ -192,17 +192,8 @@ class PoissonSystem:
         raise ValueError("L1 norm implemented for single nonnegative terms only")
 
     def value_series(self, sample: ps.PointSample, obs: Observable, times: np.ndarray) -> np.ndarray:
-        times = np.asarray(times, dtype=np.int64)
-        out = np.zeros(len(times))
-        for c, ev in obs.terms:
-            if not ev.constraints:
-                out += c
-                continue
-            out += c * np.array(
-                [ps.suspension_indicator(sample, ev, int(t)) for t in times],
-                dtype=np.float64,
-            )
-        return out
+        """f(T_*^t nu) for each t in times."""
+        return _event_values(obs, times, sample.indicators, ())
 
     def dual_log_weights(
         self, sample: ps.PointSample, n: int, tol: float = 1e-12
@@ -217,13 +208,19 @@ class PoissonSystem:
     def values_matrix(
         self, master_seed: int, n_runs: int, obs: Observable, times: Sequence[int]
     ) -> np.ndarray:
-        out = np.zeros((n_runs, len(times)))
-        for c, ev in obs.terms:
-            if not ev.constraints:
-                out += c
-            else:
-                out += c * ps.indicator_grid(self.gs, master_seed, n_runs, ev, times)
-        return out
+        read = partial(ps.indicator_grid, self.gs, master_seed, n_runs)
+        return _event_values(obs, times, read, (n_runs,))
+
+
+def _event_values(
+    obs: Observable, times: Sequence[int], indicators: Callable, lead: tuple[int, ...]
+) -> np.ndarray:
+    """f(T_*^t nu) for each t in times, shape ``lead + (len(times),)``, over
+    the event indicators ``indicators(event, times)`` returns, of that shape."""
+    out = np.zeros(lead + (len(times),))
+    for c, ev in obs.terms:
+        out += c * indicators(ev, times) if ev.constraints else c
+    return out
 
 
 def values_matrix(system, master_seed: int, n_runs: int, obs: Observable, times) -> np.ndarray:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -22,12 +23,9 @@ from .errors import CertifiedFailure
 from .seeding import (
     GRID_BLOCK,
     TAG_POISSON,
-    spawn,
     spawn_vec,
-    uniform01,
     uniform01_grid,
     zigzag,
-    zigzag_vec,
 )
 
 #: largest admissible constraint count (keeps atom enumeration finite)
@@ -39,10 +37,11 @@ _SPLIT_MEAN = 50.0
 
 @dataclass(frozen=True)
 class GroundSpace:
-    """Countable point set with positive weights and an invertible map.
+    """Countable point set with nonnegative weights and an invertible map.
 
     ``jump(p, k)`` is the k-fold application of the map (negative k for the
-    inverse); ``weight`` must be strictly positive wherever events look.
+    inverse); ``weight`` is nonnegative wherever events look and raises
+    ValueError at a point outside the ground.
     """
 
     weight: Callable[[int], Fraction]
@@ -73,21 +72,27 @@ def finite_cycle(length: int) -> GroundSpace:
     if length < 1:
         raise ValueError("cycle length must be >= 1")
 
-    def weight(p: int) -> Fraction:
+    def check(p: int) -> None:
         if not 0 <= p < length:
             raise ValueError(f"point {p} outside cycle of length {length}")
+
+    def weight(p: int) -> Fraction:
+        check(p)
         return Fraction(1)
 
-    return GroundSpace(
-        weight=weight,
-        jump=lambda p, k: (p + k) % length,
-        name=f"cycle[{length}]",
-    )
+    def jump(p: int, k: int) -> int:
+        check(p)
+        return (p + k) % length
+
+    return GroundSpace(weight=weight, jump=jump, name=f"cycle[{length}]")
 
 
 def weighted_points(weights: Mapping[int, object]) -> GroundSpace:
     """Static ground space (identity map) with explicit point weights."""
     table = {int(p): Fraction(w) for p, w in weights.items()}
+    for p, w in table.items():
+        if w < 0:
+            raise ValueError(f"point {p} has negative weight {w}")
 
     def weight(p: int) -> Fraction:
         if p not in table:
@@ -225,64 +230,28 @@ def mixing_gap(gs: GroundSpace, b: PoissonEvent, c: PoissonEvent) -> MixingGap:
 # Sampling
 
 
+@dataclass(frozen=True)
 class PointSample:
-    """Lazy Poisson configuration: count at point p is a pure function of
-    (seed, p) with law Poisson(weight(p))."""
+    """Lazy Poisson configuration: the count at point p is a pure function of
+    (seed, p) with law Poisson(weight(p)), read by ``counts``."""
 
-    __slots__ = ("gs", "seed")
+    gs: GroundSpace
+    seed: int
 
-    def __init__(self, gs: GroundSpace, seed: int) -> None:
-        self.gs = gs
-        self.seed = seed
+    def counts(self, points: Sequence[int], cap: int | None = None) -> np.ndarray:
+        """(1, len(points)) counts: the one row of ``sample_count_grid`` that
+        this sample's seed (masked to 64 bits, as ``combine`` does) draws."""
+        return _count_rows(self.gs, np.array([self.seed % 2**64], dtype=np.uint64), points, cap)
 
-    @classmethod
-    def for_run(cls, gs: GroundSpace, master_seed: int, run: int) -> "PointSample":
-        return cls(gs, spawn(master_seed, run))
-
-    def count(self, p: int) -> int:
-        mean = float(self.gs.weight(p))
-        if mean <= _SPLIT_MEAN:
-            u = uniform01(self.seed, TAG_POISSON, zigzag(p))
-            return _poisson_inverse(u, mean)
-        # additivity split: a sum of independent smaller Poissons, one keyed
-        # sub-draw each, stays exact in distribution and needs no rejection loop
-        chunks = math.ceil(mean / _SPLIT_MEAN)
-        sub = mean / chunks
-        return sum(
-            _poisson_inverse(uniform01(self.seed, TAG_POISSON, zigzag(p), j), sub)
-            for j in range(chunks)
-        )
-
-    def region_count(self, region: Iterable[int]) -> int:
-        return sum(self.count(p) for p in region)
-
-    def satisfies(self, event: PoissonEvent) -> bool:
-        return all(self.region_count(r) == k for r, k in event.constraints)
-
-
-def _poisson_inverse(u: float, mean: float) -> int:
-    """Smallest k with u < CDF(k) for Poisson(mean); inversion by summation."""
-    if mean == 0.0:
-        return 0
-    pmf = math.exp(-mean)
-    cdf = pmf
-    k = 0
-    while u >= cdf and k < 4 * COUNT_CAP:
-        k += 1
-        pmf *= mean / k
-        cdf += pmf
-    return k
-
-
-def suspension_indicator(sample: PointSample, event: PoissonEvent, n: int) -> int:
-    """Indicator of the n-fold suspension image of the sample lying in the
-    event, evaluated by pulling the constraint regions back."""
-    return int(sample.satisfies(event.pulled_back(sample.gs, n)))
+    def indicators(self, event: PoissonEvent, times: Sequence[int]) -> np.ndarray:
+        """Indicators of the times[j]-fold suspension image lying in the event."""
+        return _indicators(self.gs, self.counts, event, times)[0]
 
 
 def _count_table(mean: float) -> np.ndarray:
-    """Poisson CDF table whose searchsorted inversion reproduces
-    ``_poisson_inverse`` bit-for-bit (same accumulation, same cap)."""
+    """Poisson CDF table, accumulated by summation: ``searchsorted(table, u,
+    side="right")`` is the smallest k < 4 * COUNT_CAP with u < CDF(k), or
+    4 * COUNT_CAP."""
     pmf = math.exp(-mean)
     cdf = [pmf]
     for k in range(1, 4 * COUNT_CAP):
@@ -291,17 +260,17 @@ def _count_table(mean: float) -> np.ndarray:
     return np.asarray(cdf)
 
 
-def sample_count_grid(
-    gs: GroundSpace,
-    master_seed: int,
-    n_runs: int,
-    points: Sequence[int],
-    cap: int | None = None,
+def _count_rows(
+    gs: GroundSpace, seeds: np.ndarray, points: Sequence[int], cap: int | None
 ) -> np.ndarray:
-    """(n_runs, len(points)) per-run point counts.
+    """(len(seeds), len(points)) counts: cell [r, j] inverts the keyed
+    uniform of (seeds[r], TAG_POISSON, zigzag(points[j])) on the
+    ``_count_table`` of the point's mean.
 
-    Row r reproduces ``PointSample.for_run(gs, master_seed, r)`` exactly; the
-    grid form exists purely so Monte Carlo batches can be vectorized.
+    A mean above ``_SPLIT_MEAN`` is split by additivity into ``chunks`` equal
+    sub-means, with sub-draw i keyed (seed, TAG_POISSON, zigzag(p), i): a sum
+    of independent Poissons stays exact in distribution and needs no
+    rejection loop.
 
     With ``cap`` set, a cell holds ``min(count, cap)`` instead: inversion by
     summation stops after ``cap`` levels, ``sum_{i<cap} [u >= table[i]]``
@@ -310,11 +279,8 @@ def sample_count_grid(
     """
     points = list(points)
     means = np.array([float(gs.weight(p)) for p in points])
-    if np.any(means > _SPLIT_MEAN):
-        raise ValueError("grid sampling supports means up to the split threshold")
-    out = np.empty((n_runs, len(points)), dtype=np.int16)
-    seeds = spawn_vec(master_seed, np.arange(n_runs, dtype=np.int64))
-    keys = zigzag_vec(np.asarray(points, dtype=np.int64))
+    out = np.empty((len(seeds), len(points)), dtype=np.int16)
+    keys = np.array([zigzag(p) % 2**64 for p in points], dtype=np.uint64)
     # one cache-sized block of rows per keyed draw: no float or bool grid
     # larger than a block is ever held
     chunk = max(1, GRID_BLOCK // max(len(points), 1))
@@ -327,9 +293,9 @@ def sample_count_grid(
         distinct, which = np.unique(means, return_inverse=True)
         tables = [_count_table(float(mean))[:cap] for mean in distinct]
         levels = np.ascontiguousarray(np.reshape(tables, (-1, cap))[which].T)
-        hit = np.empty((min(chunk, n_runs), len(points)), dtype=bool)
-    for lo in range(0, n_runs, chunk):
-        hi = min(lo + chunk, n_runs)
+        hit = np.empty((min(chunk, len(seeds)), len(points)), dtype=bool)
+    for lo in range(0, len(seeds), chunk):
+        hi = min(lo + chunk, len(seeds))
         u = uniform01_grid(seeds[lo:hi], (TAG_POISSON,), keys)
         block = out[lo:hi]
         if cap is None and len(groups) == 1:
@@ -342,20 +308,43 @@ def sample_count_grid(
             for level in levels:
                 np.greater_equal(u, level, out=hit[: hi - lo])
                 block += hit[: hi - lo]
+    # a split column overwrites what its single draw gave above
+    for j in np.flatnonzero(means > _SPLIT_MEAN):
+        chunks = math.ceil(means[j] / _SPLIT_MEAN)
+        table = _count_table(float(means[j]) / chunks)
+        parts = (TAG_POISSON, zigzag(points[j]))
+        rows = max(1, GRID_BLOCK // chunks)
+        for lo in range(0, len(seeds), rows):
+            u = uniform01_grid(seeds[lo : lo + rows], parts, np.arange(chunks))
+            total = np.searchsorted(table, u, side="right").sum(axis=1)
+            if cap is not None:
+                np.minimum(total, cap, out=total)
+            elif total.max() > np.iinfo(out.dtype).max:
+                raise ValueError(f"count at point {points[j]} overflows {out.dtype}")
+            out[lo : lo + rows, j] = total
     return out
 
 
-def indicator_grid(
+def sample_count_grid(
     gs: GroundSpace,
     master_seed: int,
     n_runs: int,
-    event: PoissonEvent,
-    times: Sequence[int],
+    points: Sequence[int],
+    cap: int | None = None,
 ) -> np.ndarray:
-    """(n_runs, len(times)) 0/1 matrix: entry [r, j] is the indicator of the
-    times[j]-fold suspension image of run r's sample lying in the event.
+    """(n_runs, len(points)) per-run point counts, clipped at ``cap`` when
+    set: row r is ``PointSample(gs, spawn(master_seed, r)).counts(points, cap)``."""
+    return _count_rows(gs, spawn_vec(master_seed, np.arange(n_runs, dtype=np.int64)), points, cap)
 
-    Point counts are drawn clipped at ``K + 1``, K the largest constraint
+
+def _indicators(
+    gs: GroundSpace, read_counts: Callable, event: PoissonEvent, times: Sequence[int]
+) -> np.ndarray:
+    """(rows, len(times)) 0/1 matrix: entry [r, j] is the indicator of the
+    times[j]-fold suspension image of row r's sample lying in the event,
+    over the counts ``read_counts(points, cap=cap)`` returns, one row each.
+
+    Point counts are read clipped at ``K + 1``, K the largest constraint
     count.  That is exact: a point whose count exceeds K reads K + 1, so every
     region holding it sums above every k <= K whether clipped or not, and a
     region without such a point sums the same counts either way.
@@ -370,10 +359,11 @@ def indicator_grid(
     points = sorted({p for ev in distinct for p in ev.support()})
     col = {p: i for i, p in enumerate(points)}
     cap = 1 + max((k for _, k in event.constraints), default=0)
-    counts = sample_count_grid(gs, master_seed, n_runs, points, cap=cap)
-    ok = np.ones((n_runs, len(distinct)), dtype=bool)
-    acc = np.empty((n_runs, len(distinct)), dtype=np.int32)
-    term = np.empty((n_runs, len(distinct)), dtype=counts.dtype)
+    counts = read_counts(points, cap=cap)
+    n_rows = len(counts)
+    ok = np.ones((n_rows, len(distinct)), dtype=bool)
+    acc = np.empty((n_rows, len(distinct)), dtype=np.int32)
+    term = np.empty((n_rows, len(distinct)), dtype=counts.dtype)
     for c, (_, k) in enumerate(event.constraints):
         # (distinct events, |region|) column indices of this constraint
         idx = np.array(
@@ -387,6 +377,18 @@ def indicator_grid(
         ok &= acc == k
     row = {ev: i for i, ev in enumerate(distinct)}
     return ok[:, [row[pulled[int(t)]] for t in times]].astype(np.float64)
+
+
+def indicator_grid(
+    gs: GroundSpace,
+    master_seed: int,
+    n_runs: int,
+    event: PoissonEvent,
+    times: Sequence[int],
+) -> np.ndarray:
+    """(n_runs, len(times)) 0/1 matrix: row r is
+    ``PointSample(gs, spawn(master_seed, r)).indicators(event, times)``."""
+    return _indicators(gs, partial(sample_count_grid, gs, master_seed, n_runs), event, times)
 
 
 # ---------------------------------------------------------------------------

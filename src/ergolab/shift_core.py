@@ -94,9 +94,6 @@ class Cylinder:
     def coords(self) -> range:
         return range(self.left, self.right + 1)
 
-    def matches(self, x: "Configuration") -> bool:
-        return all(x.symbol(i) == self.symbol(i) for i in self.coords())
-
     def matches_word(self, other_left: int, other_word: tuple[int, ...]) -> bool:
         """True when this constraint holds on a word covering our range."""
         for i in self.coords():

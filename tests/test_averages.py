@@ -8,6 +8,7 @@ from ergolab import averages as av
 from ergolab import bernoulli as bn
 from ergolab import poisson as ps
 from ergolab.shift_core import Cylinder
+from test_poisson import ref_indicator
 
 F = Fraction
 
@@ -236,5 +237,45 @@ class TestBatching:
         mat = av.values_matrix(sys, 31, 6, obs, [0, 4, 9])
         for r in range(6):
             sample = sys.run_sample(31, r)
-            expected = [float(ps.suspension_indicator(sample, ev, t)) for t in (0, 4, 9)]
+            expected = [float(ref_indicator(sample, ev, t)) for t in (0, 4, 9)]
             assert list(mat[r]) == expected
+
+    #: (ground, terms, times): negative times as the dual sums read them,
+    #: and a weighted ground with means above the split threshold
+    POISSON_SERIES = {
+        "negative-times": (
+            ps.integer_translation(2),
+            [
+                (1.0, ps.PoissonEvent.count([0, 1], 1)),
+                (-0.5, ps.PoissonEvent.of([([3], 0), ([0, 5], 2)])),
+            ],
+            -np.arange(40),
+        ),
+        "large-means": (
+            ps.weighted_points({0: 51, 1: 120, 2: 300, 3: F(1, 2)}),
+            [
+                (1.0, ps.PoissonEvent.count([0], 51)),
+                (2.0, ps.PoissonEvent.of([([1, 3], 64), ([0], 51)])),
+                (-1.0, ps.PoissonEvent.of([([0, 3], 50), ([2], 64)])),
+                (0.25, ps.PoissonEvent(())),
+            ],
+            np.array([0, -3, 5]),
+        ),
+    }
+
+    @pytest.mark.parametrize("name", POISSON_SERIES)
+    def test_poisson_value_series_matches_reference(self, name):
+        gs, terms, times = self.POISSON_SERIES[name]
+        sys = av.PoissonSystem(gs)
+        obs = av.Observable.combine(terms)
+        seen = set()
+        for r in range(200):
+            sample = sys.run_sample(19, r)
+            expected = np.zeros(len(times))
+            for c, ev in terms:
+                expected += c * np.array([ref_indicator(sample, ev, int(t)) for t in times])
+            series = sys.value_series(sample, obs, times)
+            assert list(series) == list(expected)
+            seen.update(series)
+        # some event hits in some run
+        assert len(seen) > 1

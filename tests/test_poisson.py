@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from ergolab import poisson as ps
 from ergolab.errors import CertifiedFailure
-from ergolab.seeding import GRID_BLOCK, uniform01
+from ergolab.seeding import GRID_BLOCK, TAG_POISSON, spawn, uniform01, zigzag
 
 F = Fraction
 
@@ -200,18 +200,63 @@ class TestMixingGap:
             assert ps.mixing_gap(gs, b, c).ok
 
 
+# ---------------------------------------------------------------------------
+# Scalar reference sampler: one keyed uniform per point, inverted by
+# summation; a mean above the split threshold sums one keyed sub-draw per
+# equal sub-mean
+
+
+def _ref_inverse(u, mean):
+    """Smallest k with u < CDF(k) for Poisson(mean); inversion by summation."""
+    if mean == 0.0:
+        return 0
+    pmf = math.exp(-mean)
+    cdf = pmf
+    k = 0
+    while u >= cdf and k < 4 * ps.COUNT_CAP:
+        k += 1
+        pmf *= mean / k
+        cdf += pmf
+    return k
+
+
+def run_sample(gs, master_seed, run):
+    return ps.PointSample(gs, spawn(master_seed, run))
+
+
+def ref_count(sample, p):
+    """The count of ``sample`` at point p, one scalar draw at a time."""
+    mean = float(sample.gs.weight(p))
+    if mean <= ps._SPLIT_MEAN:
+        return _ref_inverse(uniform01(sample.seed, TAG_POISSON, zigzag(p)), mean)
+    chunks = math.ceil(mean / ps._SPLIT_MEAN)
+    sub = mean / chunks
+    return sum(
+        _ref_inverse(uniform01(sample.seed, TAG_POISSON, zigzag(p), j), sub)
+        for j in range(chunks)
+    )
+
+
+def ref_indicator(sample, event, n):
+    """Indicator of the n-fold suspension image of ``sample`` lying in the
+    event: the constraint regions pulled back, their counts read one by one."""
+    pulled = event.pulled_back(sample.gs, n)
+    return int(
+        all(sum(ref_count(sample, p) for p in region) == k for region, k in pulled.constraints)
+    )
+
+
 class TestSampling:
     def test_rereads_stable_and_seeded(self):
         sample = ps.PointSample(unit_line(), 7)
-        assert sample.count(3) == sample.count(3)
-        again = ps.PointSample(unit_line(), 7)
-        assert [sample.count(p) for p in range(-20, 20)] == [
-            again.count(p) for p in range(-20, 20)
-        ]
+        points = range(-20, 20)
+        counts = sample.counts(points)
+        assert np.array_equal(counts, sample.counts(points))
+        assert np.array_equal(counts, ps.PointSample(unit_line(), 7).counts(points))
+        assert list(counts[0]) == [ref_count(sample, p) for p in points]
 
     def test_count_moments(self):
-        sample = ps.PointSample(unit_line(), 123)
-        counts = np.array([sample.count(p) for p in range(100_000)])
+        counts = ps.PointSample(unit_line(), 123).counts(range(100_000))[0]
         # Poisson(1): mean 1, var 1; 5 sigma on 1e5 samples is ~0.016
         assert abs(counts.mean() - 1.0) < 0.016
         assert abs(counts.var() - 1.0) < 0.03
@@ -219,24 +264,30 @@ class TestSampling:
 
     def test_large_mean_split_sampling(self):
         gs = ps.weighted_points({0: 120})
-        counts = np.array(
-            [ps.PointSample.for_run(gs, 5, r).count(0) for r in range(3000)]
-        )
+        counts = ps.sample_count_grid(gs, 5, 3000, [0])[:, 0]
         assert abs(counts.mean() - 120.0) < 5 * math.sqrt(120 / 3000) * 1.2
         assert abs(counts.var() / 120.0 - 1.0) < 0.15
 
     def test_grid_matches_per_sample_counts(self):
-        gs = ps.weighted_points({p: F(1, 2) if p % 2 else F(2) for p in range(12)})
+        # means above the split threshold sum 2, 3 and 6 keyed sub-draws
+        means = [F(1, 2), F(2), F(51), F(120), F(300)]
+        gs = ps.weighted_points({p: means[p % len(means)] for p in range(12)})
         points = list(range(12))
         grid = ps.sample_count_grid(gs, 77, 50, points)
         for r in range(50):
-            sample = ps.PointSample.for_run(gs, 77, r)
-            assert list(grid[r]) == [sample.count(p) for p in points]
+            sample = run_sample(gs, 77, r)
+            assert list(grid[r]) == [ref_count(sample, p) for p in points]
+            assert np.array_equal(grid[r : r + 1], sample.counts(points))
 
     @pytest.mark.parametrize(
         "weight",
-        [lambda p: F(3, 2), lambda p: F(1, 2) if p % 2 else F(2)],
-        ids=["one-mean", "two-mean"],
+        [
+            lambda p: F(3, 2),
+            lambda p: F(1, 2) if p % 2 else F(2),
+            # a mean of 3000 sums 60 sub-draws, so its split spans row blocks too
+            lambda p: [F(51), F(1, 2), F(120), F(300), F(3000)][p % 5],
+        ],
+        ids=["one-mean", "two-mean", "large-means"],
     )
     def test_uncapped_grid_matches_per_sample_counts_across_row_blocks(self, weight):
         points = list(range(-5, 7))
@@ -245,31 +296,38 @@ class TestSampling:
         block_rows = GRID_BLOCK // len(points)
         grid = ps.sample_count_grid(gs, 77, block_rows + 1, points)
         for r in [*range(0, block_rows, 97), block_rows - 1, block_rows]:
-            sample = ps.PointSample.for_run(gs, 77, r)
-            assert list(grid[r]) == [sample.count(p) for p in points]
+            sample = run_sample(gs, 77, r)
+            assert list(grid[r]) == [ref_count(sample, p) for p in points]
 
     @pytest.mark.parametrize("cap", [1, 2, 3, 65])
     def test_capped_grid_clips_full_grid(self, cap):
         # several distinct means, one just under the split threshold, whose
-        # counts pass 65 in some runs
-        means = [F(1, 2), F(1), F(7, 3), F(0), F(99, 2), F(12)]
+        # counts pass 65 in some runs, and three above it
+        means = [F(1, 2), F(1), F(7, 3), F(0), F(99, 2), F(12), F(51), F(120), F(300)]
         gs = ps.weighted_points({p: means[p % len(means)] for p in range(-9, 9)})
         points = list(range(-9, 9))
         full = ps.sample_count_grid(gs, 41, 400, points)
         capped = ps.sample_count_grid(gs, 41, 400, points, cap=cap)
         assert capped.dtype == full.dtype
         assert np.array_equal(capped, np.minimum(full, cap))
+        for r in (0, 399):
+            sample = run_sample(gs, 41, r)
+            assert list(capped[r]) == [min(ref_count(sample, p), cap) for p in points]
         if cap == 65:
-            assert full.max() > 65
+            assert full[:, means.index(F(99, 2)) :: len(means)].max() > 65
+
+    def test_uncapped_count_that_overflows_is_refused(self):
+        gs = ps.weighted_points({0: 40_000})
+        with pytest.raises(ValueError, match="overflows int16"):
+            ps.sample_count_grid(gs, 1, 2, [0])
+        assert (ps.sample_count_grid(gs, 1, 2, [0], cap=65) == 65).all()
 
     def test_empirical_event_frequency_vs_exact(self):
         gs = unit_line()
         ev = ps.PoissonEvent.count([0], 0)
         p = ps.event_probability(gs, ev)
         n_runs = 10_000
-        hits = sum(
-            ps.PointSample.for_run(gs, 31, r).satisfies(ev) for r in range(n_runs)
-        )
+        hits = ps.indicator_grid(gs, 31, n_runs, ev, [0]).sum()
         sigma = math.sqrt(p * (1 - p) / n_runs)
         assert abs(hits / n_runs - p) < 4 * sigma
 
@@ -279,23 +337,23 @@ class TestSuspension:
         gs = unit_line()
         sample = ps.PointSample(gs, 3)
         ev = ps.PoissonEvent.count([0, 1], 1)
-        assert ps.suspension_indicator(sample, ev, 0) == int(sample.satisfies(ev))
+        assert sample.indicators(ev, [0])[0] == int(sample.counts([0, 1]).sum() == 1)
 
     def test_translation_pull_back(self):
         gs = unit_line()
         sample = ps.PointSample(gs, 9)
         ev = ps.PoissonEvent.count([0], 0)
         for n in (-3, 1, 5):
-            direct = int(sample.count(-n) == 0)
-            assert ps.suspension_indicator(sample, ev, n) == direct
+            direct = int(sample.counts([-n])[0, 0] == 0)
+            assert sample.indicators(ev, [n])[0] == direct == ref_indicator(sample, ev, n)
 
     def test_pull_back_composes(self):
         gs = unit_line()
         sample = ps.PointSample(gs, 11)
         ev = ps.PoissonEvent.of([([0, 2], 1), ([5], 0)])
         for n, m in [(2, 3), (-1, 4), (0, 7)]:
-            one = ps.suspension_indicator(sample, ev, n + m)
-            stepped = ps.suspension_indicator(sample, ev.pulled_back(gs, n), m)
+            one = sample.indicators(ev, [n + m])
+            stepped = sample.indicators(ev.pulled_back(gs, n), [m])
             assert one == stepped
 
     def test_indicator_grid_matches_scalar(self):
@@ -304,9 +362,10 @@ class TestSuspension:
         times = [0, 3, 7, 12]
         grid = ps.indicator_grid(gs, 13, 40, ev, times)
         for r in range(40):
-            sample = ps.PointSample.for_run(gs, 13, r)
+            sample = run_sample(gs, 13, r)
             for j, t in enumerate(times):
-                assert grid[r, j] == ps.suspension_indicator(sample, ev, t)
+                assert grid[r, j] == ref_indicator(sample, ev, t)
+            assert np.array_equal(grid[r], sample.indicators(ev, times))
 
     @pytest.mark.parametrize("ground", ["translation", "weighted"])
     @pytest.mark.parametrize(
@@ -327,10 +386,7 @@ class TestSuspension:
         times = [0, 1, 4, 9]
         grid = ps.indicator_grid(gs, 23, 300, ev, times)
         expected = [
-            [
-                ps.suspension_indicator(ps.PointSample.for_run(gs, 23, r), ev, t)
-                for t in times
-            ]
+            [ref_indicator(run_sample(gs, 23, r), ev, t) for t in times]
             for r in range(300)
         ]
         assert np.array_equal(grid, np.array(expected, dtype=np.float64))
@@ -346,11 +402,20 @@ class TestSuspension:
         sigma = math.sqrt(p * (1 - p) / 10_000)
         assert abs(grid.mean() - p) < 4 * sigma
 
+    def test_point_outside_the_ground_is_refused_whatever_the_counts(self):
+        # the count at 0 is never 5, but point 1 is still read
+        gs = ps.weighted_points({0: 1})
+        ev = ps.PoissonEvent.of([([0], 5), ([1], 0)])
+        with pytest.raises(ValueError, match="point 1 has no assigned weight"):
+            ps.PointSample(gs, 3).indicators(ev, [0])
+        with pytest.raises(ValueError, match="point 5 outside cycle of length 3"):
+            ps.PointSample(ps.finite_cycle(3), 3).indicators(ps.PoissonEvent.count([5], 0), [0])
+
 
 def _scalar_indicators(gs, seed, n_runs, ev, times):
     return np.array(
         [
-            [ps.suspension_indicator(ps.PointSample.for_run(gs, seed, r), ev, t) for t in times]
+            [ref_indicator(run_sample(gs, seed, r), ev, t) for t in times]
             for r in range(n_runs)
         ],
         dtype=np.float64,
@@ -358,7 +423,7 @@ def _scalar_indicators(gs, seed, n_runs, ev, times):
 
 
 class TestIndicatorGridEdges:
-    """``indicator_grid`` cell by cell against ``suspension_indicator`` where
+    """``indicator_grid`` cell by cell against ``ref_indicator`` where
     its column map and its deduplication of pulled-back events matter."""
 
     CASES = {
@@ -376,6 +441,11 @@ class TestIndicatorGridEdges:
             ps.integer_translation(),
             ps.PoissonEvent.count([0, 1, 4], 1),
             [5, 0, 5, 3, -2, 0, 3],
+        ),
+        "large_means": (
+            ps.weighted_points({0: 51, 1: F(1, 2)}),
+            ps.PoissonEvent.of([([0], 51), ([1], 0)]),
+            [0, 3],
         ),
         "empty_region_k0": (ps.integer_translation(), ps.PoissonEvent.count([], 0), [0, 4, 4]),
         "empty_region_k1": (ps.integer_translation(), ps.PoissonEvent.count([], 1), [2, 0]),
@@ -398,7 +468,7 @@ class TestIndicatorGridEdges:
             assert not grid.any()
         else:
             assert 0 < grid.sum() < grid.size
-        if name == "identity_one_event":
+        if name in ("identity_one_event", "large_means"):
             assert (grid == grid[:, :1]).all()
 
     def test_no_times(self):

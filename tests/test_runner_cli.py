@@ -200,6 +200,26 @@ REJECTED = {
         config_on(ZD, {"name": "box_ratio_average", "f": [{"pattern": {"0,0,0": 1}}]}),
         "site '0,0,0' needs 2 coordinates",
     ),
+    # a negative weight sampled N = 0 in every run; an event read only part
+    # of its points, and a cycle's pull-back wrapped a point outside it
+    "negative-weight": (
+        config_on({"type": "poisson", "ground": "weighted", "weights": {"0": "-1"}}, {"name": "dual_series"}),
+        "invalid config: system poisson/weighted: point 0 has negative weight -1",
+    ),
+    "event-point-without-weight": (
+        config_on(
+            {"type": "poisson", "ground": "weighted", "weights": {"0": "1"}},
+            {"name": "dual_series", "f": [{"constraints": [[[0], 5], [[1], 0]]}]},
+        ),
+        "invalid input: point 1 has no assigned weight",
+    ),
+    "region-outside-cycle": (
+        config_on(
+            {"type": "poisson", "ground": "cycle", "length": 3},
+            {"name": "variance_decay", "region": [5], "blocks": [2]},
+        ),
+        "invalid input: point 5 outside cycle of length 3",
+    ),
 }
 
 EVENT_F = [{"constraints": [[[0], 1]]}]
@@ -514,6 +534,27 @@ class TestCli:
         cfg_path = tmp_path / "c.json"
         cfg_path.write_text(json.dumps(cfg))
         assert cli.main(["--config", str(cfg_path)]) == 3
+
+    @pytest.mark.parametrize(
+        "operation",
+        [
+            {"name": "dual_series", "horizon": 16},
+            {"name": "maximal_inequality", "t": "1/2", "runs": 200, "horizon": 8},
+        ],
+        ids=lambda op: op["name"],
+    )
+    def test_large_mean_ground_runs(self, tmp_path, capsys, operation):
+        # a mean above the split threshold is drawn by additivity in every
+        # operation; N = 60 has probability about 0.05
+        system = {"type": "poisson", "ground": "weighted", "weights": {"0": "60"}}
+        cfg = config_on(system, dict(operation, f=[{"constraints": [[[0], 60]]}]))
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli.main(["--config", str(cfg_path)]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert all(math.isfinite(x) for x in _floats(results))
+        if operation["name"] == "maximal_inequality":
+            assert 0 < results["empirical_tail"] <= results["bound"] + 3 * results["mc_sigma"]
 
     def test_unknown_experiment_exit_2(self):
         assert cli.main(["--experiment", "not-a-thing"]) == 2

@@ -39,7 +39,7 @@ class TestAlphabetAndCylinder:
     def test_empty_cylinder(self):
         empty = Cylinder.empty()
         assert empty.is_empty and list(empty.coords()) == []
-        assert empty.matches(coin_config())
+        assert empty.matches_word(-3, tuple(coin_config().block(-3, 3)))
 
 
 class TestShift:
