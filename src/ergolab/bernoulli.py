@@ -9,8 +9,9 @@ with different exactness guarantees:
                         measure and is normalised to it by ``periodic_family``.
 * ``PeriodicFamily`` -- sites repeat with a finite period and are not all
                         equal, so the shifted measure is singular (Kakutani).
-* ``SummableFamily`` -- rule-given sites whose log-deviations from the base
-                        are dominated by a summable majorant.
+* ``SummableFamily`` -- two-symbol sites (1/2 + c r^|k|, 1/2 - c r^|k|),
+                        whose log-deviations from the fair coin are
+                        summable (Kakutani, Ann. of Math. 1948).
 
 Only the compact shape admits certified equivalence of the shifted measure
 with the original one; the cocycle and conservativity operations refuse
@@ -57,9 +58,9 @@ LOG_SLACK = 1e-9
 
 _SUM_TOL = Fraction(1, 10**12)
 
-#: summable sites whose float data is kept; a far site's exact probabilities
-#: are thousands of bits long, so the measures themselves are never kept
-_SITE_CACHE = 4096
+#: summable site records kept; a far site's exact probabilities are
+#: thousands of bits long, so the measures themselves are never kept
+_SUMMABLE_CACHE = 4096
 
 
 def _as_fraction(v) -> Fraction:
@@ -116,12 +117,8 @@ class SiteMeasure:
         # math.log of a Fraction is math.log of its correctly rounded float,
         # so each table entry equals math.log(p) of the exact probability
         probs = [float(p) for p in self.probs]
-        return SiteFloats(tuple(math.log(p) for p in probs), LazyTail.cdf(probs))
-
-    @cached_property
-    def levels(self) -> tuple[int, ...]:
-        """The sampling thresholds (``seeding.thresholds``), as ints."""
-        return tuple(thresholds(self.floats.cdf).tolist())
+        levels = thresholds(np.cumsum(probs)).tolist()
+        return SiteFloats(tuple(math.log(p) for p in probs), tuple(levels))
 
     def log_probs(self) -> np.ndarray:
         return np.array(self.floats.logs, dtype=np.float64)
@@ -129,10 +126,11 @@ class SiteMeasure:
 
 class SiteFloats(NamedTuple):
     """The float data of a site that the cocycles and the sampler read: the
-    log of each probability and the sampling CDF."""
+    log of each probability and the sampling thresholds
+    (``seeding.thresholds``), as ints."""
 
     logs: tuple[float, ...]
-    cdf: np.ndarray
+    levels: tuple[int, ...]
 
 
 class LogValue(NamedTuple):
@@ -183,10 +181,6 @@ class BernoulliFamily:
     def require_nonsingular(self) -> None:
         raise NotImplementedError
 
-    def reindexed(self, s: int) -> "BernoulliFamily":
-        """Family with site k equal to our site k - s."""
-        raise NotImplementedError
-
     def configuration(
         self, seed: int, pinned: Mapping[int, int] | None = None
     ) -> Configuration:
@@ -226,12 +220,14 @@ class CompactFamily(BernoulliFamily):
     def require_nonsingular(self) -> None:
         pass
 
-    def reindexed(self, s: int) -> "CompactFamily":
-        return CompactFamily(self.base, {k + s: m for k, m in self.window.items()})
+    def effective_window(self, tol: float) -> tuple[dict[int, SiteFloats], float]:
+        """The perturbed sites' float records; nothing is truncated."""
+        return {k: m.floats for k, m in self.window.items()}, 0.0
 
     @cached_property
     def levels_at(self) -> LevelsAt:
-        return window_levels(self.base.levels, {k: m.levels for k, m in self.window.items()})
+        levels = {k: m.floats.levels for k, m in self.window.items()}
+        return window_levels(self.base.floats.levels, levels)
 
 
 class PeriodicFamily(BernoulliFamily):
@@ -261,13 +257,9 @@ class PeriodicFamily(BernoulliFamily):
             "periodic family with unequal sites has a divergent Kakutani sum"
         )
 
-    def reindexed(self, s: int) -> "PeriodicFamily":
-        p = self.period
-        return PeriodicFamily(tuple(self.sites[(r - s) % p] for r in range(p)))
-
     @cached_property
     def levels_at(self) -> LevelsAt:
-        return periodic_levels([m.levels for m in self.sites])
+        return periodic_levels([m.floats.levels for m in self.sites])
 
 
 def periodic_family(sites) -> BernoulliFamily:
@@ -282,64 +274,44 @@ def periodic_family(sites) -> BernoulliFamily:
 
 
 class SummableFamily(BernoulliFamily):
-    """Rule-given sites with summably small log-deviations from the base.
+    """Two-symbol family with site k = (1/2 + c r^|k|, 1/2 - c r^|k|), for
+    exact 0 < c < 1/4 and 0 < r < 1, around the fair coin ``base``.
 
-    ``majorant(k)`` must dominate max_j |log(site(k)(j} / base(j))|,
-    ``tail(h)`` must dominate the sum of the majorant over |k| > h, and
-    ``sup`` must dominate the majorant everywhere.  The domination is
-    spot-checked at construction.
-
-    ``rule`` must be pure: the float data of its sites (log tables and
-    sampling CDFs) is cached per (rule, k) in a bounded cache.
+    ``majorant(k)`` dominates max_j |log(site(k)_j / base_j)|, ``tail(h)``
+    dominates the sum of the majorant over |k| > h, and ``sup`` dominates
+    the majorant everywhere: |log(1 +- 2e)| <= 4e for e = c r^|k| < 1/4.
     """
 
-    def __init__(
-        self,
-        base: SiteMeasure,
-        rule: Callable[[int], SiteMeasure],
-        majorant: Callable[[int], float],
-        tail: Callable[[int], float],
-        sup: float,
-        check_range: int = 40,
-    ) -> None:
-        self.base = base
-        self.alphabet = Alphabet(base.n_symbols)
-        self.rule = rule
-        self.majorant = majorant
-        self.tail = tail
-        self.sup = float(sup)
-        for k in range(-check_range, check_range + 1):
-            dev = max(
-                abs(math.log(p / q)) for p, q in zip(self.rule(k).probs, base.probs)
-            )
-            if dev > self.majorant(k) + 1e-12:
-                raise ValueError(f"majorant violated at k={k}: {dev} > {self.majorant(k)}")
+    base = SiteMeasure.of([Fraction(1, 2), Fraction(1, 2)])
+    alphabet = Alphabet(2)
+
+    def __init__(self, c: Fraction, r: Fraction) -> None:
+        if not (0 < c < Fraction(1, 4) and 0 < r < 1):
+            raise ValueError("need 0 < c < 1/4 and 0 < r < 1")
+        self.cr = (c.numerator, c.denominator, r.numerator, r.denominator)
+        self.sup = 4.0 * float(c)
+        self._rf = float(r)
 
     def site(self, k: int) -> SiteMeasure:
-        return self.rule(k)
+        return _summable_site(self.cr, abs(k))
 
     def site_floats(self, k: int) -> SiteFloats:
-        return _rule_floats(self.rule, k)
+        return _summable_floats(self.cr, abs(k))
+
+    def majorant(self, k: int) -> float:
+        return self.sup * self._rf ** abs(k)
+
+    def tail(self, h: int) -> float:
+        return 2.0 * self.sup * self._rf ** (h + 1) / (1.0 - self._rf)
 
     def require_nonsingular(self) -> None:
-        if not math.isfinite(self.tail(0)):
-            raise NonSingularError("summable family lacks a finite tail bound")
-
-    def reindexed(self, s: int) -> "SummableFamily":
-        return SummableFamily(
-            self.base,
-            lambda k: self.rule(k - s),
-            lambda k: self.majorant(k - s),
-            lambda h: self.tail(max(h - abs(s), 0)),
-            self.sup,
-            check_range=10,
-        )
+        pass
 
     @cached_property
     def levels_at(self) -> LevelsAt:
-        return rule_levels(lambda k: self.site_floats(k).cdf)
+        return rule_levels(lambda k: self.site_floats(k).levels)
 
-    def effective_window(self, tol: float) -> tuple[dict[int, SiteMeasure], float]:
+    def effective_window(self, tol: float) -> tuple[dict[int, SiteFloats], float]:
         """Sites with majorant above a cutoff; the per-factor truncation error
         of treating everything else as the base is at most the returned bound.
         """
@@ -348,36 +320,26 @@ class SummableFamily(BernoulliFamily):
             h *= 2
             if h > RANGE_CAP:
                 raise ToleranceError(f"tolerance {tol} unachievable within cap")
-        sites = ((k, self.rule(k)) for k in range(-h, h + 1))
-        window = {k: m for k, m in sites if m.probs != self.base.probs}
-        return window, 2.0 * self.tail(h)
+        return {k: self.site_floats(k) for k in range(-h, h + 1)}, 2.0 * self.tail(h)
 
 
-@lru_cache(maxsize=_SITE_CACHE)
-def _rule_floats(rule: Callable[[int], SiteMeasure], k: int) -> SiteFloats:
-    return rule(k).floats
+def _summable_site(cr: tuple[int, int, int, int], k: int) -> SiteMeasure:
+    """Site k >= 0 of the summable family with c = cr[0]/cr[1], r = cr[2]/cr[3]."""
+    a, b, p, q = cr
+    eps = Fraction(a * p**k, b * q**k)
+    return SiteMeasure((Fraction(1, 2) + eps, Fraction(1, 2) - eps))
 
 
-def summable_two_symbol(
-    c: Fraction = Fraction(1, 10), r: Fraction = Fraction(1, 2)
-) -> SummableFamily:
-    """Two-symbol summable family with site k = (1/2 + c r^|k|, 1/2 - c r^|k|)."""
-    if not (0 < c < Fraction(1, 4) and 0 < r < 1):
-        raise ValueError("need 0 < c < 1/4 and 0 < r < 1")
-    base = SiteMeasure.of([Fraction(1, 2), Fraction(1, 2)])
-    cf, rf = float(c), float(r)
-
-    def rule(k: int) -> SiteMeasure:
-        eps = c * r ** abs(k)
-        return SiteMeasure((Fraction(1, 2) + eps, Fraction(1, 2) - eps))
-
-    return SummableFamily(
-        base,
-        rule,
-        majorant=lambda k: 4.0 * cf * rf ** abs(k),
-        tail=lambda h: 8.0 * cf * rf ** (h + 1) / (1.0 - rf),
-        sup=4.0 * cf,
-    )
+@lru_cache(maxsize=_SUMMABLE_CACHE)
+def _summable_floats(cr: tuple[int, int, int, int], k: int) -> SiteFloats:
+    """The float record of ``_summable_site(cr, k)``.  When e = c r^k is at
+    most 2^-55, both 1/2 + e and 1/2 - e round to 0.5 (ties to even: 2^-54
+    and 2^-55 are half an ulp above and below 1/2), so the record is the
+    fair coin's and the site is never built."""
+    a, b, p, q = cr
+    if (a * p**k) << 55 <= b * q**k:
+        return SummableFamily.base.floats
+    return _summable_site(cr, k).floats
 
 
 def measure(family: BernoulliFamily, cyl: Cylinder) -> Fraction:
@@ -513,11 +475,7 @@ def _log_weights(
     ``rn_log_weights`` and ``rn_log_weight_grid``."""
     family.require_nonsingular()
     ns = np.asarray(ns, dtype=np.int64)
-    if isinstance(family, CompactFamily):
-        window, err = family.window, 0.0
-    else:
-        assert isinstance(family, SummableFamily)
-        window, err = family.effective_window(tol)
+    window, err = family.effective_window(tol)
     out = np.zeros(lead + (len(ns),))
     if not window:
         return out, err
@@ -526,7 +484,7 @@ def _log_weights(
     block = read(lo, hi)
     base_logs = family.base.log_probs()
     # entry s of a site's table is its log ratio at symbol s
-    tables = [np.concatenate(([0.0], m.log_probs() - base_logs)) for m in window.values()]
+    tables = [np.concatenate(([0.0], np.array(m.logs) - base_logs)) for m in window.values()]
     heres = [table[block[..., i - lo, None]] for i, table in zip(window, tables)]
     for cols, take in column_chunks(block, ns):
         chunk = out[..., cols]

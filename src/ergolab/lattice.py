@@ -95,7 +95,7 @@ class LatticeCompact(LatticeFamily):
         return self.window.get(_as_vec(g), self.base)
 
     def box_symbols(self, states: np.ndarray, axes: list[np.ndarray]) -> np.ndarray:
-        base = np.array(self.base.levels, dtype=np.uint64)[:, None]
+        base = np.array(self.base.floats.levels, dtype=np.uint64)[:, None]
         out = keyed_symbols(states, int(axes[-1][0]), len(axes[-1]), lambda a, b: base)
         for g, m in self.window.items():
             idx = [v - int(a[0]) for v, a in zip(g, axes)]
@@ -103,7 +103,7 @@ class LatticeCompact(LatticeFamily):
                 row = 0
                 for i, a in zip(idx[:-1], axes):
                     row = row * len(a) + i
-                site = np.array(m.levels, dtype=np.uint64)[:, None]
+                site = np.array(m.floats.levels, dtype=np.uint64)[:, None]
                 drawn = keyed_symbols(states[row : row + 1], g[-1], 1, lambda a, b: site)
                 out[row, idx[-1]] = drawn[0, 0]
         return out
@@ -155,7 +155,7 @@ class LatticePeriodic(LatticeFamily):
         other coordinates, in row-major order."""
         p = self.period[-1]
         return [
-            periodic_levels([self._sites[r + (j,)].levels for j in range(p)])
+            periodic_levels([self._sites[r + (j,)].floats.levels for j in range(p)])
             for r in _box_residues(self.period[:-1])
         ]
 
@@ -206,7 +206,7 @@ class LatticeConfiguration:
     def symbol(self, g) -> int:
         vec = tuple(v + o for v, o in zip(_as_vec(g), self.offset))
         key = combine(self.seed, TAG_LATTICE, *(zigzag(v) for v in vec))
-        return 1 + bisect_right(self.family.site(vec).levels, key >> 11)
+        return 1 + bisect_right(self.family.site(vec).floats.levels, key >> 11)
 
     def box(self, radius: int, margins=None) -> np.ndarray:
         """Symbols on the product of ranges [-radius - m_i, radius + m_i].
@@ -279,9 +279,7 @@ def kakutani_sum_generator(
     return KakutaniResult(value, DIVERGENT, None)
 
 
-def rn_derivative_g(
-    family: LatticeFamily, x: LatticeConfiguration, g, tol: float = 1e-12
-) -> LogValue:
+def rn_derivative_g(family: LatticeFamily, x: LatticeConfiguration, g) -> LogValue:
     """log of the density of the g-translated measure at x: the exact finite
     product over perturbed sites i of mu_i(x_{i-g}) / mu_i(x_i) paired against
     the base."""

@@ -318,7 +318,7 @@ class RatioConstant(NamedTuple):
     min_entry: Fraction
 
 
-def transition_ratio_constant(family: MarkovFamily, horizon: int | None = None) -> RatioConstant:
+def transition_ratio_constant(family: MarkovFamily) -> RatioConstant:
     """L = sup over rows of (largest / smallest positive entry), exact for
     the compactly perturbed family; also reports the floor L^-|S| and whether
     every positive entry clears it (it need not when L is small)."""

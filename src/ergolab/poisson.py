@@ -135,11 +135,11 @@ class PoissonEvent:
     def pulled_back(self, gs: GroundSpace, n: int) -> "PoissonEvent":
         """Event whose truth at nu equals our truth at the n-fold suspension
         image of nu: regions are replaced by their n-fold preimages."""
-        return PoissonEvent.of(
-            [
+        return PoissonEvent(
+            tuple(
                 (frozenset(gs.jump(p, -n) for p in region), k)
                 for region, k in self.constraints
-            ]
+            )
         )
 
 

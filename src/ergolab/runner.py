@@ -207,10 +207,7 @@ _SYSTEMS: dict[str, tuple[str | None, str | None, dict]] = {
         "iid": (_BASE, partial(bn.CompactFamily, window={})),
         "compact": ({**_BASE, "window": (_map_of(_site_measure, parse_int), {})}, bn.CompactFamily),
         "periodic": ({"sites": (_list_of(_site_measure), ...)}, bn.periodic_family),
-        "summable": (
-            {"c": (parse_number, "1/10"), "r": (parse_number, "1/2")},
-            bn.summable_two_symbol,
-        ),
+        "summable": ({"c": (parse_number, "1/10"), "r": (parse_number, "1/2")}, bn.SummableFamily),
     }),
     "markov": (None, None, {None: (
         {

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -30,9 +29,6 @@ from .seeding import (
 
 #: Longest coordinate range a single operation will materialize.
 RANGE_CAP = 1 << 24
-
-#: single-coordinate threshold columns a rule-given tail keeps
-_RULE_CACHE = 4096
 
 
 class RangeCapError(ValueError):
@@ -130,15 +126,10 @@ class LazyTail:
         self.seed = seed
         self.levels_at = levels_at
 
-    @staticmethod
-    def cdf(probs) -> np.ndarray:
-        c = np.cumsum(np.asarray([float(p) for p in probs], dtype=np.float64))
-        c[-1] = 1.0
-        return c
-
     @classmethod
     def constant(cls, seed: int, probs) -> "LazyTail":
-        return cls(seed, window_levels(thresholds(cls.cdf(probs)), {}))
+        # thresholds drop the CDF's last entry, so it need not be set to 1.0
+        return cls(seed, window_levels(thresholds(np.cumsum([float(p) for p in probs])), {}))
 
     def symbol(self, i: int) -> int:
         # u * 2^53 is the key's top 53 bits, exactly
@@ -189,17 +180,13 @@ def periodic_levels(rows: Sequence[Sequence[int]]) -> LevelsAt:
     return lambda a, b: tiled[:, a % p : a % p + b]
 
 
-def rule_levels(cdf_at: Callable[[int], np.ndarray]) -> LevelsAt:
+def rule_levels(levels_of: Callable[[int], Sequence[int]]) -> LevelsAt:
     """``levels_at`` of rule-given sites: coordinate k draws against the
-    thresholds of ``cdf_at(k)``, taken for a whole block at once; the
-    columns of single coordinates, which scalar reads ask for, are cached."""
-    column = lru_cache(maxsize=_RULE_CACHE)(lambda k: thresholds(cdf_at(k))[:, None])
+    thresholds ``levels_of(k)``, which the rule's owner caches."""
 
     def levels_at(a: int, b: int) -> np.ndarray:
-        if b == 1:
-            return column(a)
-        cdfs = np.array([cdf_at(k) for k in range(a, a + b)])
-        return np.ascontiguousarray(thresholds(cdfs).T)
+        table = np.array([levels_of(k) for k in range(a, a + b)], dtype=np.uint64)
+        return np.ascontiguousarray(table.T)
 
     return levels_at
 

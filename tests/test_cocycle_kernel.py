@@ -1,11 +1,11 @@
 """The one cocycle kernel against the per-term, per-run code it replaced.
 
 The references below keep the earlier implementations: a ``math.log`` of an
-exact ``Fraction`` per cocycle term, one scalar symbol read per coordinate,
-one CDF built per rule-given coordinate, and one Python loop iteration per
-Monte Carlo run.  Every comparison is exact (``==`` on floats), because the
-cached per-site tables and the batched runs must reproduce the reports bit
-for bit.
+exact ``Fraction`` per cocycle term, one scalar symbol read per coordinate
+against a float CDF, one exact site built per summable coordinate, and one
+Python loop iteration per Monte Carlo run.  Every comparison is exact
+(``==`` on floats), because the cached per-site records and the batched runs
+must reproduce the reports bit for bit.
 """
 
 import math
@@ -63,8 +63,8 @@ FAMILIES = {
     "compact": compact_family,
     "three-symbol": three_symbol_family,
     "iid": lambda: bn.CompactFamily(TILTED, {}),
-    "summable-r1/2": lambda: bn.summable_two_symbol(F(1, 10), F(1, 2)),
-    "summable-r9/10": lambda: bn.summable_two_symbol(F(1, 10), F(9, 10)),
+    "summable-r1/2": lambda: bn.SummableFamily(F(1, 10), F(1, 2)),
+    "summable-r9/10": lambda: bn.SummableFamily(F(1, 10), F(9, 10)),
 }
 each_family = pytest.mark.parametrize("name", list(FAMILIES))
 
@@ -79,10 +79,18 @@ def configurations(family, seed):
 # --- the replaced code, kept as the reference ----------------------------------
 
 
+def float_cdf(probs):
+    """The float sampling CDF of a site: running sums of the probabilities'
+    floats, the last entry set to 1.0."""
+    c = np.cumsum(np.asarray([float(p) for p in probs], dtype=np.float64))
+    c[-1] = 1.0
+    return c
+
+
 def ref_symbol(tail_seed, probs_at, k):
     """One scalar draw through a CDF built from the exact probabilities."""
     u = uniform01(tail_seed, TAG_SYMBOL, zigzag(k))
-    return int(np.searchsorted(LazyTail.cdf(probs_at(k)), u, side="right")) + 1
+    return int(np.searchsorted(float_cdf(probs_at(k)), u, side="right")) + 1
 
 
 def ref_effective_window(family, tol):
@@ -90,9 +98,9 @@ def ref_effective_window(family, tol):
     while 2.0 * family.tail(h) > tol:
         h *= 2
     window = {
-        k: family.rule(k)
+        k: family.site(k)
         for k in range(-h, h + 1)
-        if family.rule(k).probs != family.base.probs
+        if family.site(k).probs != family.base.probs
     }
     return window, 2.0 * family.tail(h)
 
@@ -164,7 +172,7 @@ def ref_rn_derivative_g(family, x, g):
 def ref_lattice_symbol(x, g):
     vec = tuple(v + o for v, o in zip(g, x.offset))
     u = (combine(x.seed, TAG_LATTICE, *(zigzag(v) for v in vec)) >> 11) * 2.0**-53
-    return int(np.searchsorted(LazyTail.cdf(x.family.site(vec).probs), u, side="right")) + 1
+    return int(np.searchsorted(float_cdf(x.family.site(vec).probs), u, side="right")) + 1
 
 
 def ref_value_series(x, obs, times):
@@ -240,34 +248,75 @@ class TestSiteTables:
             probs = [F(cuts[0], den), F(cuts[1] - cuts[0], den), F(den - cuts[1], den)]
             m = bn.SiteMeasure(tuple(probs))
             assert m.floats.logs == tuple(math.log(p) for p in probs)
-            assert np.array_equal(m.floats.cdf, LazyTail.cdf(probs))
+            assert m.floats.levels == tuple(thresholds(float_cdf(probs)).tolist())
             assert m.log_ratio == math.log(float(max(probs) / min(probs)))
             assert m.log_probs().tolist() == [math.log(p) for p in probs]
 
     @pytest.mark.parametrize("r", [F(1, 2), F(9, 10)])
     def test_summable_floats_match_their_site(self, r):
-        family = bn.summable_two_symbol(F(1, 10), r)
-        for k in range(-300, 301, 7):
-            site = family.rule(k)
-            assert family.site_floats(k).logs == tuple(math.log(p) for p in site.probs)
-            assert np.array_equal(family.site_floats(k).cdf, LazyTail.cdf(site.probs))
+        family = bn.SummableFamily(F(1, 10), r)
+        for k in list(range(-300, 301, 7)) + [-400, 339, 340, 341, 5000]:
+            assert family.site_floats(k) == family.site(k).floats
+            probs = family.site(k).probs
+            assert family.site_floats(k).logs == tuple(math.log(p) for p in probs)
+            assert family.site_floats(k).levels == tuple(thresholds(float_cdf(probs)).tolist())
 
     @pytest.mark.parametrize("r", [F(1, 2), F(9, 10)])
-    def test_each_summable_site_built_once(self, r):
-        calls = []
-        family = bn.summable_two_symbol(F(1, 10), r)
-        rule = family.rule
-        family.rule = lambda k: calls.append(k) or rule(k)
+    def test_effective_window_holds_every_site_in_range(self, r):
+        family = bn.SummableFamily(F(1, 10), r)
         window, err = family.effective_window(1e-9)
-        assert sorted(calls) == sorted(set(calls))
-        assert (window, err) == ref_effective_window(bn.summable_two_symbol(F(1, 10), r), 1e-9)
-        calls.clear()
-        value = bn.kakutani_sum(family, 40)
-        assert sorted(calls) == list(range(-41, 41))
+        want, want_err = ref_effective_window(family, 1e-9)
+        assert err == want_err and list(window) == list(want)
+        assert list(window.values()) == [m.floats for m in want.values()]
+
+    #: (c, r) -> the first |k| whose float record is the fair coin's, found
+    #: by scanning float(1/2 +- c r^|k|) over the exact Fractions
+    FIRST_FAIR = {(F(1, 10), F(1, 2)): 52, (F(2, 9), F(1, 2)): 53, (F(1, 10), F(9, 10)): 340}
+
+    @pytest.mark.parametrize("c, r", list(FIRST_FAIR))
+    def test_far_sites_read_the_fair_coin_without_building(self, c, r, monkeypatch):
+        first = self.FIRST_FAIR[c, r]
+        eps = [c * r**k for k in (first - 1, first)]
+        floats = [(float(F(1, 2) + e), float(F(1, 2) - e)) for e in eps]
+        assert floats[0] != (0.5, 0.5) and floats[1] == (0.5, 0.5)
+        family = bn.SummableFamily(c, r)
+        fair = family.base.floats
+        built = []
+        site = bn._summable_site
+        monkeypatch.setattr(bn, "_summable_site", lambda cr, k: built.append(k) or site(cr, k))
+        bn._summable_floats.cache_clear()
+        for k in (first - 1, 1 - first):
+            assert family.site_floats(k) != fair
+        assert built == [first - 1]
+        for k in list(range(first, first + 40)) + [-first, 10**4, -(10**4)]:
+            assert family.site_floats(k) is fair
+        assert built == [first - 1]
+        assert list(family.configuration(3).block(first, first + 500)) == [
+            ref_symbol(3, lambda k: [F(1, 2), F(1, 2)], k) for k in range(first, first + 501)
+        ]
+        assert built == [first - 1]
+
+    @pytest.mark.parametrize("c", [F(1, 10), F(2, 9), F(24, 100)])
+    @pytest.mark.parametrize("r", [F(1, 2), F(9, 10)])
+    def test_majorant_dominates_the_log_deviations(self, c, r):
+        family = bn.SummableFamily(c, r)
+        tail = 0.0
+        for k in range(200, -1, -1):
+            dev = max(
+                abs(math.log(p / q)) for p, q in zip(family.site(k).probs, family.base.probs)
+            )
+            assert dev <= family.majorant(k) <= family.sup
+            if k < 200:
+                assert tail <= family.tail(k)
+            tail += 2 * family.majorant(k)
+
+    @pytest.mark.parametrize("r", [F(1, 2), F(9, 10)])
+    def test_kakutani_sum_over_exact_sites(self, r):
+        family = bn.SummableFamily(F(1, 10), r)
         expected = sum(
             bn.hellinger_sq(family.site(k), family.site(k - 1)) for k in range(-40, 41)
         )
-        assert value.value == expected
+        assert bn.kakutani_sum(family, 40).value == expected
 
 
 # --- scalar cocycles -----------------------------------------------------------
@@ -340,7 +389,7 @@ def _rule_probs(k):
 
 
 def _levels(probs):
-    return thresholds(LazyTail.cdf(probs))
+    return thresholds(float_cdf(probs))
 
 
 def _window_tail(seed):
@@ -357,7 +406,7 @@ def _periodic_tail(seed):
 TAILS = {
     "window": _window_tail,
     "periodic": _periodic_tail,
-    "rule": lambda seed: LazyTail(seed, rule_levels(lambda k: LazyTail.cdf(_rule_probs(k)))),
+    "rule": lambda seed: LazyTail(seed, rule_levels(lambda k: _levels(_rule_probs(k)))),
 }
 
 
@@ -373,14 +422,18 @@ class TestSymbolGrid:
             assert block.tolist() == [TAILS[kind](int(seed)).symbol(k) for k in range(-9, 13)]
 
     def test_rule_block_matches_one_cdf_per_coordinate(self):
-        family = bn.summable_two_symbol(F(1, 10), F(9, 10))
+        family = bn.SummableFamily(F(1, 10), F(9, 10))
         x = family.configuration(7)
-        expected = [ref_symbol(7, lambda k: family.rule(k).probs, k) for k in range(-60, 61)]
+        expected = [ref_symbol(7, lambda k: family.site(k).probs, k) for k in range(-60, 61)]
         assert x.block(-60, 60).tolist() == expected
 
     @pytest.mark.parametrize(
         "family",
-        [compact_family(), bn.PeriodicFamily([TILTED, TWO_FIFTHS]), bn.summable_two_symbol()],
+        [
+            compact_family(),
+            bn.PeriodicFamily([TILTED, TWO_FIFTHS]),
+            bn.SummableFamily(F(1, 10), F(1, 2)),
+        ],
         ids=["compact", "periodic", "summable"],
     )
     def test_run_grid_rows_are_run_blocks(self, family):
@@ -406,7 +459,7 @@ BATCHED = {
     "compact": lambda: av.BernoulliSystem(compact_family()),
     "iid": lambda: av.BernoulliSystem(bn.CompactFamily(HALF, {})),
     "periodic": lambda: av.BernoulliSystem(bn.PeriodicFamily([TILTED, TWO_FIFTHS])),
-    "summable": lambda: av.BernoulliSystem(bn.summable_two_symbol(F(1, 10), F(1, 2))),
+    "summable": lambda: av.BernoulliSystem(bn.SummableFamily(F(1, 10), F(1, 2))),
 }
 
 
@@ -478,7 +531,7 @@ class TestBatchedRuns:
 def test_summable_conservativity_keeps_no_exact_sites():
     """Far summable sites carry Fractions thousands of bits long; only their
     float data may be cached, in a bounded cache."""
-    family = bn.summable_two_symbol(F(1, 9), F(1, 2))
+    family = bn.SummableFamily(F(1, 9), F(1, 2))
     x = family.configuration(3)
     tracemalloc.start()
     try:

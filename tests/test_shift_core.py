@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_cocycle_kernel import float_cdf
 
 from ergolab.seeding import thresholds
 from ergolab.shift_core import (
@@ -95,7 +96,7 @@ class TestDeterminism:
 class TestLazyTailKinds:
     def test_window_tail(self):
         levels = window_levels(
-            thresholds(LazyTail.cdf([0.5, 0.5])), {0: thresholds(LazyTail.cdf([1.0 - 1e-12, 1e-12]))}
+            thresholds(float_cdf([0.5, 0.5])), {0: thresholds(float_cdf([1.0 - 1e-12, 1e-12]))}
         )
         tail = LazyTail(3, levels)
         assert tail.symbol(0) == 1
@@ -103,7 +104,7 @@ class TestLazyTailKinds:
 
     def test_periodic_tail(self):
         rows = [[1.0 - 1e-12, 1e-12], [1e-12, 1.0 - 1e-12]]
-        tail = LazyTail(3, periodic_levels([thresholds(LazyTail.cdf(p)) for p in rows]))
+        tail = LazyTail(3, periodic_levels([thresholds(float_cdf(p)) for p in rows]))
         block = tail.block(-6, 5)
         assert all(s == 1 for s in block[::2])  # even coordinates: -6, -4, ...
         assert all(s == 2 for s in block[1::2])
@@ -111,7 +112,7 @@ class TestLazyTailKinds:
 
     def test_rule_tail_matches_scalar(self):
         rule = lambda k: [0.25, 0.75] if k % 3 == 0 else [0.5, 0.5]
-        tail = LazyTail(9, rule_levels(lambda k: LazyTail.cdf(rule(k))))
+        tail = LazyTail(9, rule_levels(lambda k: thresholds(float_cdf(rule(k)))))
         assert list(tail.block(-7, 7)) == [tail.symbol(i) for i in range(-7, 8)]
 
 

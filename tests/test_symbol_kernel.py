@@ -19,7 +19,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from test_cocycle_kernel import ref_lattice_symbol, ref_symbol
+from test_cocycle_kernel import float_cdf, ref_lattice_symbol, ref_symbol
 
 from ergolab import lattice as lt
 from ergolab import seeding
@@ -32,7 +32,7 @@ B = GRID_BLOCK
 
 
 def levels(probs):
-    return thresholds(LazyTail.cdf(probs))
+    return thresholds(float_cdf(probs))
 
 
 WINDOW_BASE = [F(2, 5), F(3, 5)]
@@ -60,8 +60,13 @@ def rule_probs(k):
     return [F(1, 2 + k % 5), 1 - F(1, 2 + k % 5)]
 
 
+#: the rule's thresholds as int records, one per residue, as a family
+#: caches its own
+RULE_LEVELS = [tuple(levels(rule_probs(k)).tolist()) for k in range(5)]
+
+
 def rule_tail(seed):
-    return LazyTail(seed, rule_levels(lambda k: LazyTail.cdf(rule_probs(k))))
+    return LazyTail(seed, rule_levels(lambda k: RULE_LEVELS[k % 5]))
 
 
 #: kind -> (tail at a seed, exact probabilities at a coordinate)
@@ -184,7 +189,7 @@ def test_interior_cdf_entry_that_rounds_to_one():
 
 
 def test_thresholds_equal_searchsorted():
-    cdf = LazyTail.cdf([F(1, 7), F(2, 7), F(4, 7)])
+    cdf = float_cdf([F(1, 7), F(2, 7), F(4, 7)])
     levels = seeding.thresholds(cdf)
     assert levels.tolist() == [int(np.ceil(c * 2.0**53)) for c in cdf[:-1]]
     z = seeding.combine_vec(4, (1,), np.arange(50_000, dtype=np.uint64))
