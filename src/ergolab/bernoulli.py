@@ -275,7 +275,8 @@ def periodic_family(sites) -> BernoulliFamily:
 
 class SummableFamily(BernoulliFamily):
     """Two-symbol family with site k = (1/2 + c r^|k|, 1/2 - c r^|k|), for
-    exact 0 < c < 1/4 and 0 < r < 1, around the fair coin ``base``.
+    exact 0 < c < 1/4 and 0 < r < 1 (and float(r) < 1), around the fair coin
+    ``base``.
 
     ``majorant(k)`` dominates max_j |log(site(k)_j / base_j)|, ``tail(h)``
     dominates the sum of the majorant over |k| > h, and ``sup`` dominates
@@ -288,6 +289,8 @@ class SummableFamily(BernoulliFamily):
     def __init__(self, c: Fraction, r: Fraction) -> None:
         if not (0 < c < Fraction(1, 4) and 0 < r < 1):
             raise ValueError("need 0 < c < 1/4 and 0 < r < 1")
+        if float(r) == 1.0:
+            raise ValueError(f"r = {r} rounds to the float 1.0, so the tail bound diverges")
         self.cr = (c.numerator, c.denominator, r.numerator, r.denominator)
         self.sup = 4.0 * float(c)
         self._rf = float(r)

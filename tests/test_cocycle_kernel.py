@@ -262,12 +262,25 @@ class TestSiteTables:
             assert family.site_floats(k).levels == tuple(thresholds(float_cdf(probs)).tolist())
 
     @pytest.mark.parametrize("r", [F(1, 2), F(9, 10)])
-    def test_effective_window_holds_every_site_in_range(self, r):
+    def test_each_summable_site_built_once(self, r, monkeypatch):
+        built = []
+        site = bn._summable_site
+        monkeypatch.setattr(bn, "_summable_site", lambda cr, k: built.append(k) or site(cr, k))
+        bn._summable_floats.cache_clear()
         family = bn.SummableFamily(F(1, 10), r)
         window, err = family.effective_window(1e-9)
+        # k and -k share one record, and no site in the window is far
+        assert sorted(built) == list(range(len(window) // 2 + 1))
+        built.clear()
+        value = bn.kakutani_sum(family, 40)
+        assert sorted(built) == sorted(abs(k) for k in range(-41, 41))
         want, want_err = ref_effective_window(family, 1e-9)
         assert err == want_err and list(window) == list(want)
         assert list(window.values()) == [m.floats for m in want.values()]
+        expected = sum(
+            bn.hellinger_sq(family.site(k), family.site(k - 1)) for k in range(-40, 41)
+        )
+        assert value.value == expected
 
     #: (c, r) -> the first |k| whose float record is the fair coin's, found
     #: by scanning float(1/2 +- c r^|k|) over the exact Fractions
@@ -309,14 +322,6 @@ class TestSiteTables:
             if k < 200:
                 assert tail <= family.tail(k)
             tail += 2 * family.majorant(k)
-
-    @pytest.mark.parametrize("r", [F(1, 2), F(9, 10)])
-    def test_kakutani_sum_over_exact_sites(self, r):
-        family = bn.SummableFamily(F(1, 10), r)
-        expected = sum(
-            bn.hellinger_sq(family.site(k), family.site(k - 1)) for k in range(-40, 41)
-        )
-        assert bn.kakutani_sum(family, 40).value == expected
 
 
 # --- scalar cocycles -----------------------------------------------------------

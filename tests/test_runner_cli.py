@@ -87,9 +87,9 @@ def config_on(system, operation):
 
 
 ONE_FUZZ = {"name": "mixing_gap_fuzz", "cases": 1}
+SUMMABLE = {"type": "bernoulli", "kind": "summable"}
 SUMMABLE_WITH_WINDOW = {
-    "type": "bernoulli",
-    "kind": "summable",
+    **SUMMABLE,
     "base": ["1/2", "1/2"],
     "window": {"0": ["3/4", "1/4"]},
 }
@@ -118,6 +118,10 @@ REJECTED = {
     "compact-without-base": (
         minimal_config(system={"type": "bernoulli", "kind": "compact"}),
         "system bernoulli/compact needs key base",
+    ),
+    "summable-r-rounds-to-1": (
+        minimal_config(system=dict(SUMMABLE, r="99999999999999999/100000000000000000")),
+        "rounds to the float 1.0",
     ),
     "summable-with-base-window": (
         minimal_config(system=SUMMABLE_WITH_WINDOW),
