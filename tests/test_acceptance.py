@@ -246,24 +246,30 @@ def _coupling_families():
     ]
 
 
-def _deep_enumeration_ok(fam, cert, words_by_length: dict) -> bool:
+def _deep_enumeration_ok(fam, cert, words_by_inner: dict) -> bool:
     """Full-depth oracle: cylinder masses as sums over all margin words.
-    ``words_by_length`` caches ``fam``'s word lists by length."""
+    ``words_by_inner`` caches, per extended length, every word of ``fam``
+    one symbol longer on each side, indexed by its inner part: the words
+    matching an extended cylinder are those whose inner part is its word."""
     margin = 1
-    total_b = total_c = F(0)
-    length = len(cert.b_prime.word) + 2 * margin
-    if length not in words_by_length:
-        words_by_length[length] = list(fam.sft.words(length))
-    for w in words_by_length[length]:
-        if cert.b_prime.matches_word(cert.b_prime.left - margin, w):
-            total_b += mk.markov_cylinder_measure(
-                fam, Cylinder(cert.b_prime.left - margin, cert.b_prime.right + margin, w)
-            )
-        if cert.c_prime.matches_word(cert.c_prime.left - margin, w):
-            total_c += mk.markov_cylinder_measure(
-                fam, Cylinder(cert.c_prime.left - margin, cert.c_prime.right + margin, w)
-            )
-    return total_b == cert.mu_b_prime and total_c == cert.mu_c_prime
+    length = len(cert.b_prime.word)
+    if length not in words_by_inner:
+        index = words_by_inner[length] = {}
+        for w in fam.sft.words(length + 2 * margin):
+            index.setdefault(w[margin:-margin], []).append(w)
+
+    def total(prime: Cylinder) -> Fraction:
+        return sum(
+            (
+                mk.markov_cylinder_measure(
+                    fam, Cylinder(prime.left - margin, prime.right + margin, w)
+                )
+                for w in words_by_inner[length].get(prime.word, [])
+            ),
+            F(0),
+        )
+
+    return total(cert.b_prime) == cert.mu_b_prime and total(cert.c_prime) == cert.mu_c_prime
 
 
 def test_criterion_7_markov_coupling():
@@ -271,7 +277,7 @@ def test_criterion_7_markov_coupling():
     all_ok = True
     for fam, n, stride in _coupling_families():
         words = list(fam.sft.words(2 * n + 1))
-        deep_words = {}
+        words_by_inner = {}
         size = fam.sft.n_states
         index = mk.primitivity_index(fam.sft)
         big_l = mk.transition_ratio_constant(fam).value
@@ -291,7 +297,7 @@ def test_criterion_7_markov_coupling():
                 and cert.mu_c_prime >= bound_weak * cert.mu_c
             )
             if pairs % 17 == 0:
-                case_ok = case_ok and _deep_enumeration_ok(fam, cert, deep_words)
+                case_ok = case_ok and _deep_enumeration_ok(fam, cert, words_by_inner)
                 deep_checks += 1
             all_ok = all_ok and case_ok
     _report(7, "Markov coupling certificates", all_ok, f"{pairs} pairs, {deep_checks} deep enumerations")

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -154,6 +155,50 @@ class TestCylinderMeasure:
         expected = row[0] * fam.transition(5000)[0][1]
         assert mk.markov_cylinder_measure(fam, Cylinder.of([1, 2], 5000)) == expected
         assert fam.marginal(5000) == row
+
+
+    @staticmethod
+    def count_transitions(fam) -> list[int]:
+        """Record the index of every `transition` call made on ``fam``; fail
+        fast rather than step a marginal forward a billion times."""
+        calls: list[int] = []
+        transition = fam.transition
+
+        def counted(n):
+            calls.append(n)
+            assert len(calls) < 100, "marginal stepped forward"
+            return transition(n)
+
+        fam.transition = counted
+        return calls
+
+    def test_window_free_marginal_is_not_stepped_forward(self):
+        fam = golden_family()
+        calls = self.count_transitions(fam)
+        value = mk.markov_cylinder_measure(fam, Cylinder.of([1, 2, 1], 10**9))
+        assert value == F(4, 5) * F(1, 4) * F(1)
+        # one step shows the base marginal is kept; then the cylinder's two edges
+        assert len(calls) == 3
+        assert fam.marginal(-(10**9)) == fam.marginal(10**9) == fam.base_marginal
+
+    def test_marginal_settles_once_it_returns_to_the_base(self):
+        # identical base rows; the marginal leaves the base one at 1, is back
+        # on it at 2 inside the window, leaves again at 3 and settles at 4
+        half = [[F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)]]
+        away = [[F(2, 3), F(1, 3)], [F(1, 4), F(3, 4)]]
+        back = [[F(3, 11), F(8, 11)], [F(9, 13), F(4, 13)]]
+        fam = mk.MarkovFamily(mk.full_shift(2), half, None, {0: away, 1: back, 2: away})
+        expected, row = {}, fam.base_marginal
+        for n in range(-3, 40):
+            expected[n] = row
+            p = fam.transition(n)
+            row = tuple(sum(row[s] * p[s][t] for s in range(2)) for t in range(2))
+        assert expected[2] == fam.base_marginal != expected[3]
+        calls = self.count_transitions(fam)
+        assert fam.marginal(10**9) == fam.base_marginal
+        assert calls == [0, 1, 2, 3]
+        assert all(fam.marginal(n) == expected[n] for n in expected)
+        assert len(calls) == 4
 
 
 class TestRestrictedDerivative:
@@ -510,3 +555,114 @@ class TestPerWordReference:
             gap = mk.martingale_max_gap(fam, n)
             assert gap == pairwise_martingale_gap(fam, n)
             assert gap > 0
+
+
+# --- seeded random families against the oracles ---------------------------
+
+#: the supports the random families are drawn on
+SUPPORTS = {"golden": mk.golden_mean(), "prim3": mk.SFT.of(PRIM3), "full3": mk.full_shift(3)}
+
+
+def random_family(name: str, seed: int) -> mk.MarkovFamily:
+    """Random stochastic rows on a support, with one or two window
+    transitions in [-4, 4]; an odd seed sets a base marginal that is not
+    stationary past the constructor's check, which breaks the martingale."""
+    rng = random.Random(f"{name}/{seed}")
+    sft = SUPPORTS[name]
+
+    def matrix():
+        weights = [[rng.randint(1, 9) * e for e in row] for row in sft.adjacency]
+        return [[F(w, sum(row)) for w in row] for row in weights]
+
+    window = {rng.randint(-4, 4): matrix() for _ in range(rng.randint(1, 2))}
+    fam = mk.MarkovFamily(sft, matrix(), None, window)
+    if seed % 2:
+        fam.base_marginal = tuple(F(rng.randint(1, 9), 10) for _ in sft.states)
+    return fam
+
+
+#: full3 has 729 pairs at n = 1, which the pairwise reference takes about
+#: half a second to certify, so it gets one stationary and one broken family
+RANDOM_CASES = [("golden", seed) for seed in range(4)] + [
+    ("prim3", seed) for seed in range(4)
+] + [("full3", seed) for seed in range(2)]
+
+
+class TestAlgebraicKernels:
+    """The factorized gap and the per-word scan against the oracles."""
+
+    @pytest.mark.parametrize("name, seed", RANDOM_CASES)
+    def test_martingale_gap_matches_pairwise(self, name, seed):
+        fam = random_family(name, seed)
+        for n in (1, 2):
+            assert mk.martingale_max_gap(fam, n) == pairwise_martingale_gap(fam, n)
+
+    @pytest.mark.parametrize("name, seed", RANDOM_CASES)
+    def test_scan_matches_pairwise(self, name, seed):
+        fam = random_family(name, seed)
+        cylinders = [Cylinder(-1, 1, w) for w in fam.sft.words(3)]
+        expected = [pairwise_couple(fam, b, c) for b in cylinders for c in cylinders]
+        assert mk.coupling_scan(fam, 1) == pairwise_scan(expected)
+
+    def test_some_random_gaps_are_positive(self):
+        # the broken families must not all sit where the defect cancels
+        gaps = [mk.martingale_max_gap(random_family(name, seed), 2) for name, seed in RANDOM_CASES]
+        assert sum(gap > 0 for gap in gaps) >= 3
+
+    @pytest.mark.parametrize(
+        "sft, base, pairs, strong",
+        [
+            (mk.golden_mean(), [[F(4, 9), F(5, 9)], [F(1), F(0)]], 25, 16),
+            (mk.full_shift(2), [[F(9, 16), F(7, 16)], [F(5, 11), F(6, 11)]], 64, 4),
+        ],
+    )
+    def test_partial_strong_bound_scan_matches_pairwise(self, sft, base, pairs, strong):
+        # some words' strong bound holds and some do not, so k^2 is checked
+        fam = mk.MarkovFamily(sft, base)
+        cylinders = [Cylinder(-1, 1, w) for w in fam.sft.words(3)]
+        expected = [pairwise_couple(fam, b, c) for b in cylinders for c in cylinders]
+        scan = mk.coupling_scan(fam, 1)
+        assert scan == pairwise_scan(expected)
+        assert (scan.pairs, scan.strong_ok_pairs) == (pairs, strong)
+
+    def test_radius_12_martingale_on_full3(self):
+        # 3^25 words: the gap comes from the max-product recursion alone
+        sft, base, marginal, window = REFERENCE_FAMILIES["full3"]
+        fam = mk.MarkovFamily(sft, base, marginal, {-5: window, 0: window, 7: base[::-1]})
+        assert mk.martingale_max_gap(fam, 12) == 0
+
+    @pytest.mark.parametrize("window_at", [0, 1])
+    def test_row_sums_within_tolerance_match_pairwise(self, window_at):
+        # a window row may sum to 1 only within the constructor's tolerance;
+        # at n - 1 it makes R(b) differ from 1, and so the gap from 0
+        sft, base, marginal, _ = REFERENCE_FAMILIES["full2"]
+        off = [[F(1, 2), F(1, 2) + F(1, 10**13)], [F(1, 3), F(2, 3)]]
+        fam = mk.MarkovFamily(sft, base, marginal, {window_at: off})
+        for n in (1, 2):
+            gap = mk.martingale_max_gap(fam, n)
+            assert gap == pairwise_martingale_gap(fam, n)
+            assert (gap > 0) == (n - 1 == window_at)
+
+    def test_scan_pushforward_reads_every_margin(self, monkeypatch):
+        # shift mass between two margins of one word, keeping its total: the
+        # hub construction never does this, so the scan must still agree
+        # with the per-pair certificates built from the same word data
+        fam = reference_family("golden", 0)
+        word_coupling = mk._word_coupling
+
+        def skewed(family, hub, cyl):
+            word = word_coupling(family, hub, cyl)
+            if cyl.word != (1, 1, 1):
+                return word
+            first, second, *rest = word.margin_masses
+            eps = first / 2
+            return word._replace(margin_masses=(first - eps, second + eps, *rest))
+
+        monkeypatch.setattr(mk, "_word_coupling", skewed)
+        hub = mk._hub_coupling(fam, 1)
+        words = [skewed(fam, hub, Cylinder(-1, 1, w)) for w in fam.sft.words(3)]
+        assert all(word.total_ok for word in words)
+        expected = [mk._certificate(hub, b, c) for b in words for c in words]
+        scan = mk.coupling_scan(fam, 1)
+        assert scan == pairwise_scan(expected)
+        assert scan.pushforward_all is False
