@@ -7,10 +7,12 @@ must say which fields moved and why, and record the new digests.
 """
 
 import hashlib
+import json
 import re
 
 import pytest
 
+from ergolab.cli import main
 from ergolab.experiments import CATALOG
 from ergolab.reporting import render_report
 from ergolab.runner import run
@@ -100,3 +102,121 @@ def test_summable_report_digest(family, operation):
         texts.append(_WALL_TIME.sub("", render_report(run(config))))
     digest = hashlib.sha256("".join(texts).encode()).hexdigest()
     assert digest == SUMMABLE_GOLDEN[f"{family}/{operation}"]
+
+
+# --- per-shape reports -----------------------------------------------------------
+#
+# No catalog entry or benchmark workload runs a periodic family's
+# certificates, nor a window with sites beyond the horizon, so these pin the
+# bytes of every operation that a family shape answers itself, at two seeds:
+# the digest of the seed-0 and seed-7 reports joined in that order, or, for a
+# family the operation refuses, the exit code and stderr line of each seed.
+
+_SHAPES = {
+    "compact-window": {
+        "type": "bernoulli",
+        "kind": "compact",
+        "base": ["2/3", "1/3"],
+        "window": {"-3": ["1/4", "3/4"], "0": ["3/5", "2/5"], "2": ["1/2", "1/2"], "400": ["1/3", "2/3"]},
+    },
+    "periodic": {
+        "type": "bernoulli",
+        "kind": "periodic",
+        "sites": [["3/4", "1/4"], ["1/3", "2/3"], ["1/2", "1/2"]],
+    },
+    "zd-compact-window": {
+        "type": "zd",
+        "kind": "compact",
+        "dimension": 2,
+        "base": ["2/3", "1/3"],
+        "window": {"0,0": ["1/4", "3/4"], "2,-1": ["3/5", "2/5"], "9,3": ["1/2", "1/2"]},
+    },
+    "zd-alternating": {"type": "zd", "kind": "alternating", "dimension": 2, "axis": 1},
+    "zd-alternating-3d": {"type": "zd", "kind": "alternating", "dimension": 3, "axis": 2},
+}
+_SHAPE_OPERATIONS = {
+    "bernoulli": {
+        "kakutani_sum": {"horizon": 300},
+        "uniformity_constant": {"horizon": 60},
+        "rn_derivative": {"n": 5},
+        "conservativity_probe": {"horizon": 2048},
+        "cocycle_fuzz": {"cases": 8, "span": 8},
+        "homoclinic_scan": {"radius_max": 1, "n_max": 3},
+    },
+    "zd": {
+        "kakutani_generator-axis0": {"axis": 0, "horizon": 4},
+        "kakutani_generator-axis1": {"axis": 1, "horizon": 4},
+        "zd_cocycle_fuzz": {"cases": 20, "span": 3},
+        "box_ratio_average": {"n_max": 6},
+    },
+}
+_SHAPE_CASES = [
+    (family, operation)
+    for family, system in sorted(_SHAPES.items())
+    for operation in sorted(_SHAPE_OPERATIONS[system["type"]])
+]
+
+SHAPE_GOLDEN = {
+    "compact-window/cocycle_fuzz": "006c4cd3e93d9619ff61014678c4de2e09a6107b32b76db94653694457f4af5f",
+    "compact-window/conservativity_probe": "8fe212ca58a33ba2da3c2b5628afd7f59ff5ff461cefe2325f6eb1a0cf8709db",
+    "compact-window/homoclinic_scan": "e46bb6d37f60f572f5212d7bb2ad8756ece1982e2c16863bd52d910e8c9364f5",
+    "compact-window/kakutani_sum": "5c119137aabe4bf361e21eb55027a427f97794e67809f7f9ce84ee8515e0e083",
+    "compact-window/rn_derivative": "b84e664cfd587f13abb5ab080be9d62724d3f74372d0796dd1b56ae81aa06cd8",
+    "compact-window/uniformity_constant": "3bf98a1c9af2dc955dfbe0c643938dd2b545e00c2ab16132531c0fe702719d8e",
+    "periodic/kakutani_sum": "8bb5ca4099c0ab2c226314b6b83312be8c141dfaa4c69de6baebb62e79de75a1",
+    "periodic/uniformity_constant": "2ed198346f02e74e440772dc76ec49513772c59c84d74c3ae1ee03bf9769d3b4",
+    "zd-alternating-3d/kakutani_generator-axis0": "bf94a91c479ee6913e3037859e6e7e1aff3b16f01a5ab7fb0d124969df0f217e",
+    "zd-alternating-3d/kakutani_generator-axis1": "2595735850d1edf6c646c2e776a24593ea2edfcbfa7bba75445c21792622c8d6",
+    "zd-alternating/kakutani_generator-axis0": "c9e24cc184d8e2ad49288cf97e2b4f2776458327ee9746dbf268b3fbd593ceb7",
+    "zd-alternating/kakutani_generator-axis1": "c9aef637d8edf70b0deedf8926fd444ff2c9e29b95a212f8b6b0a59d3d6d8c20",
+    "zd-compact-window/box_ratio_average": "619823fa83cbe85da497c49aa0484826233c61793d2c293b31a0dbb94265e816",
+    "zd-compact-window/kakutani_generator-axis0": "5ce8b8516c4e594ccdb73ed43a4ad8c28c557a55c8d47ed9cf5c1a8f481e8a7a",
+    "zd-compact-window/kakutani_generator-axis1": "cda3a4e27705ef80fdb5b5951c71b964d6cdaeaefbe43358fc90b750afc7a887",
+    "zd-compact-window/zd_cocycle_fuzz": "943fe5ab60276e54c3a66db5e0ff35dcb90e2da02aa35d942b45a9c02ec3b87b",
+}
+
+_SINGULAR = "exit 2: invalid input: periodic family with unequal sites has a divergent Kakutani sum\n"
+_SINGULAR_BOXES = "exit 2: invalid input: periodic lattice family is singular under some box translation\n"
+
+SHAPE_REFUSED = {
+    "periodic/cocycle_fuzz": [_SINGULAR] * 2,
+    "periodic/conservativity_probe": [_SINGULAR] * 2,
+    "periodic/homoclinic_scan": [_SINGULAR] * 2,
+    "periodic/rn_derivative": [_SINGULAR] * 2,
+    "zd-alternating-3d/box_ratio_average": [_SINGULAR_BOXES] * 2,
+    "zd-alternating-3d/zd_cocycle_fuzz": [
+        "exit 2: invalid input: periodic lattice family is singular under translation by (2, 1, -1)\n",
+        "exit 2: invalid input: periodic lattice family is singular under translation by (0, 3, -5)\n",
+    ],
+    "zd-alternating/box_ratio_average": [_SINGULAR_BOXES] * 2,
+    "zd-alternating/zd_cocycle_fuzz": [
+        "exit 2: invalid input: periodic lattice family is singular under translation by (2, 1)\n",
+        "exit 2: invalid input: periodic lattice family is singular under translation by (0, 3)\n",
+    ],
+}
+
+
+def _shape_outcome(tmp_path, capsys, family, operation, seed):
+    """The report without its wall time, or the exit code and stderr line."""
+    keys = _SHAPE_OPERATIONS[_SHAPES[family]["type"]][operation]
+    config = {
+        "schema": "v1",
+        "seed": seed,
+        "system": _SHAPES[family],
+        "operation": {"name": operation.split("-")[0], **keys},
+    }
+    path = tmp_path / f"{seed}.json"
+    path.write_text(json.dumps(config))
+    code = main(["--config", str(path)])
+    out, err = capsys.readouterr()
+    return _WALL_TIME.sub("", out) if code == 0 else f"exit {code}: {err}"
+
+
+@pytest.mark.parametrize("family, operation", _SHAPE_CASES, ids=[f"{f}/{o}" for f, o in _SHAPE_CASES])
+def test_shape_report_digest(tmp_path, capsys, family, operation):
+    key = f"{family}/{operation}"
+    outcomes = [_shape_outcome(tmp_path, capsys, family, operation, seed) for seed in (0, 7)]
+    if key in SHAPE_REFUSED:
+        assert outcomes == SHAPE_REFUSED[key]
+    else:
+        assert hashlib.sha256("".join(outcomes).encode()).hexdigest() == SHAPE_GOLDEN[key]
