@@ -46,12 +46,6 @@ class Observable:
     def combine(cls, terms) -> "Observable":
         return cls(tuple((float(c), atom) for c, atom in terms))
 
-    def scaled(self, factor: float) -> "Observable":
-        return Observable(tuple((c * factor, atom) for c, atom in self.terms))
-
-    def plus(self, other: "Observable") -> "Observable":
-        return Observable(self.terms + other.terms)
-
 
 @dataclass(frozen=True)
 class SumSeries:

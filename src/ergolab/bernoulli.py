@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from itertools import pairwise
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -165,7 +165,10 @@ def hellinger_sq(a: SiteMeasure, b: SiteMeasure) -> float:
 
 
 class BernoulliFamily:
-    """Base interface; use the concrete shapes below."""
+    """Base interface; use the concrete shapes below.  Each shape answers
+    its own ``kakutani`` and ``uniformity``, and a non-singular one its
+    ``log_derivative`` and ``term_log_floor``; the free functions below
+    check their input and call these."""
 
     alphabet: Alphabet
     #: the sampling thresholds of every coordinate, which ``LazyTail``
@@ -179,7 +182,10 @@ class BernoulliFamily:
         return self.site(k).floats
 
     def require_nonsingular(self) -> None:
-        raise NotImplementedError
+        """Raise ``NonSingularError`` unless the shift is certified non-singular."""
+
+    def uniformity(self, horizon: int) -> UniformityBound:
+        return UniformityBound(float(self.uniformity_fraction()), True)
 
     def configuration(
         self, seed: int, pinned: Mapping[int, int] | None = None
@@ -209,16 +215,28 @@ class CompactFamily(BernoulliFamily):
         if any(m.n_symbols != base.n_symbols for m in self.window.values()):
             raise ValueError("window measures must share the base alphabet")
 
-    @property
-    def half_width(self) -> int:
-        """K with site(k) = base for |k| > K."""
-        return max((abs(k) for k in self.window), default=0)
-
     def site(self, k: int) -> SiteMeasure:
         return self.window.get(k, self.base)
 
-    def require_nonsingular(self) -> None:
-        pass
+    def kakutani(self, horizon: int, tol: float) -> KakutaniResult:
+        affected = sorted({k for i in self.window for k in (i, i + 1)})
+        return _window_kakutani(
+            ((abs(k), hellinger_sq(self.site(k), self.site(k - 1))) for k in affected), horizon
+        )
+
+    def log_derivative(self, x: Configuration, n: int, tol: float) -> LogValue:
+        log_x = _window_log_ratio(self.base, self.window, x.symbol, lambda i: i + n)
+        return LogValue(log_x, 0.0)
+
+    def uniformity_fraction(self) -> Fraction:
+        """Exact sup_k max/min site probability ratio."""
+        return max([self.base.ratio] + [m.ratio for m in self.window.values()])
+
+    @cached_property
+    def term_log_floor(self) -> float:
+        """Each perturbed site moves log (T^n)'(x) by at most 2 log L."""
+        L = float(self.uniformity_fraction())
+        return -2.0 * len(self.window) * math.log(L) if self.window else 0.0
 
     def effective_window(self, tol: float) -> tuple[dict[int, SiteFloats], float]:
         """The perturbed sites' float records; nothing is truncated."""
@@ -257,6 +275,14 @@ class PeriodicFamily(BernoulliFamily):
             "periodic family with unequal sites has a divergent Kakutani sum"
         )
 
+    def kakutani(self, horizon: int, tol: float) -> KakutaniResult:
+        terms = {(r,): hellinger_sq(self.site(r), self.site(r - 1)) for r in range(self.period)}
+        return _periodic_kakutani(terms, (self.period,), horizon)
+
+    def uniformity_fraction(self) -> Fraction:
+        """Exact max/min site probability ratio over one period."""
+        return max(m.ratio for m in self.sites)
+
     @cached_property
     def levels_at(self) -> LevelsAt:
         return periodic_levels([m.floats.levels for m in self.sites])
@@ -285,6 +311,8 @@ class SummableFamily(BernoulliFamily):
 
     base = SiteMeasure.of([Fraction(1, 2), Fraction(1, 2)])
     alphabet = Alphabet(2)
+    #: no certified floor: the conservativity verdict is a heuristic
+    term_log_floor = None
 
     def __init__(self, c: Fraction, r: Fraction) -> None:
         if not (0 < c < Fraction(1, 4) and 0 < r < 1):
@@ -307,8 +335,29 @@ class SummableFamily(BernoulliFamily):
     def tail(self, h: int) -> float:
         return 2.0 * self.sup * self._rf ** (h + 1) / (1.0 - self._rf)
 
-    def require_nonsingular(self) -> None:
-        pass
+    def kakutani(self, horizon: int, tol: float) -> KakutaniResult:
+        sites = (self.site(k) for k in range(-horizon - 1, horizon + 1))
+        value = sum(hellinger_sq(b, a) for a, b in pairwise(sites))
+        tail_bound = math.exp(self.sup) * self.sup * self.tail(horizon - 1)
+        verdict = CONVERGENT if tail_bound <= tol else INCONCLUSIVE
+        return KakutaniResult(float(value), verdict, tail_bound)
+
+    def log_derivative(self, x: Configuration, n: int, tol: float) -> LogValue:
+        radius = max(abs(n) + 1, 8)
+        while self.tail(radius - abs(n)) + self.tail(radius) > tol:
+            radius *= 2
+            if radius > RANGE_CAP:
+                raise ToleranceError(f"tolerance {tol} unachievable within cap")
+        total = 0.0
+        symbols = x.block(-radius, radius).tolist()
+        for k, s in zip(range(-radius, radius + 1), symbols):
+            total += self.site_floats(k - n).logs[s - 1] - self.site_floats(k).logs[s - 1]
+        return LogValue(total, self.tail(radius - abs(n)) + self.tail(radius))
+
+    def uniformity(self, horizon: int) -> UniformityBound:
+        """A horizon-scan supremum, flagged ``exact=False``."""
+        value = max(float(self.site(k).ratio) for k in range(-horizon, horizon + 1))
+        return UniformityBound(value, False)
 
     @cached_property
     def levels_at(self) -> LevelsAt:
@@ -371,40 +420,33 @@ def kakutani_sum(
         raise ValueError("horizon must be >= 1")
     if horizon > RANGE_CAP:
         raise ValueError(f"horizon {horizon} exceeds cap {RANGE_CAP}")
+    return family.kakutani(horizon, tol)
 
-    if isinstance(family, CompactFamily):
-        affected = sorted({k for i in family.window for k in (i, i + 1)})
-        value = sum(
-            hellinger_sq(family.site(k), family.site(k - 1))
-            for k in affected
-            if abs(k) <= horizon
-        )
-        remaining = sum(
-            hellinger_sq(family.site(k), family.site(k - 1))
-            for k in affected
-            if abs(k) > horizon
-        )
-        return KakutaniResult(float(value), CONVERGENT, float(remaining))
 
-    if isinstance(family, PeriodicFamily):
-        p = family.period
-        per_residue = [
-            hellinger_sq(family.site(r), family.site(r - 1)) for r in range(p)
-        ]
-        value = 0.0
-        for r, t in enumerate(per_residue):
-            if t:
-                # count of k in [-horizon, horizon] with k = r (mod p)
-                count = (horizon - r) // p + (horizon + r) // p + 1
-                value += count * t
-        return KakutaniResult(value, DIVERGENT, None)
+def _window_kakutani(increments: Iterable[tuple[int, float]], horizon: int) -> KakutaniResult:
+    """The certified Kakutani sum of a base + finite window family from its
+    (distance, increment) pairs: those within the horizon summed, the rest
+    as the tail."""
+    sums = [0.0, 0.0]
+    for reach, term in increments:
+        sums[reach > horizon] += term
+    return KakutaniResult(sums[0], CONVERGENT, sums[1])
 
-    assert isinstance(family, SummableFamily)
-    sites = (family.site(k) for k in range(-horizon - 1, horizon + 1))
-    value = sum(hellinger_sq(b, a) for a, b in pairwise(sites))
-    tail_bound = math.exp(family.sup) * family.sup * family.tail(horizon - 1)
-    verdict = CONVERGENT if tail_bound <= tol else INCONCLUSIVE
-    return KakutaniResult(float(value), verdict, tail_bound)
+
+def _periodic_kakutani(terms: dict, period: tuple[int, ...], horizon: int) -> KakutaniResult:
+    """The Kakutani sum over the box of the given radius of a family whose
+    increments repeat with ``period``, from the increment at each residue."""
+    if not any(terms.values()):
+        return KakutaniResult(0.0, CONVERGENT, 0.0)
+    value = 0.0
+    for r, term in terms.items():
+        if term:
+            # count of k in the box with k = r (mod period)
+            count = 1
+            for ri, p in zip(r, period):
+                count *= (horizon - ri) // p + (horizon + ri) // p + 1
+            value += count * term
+    return KakutaniResult(value, DIVERGENT, None)
 
 
 # ---------------------------------------------------------------------------
@@ -424,27 +466,20 @@ def rn_derivative(
         raise ValueError(f"|n| exceeds cap {RANGE_CAP}")
     if n == 0:
         return LogValue(0.0, 0.0)
+    return family.log_derivative(x, n, tol)
 
-    if isinstance(family, CompactFamily):
-        base = family.base.floats.logs
-        log_x = 0.0
-        for i, m in family.window.items():
-            logs, there, here = m.floats.logs, x.symbol(i + n) - 1, x.symbol(i) - 1
-            log_x += logs[there] - base[there]
-            log_x -= logs[here] - base[here]
-        return LogValue(log_x, 0.0)
 
-    assert isinstance(family, SummableFamily)
-    radius = max(abs(n) + 1, 8)
-    while family.tail(radius - abs(n)) + family.tail(radius) > tol:
-        radius *= 2
-        if radius > RANGE_CAP:
-            raise ToleranceError(f"tolerance {tol} unachievable within cap")
+def _window_log_ratio(base: SiteMeasure, window: Mapping, symbol, moved) -> float:
+    """log of the density of a translated base + window family at x: the sum
+    over perturbed sites i of log(m_i / base) at x_{moved(i)} minus the same
+    at x_i, read through ``symbol``."""
+    base_logs = base.floats.logs
     total = 0.0
-    symbols = x.block(-radius, radius).tolist()
-    for k, s in zip(range(-radius, radius + 1), symbols):
-        total += family.site_floats(k - n).logs[s - 1] - family.site_floats(k).logs[s - 1]
-    return LogValue(total, family.tail(radius - abs(n)) + family.tail(radius))
+    for i, m in window.items():
+        logs, there, here = m.floats.logs, symbol(moved(i)) - 1, symbol(i) - 1
+        total += logs[there] - base_logs[there]
+        total -= logs[here] - base_logs[here]
+    return total
 
 
 def cocycle_gap(
@@ -530,17 +565,6 @@ def rn_log_weight_grid(
 # Uniformity constant and homoclinic ratio bounds
 
 
-def uniformity_fraction(family: BernoulliFamily) -> Fraction:
-    """Exact sup_k max/min site probability ratio (compact and periodic)."""
-    if isinstance(family, CompactFamily):
-        return max(
-            [family.base.ratio] + [m.ratio for m in family.window.values()]
-        )
-    if isinstance(family, PeriodicFamily):
-        return max(m.ratio for m in family.sites)
-    raise ValueError("no exact uniformity constant for summable families")
-
-
 def uniformity_constant(family: BernoulliFamily, horizon: int = 0) -> UniformityBound:
     """Uniform bound on per-site max/min probability ratios.
 
@@ -549,12 +573,7 @@ def uniformity_constant(family: BernoulliFamily, horizon: int = 0) -> Uniformity
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
-    if isinstance(family, SummableFamily):
-        value = max(
-            float(family.site(k).ratio) for k in range(-horizon, horizon + 1)
-        )
-        return UniformityBound(value, False)
-    return UniformityBound(float(uniformity_fraction(family)), True)
+    return family.uniformity(horizon)
 
 
 @dataclass(frozen=True)
@@ -648,10 +667,8 @@ def conservativity_probe(
     pts = series_checkpoints(horizon)
     checkpoints = tuple((n, float(sums[n - 1])) for n in pts)
 
-    if isinstance(family, CompactFamily):
-        L = float(uniformity_fraction(family))
-        floor = -2.0 * len(family.window) * math.log(L) if family.window else 0.0
-        return ConservativityReport(checkpoints, DIVERGENT, floor)
+    if family.term_log_floor is not None:
+        return ConservativityReport(checkpoints, DIVERGENT, family.term_log_floor)
 
     total = float(sums[-1])
     at_decade = float(sums[max(horizon // 10, 1) - 1])

@@ -21,11 +21,12 @@ import numpy as np
 
 from .averages import SumSeries
 from .bernoulli import (
-    CONVERGENT,
-    DIVERGENT,
     KakutaniResult,
     LogValue,
     SiteMeasure,
+    _periodic_kakutani,
+    _window_kakutani,
+    _window_log_ratio,
     hellinger_sq,
 )
 from .errors import NonSingularError
@@ -47,8 +48,19 @@ def _as_vec(g) -> tuple[int, ...]:
     return tuple(int(v) for v in g)
 
 
+def _plus(g, h, sign: int = 1) -> tuple[int, ...]:
+    return tuple(a + sign * b for a, b in zip(g, h))
+
+
+def _norm(g) -> int:
+    return max(abs(v) for v in g)
+
+
 class LatticeFamily:
-    """Base interface for Z^d product families; use the concrete shapes."""
+    """Base interface for Z^d product families; use the concrete shapes.
+    Each shape answers its own ``kakutani_generator``, ``log_derivative``,
+    ``box_reach`` (the sup-norm radius the box weights read) and
+    ``box_weights``."""
 
     dimension: int
     alphabet: Alphabet
@@ -94,6 +106,34 @@ class LatticeCompact(LatticeFamily):
     def site(self, g) -> SiteMeasure:
         return self.window.get(_as_vec(g), self.base)
 
+    def kakutani_generator(self, e: tuple[int, ...], horizon: int) -> KakutaniResult:
+        affected = sorted(set(self.window) | {_plus(g, e) for g in self.window})
+        return _window_kakutani(
+            [(_norm(h), hellinger_sq(self.site(h), self.site(_plus(h, e, -1)))) for h in affected],
+            horizon,
+        )
+
+    def log_derivative(self, x: "LatticeConfiguration", g: tuple[int, ...]) -> LogValue:
+        log_x = _window_log_ratio(self.base, self.window, x.symbol, lambda i: _plus(i, g, -1))
+        return LogValue(log_x, 0.0)
+
+    @cached_property
+    def box_reach(self) -> int:
+        return max((_norm(g) for g in self.window), default=0)
+
+    def box_weights(self, x: "LatticeConfiguration", read, shape) -> np.ndarray:
+        """exp of ``log_derivative`` at each g of the box, where ``read(i)``
+        holds x_{i - g} over the box."""
+        if not self.window:
+            return np.ones(shape)
+        logs = np.zeros(shape)
+        base_logs = self.base.log_probs()
+        for i, m in self.window.items():
+            table = m.log_probs() - base_logs
+            here = table[x.symbol(i) - 1]
+            logs += table[read(i) - 1] - here
+        return np.exp(logs)
+
     def box_symbols(self, states: np.ndarray, axes: list[np.ndarray]) -> np.ndarray:
         base = np.array(self.base.floats.levels, dtype=np.uint64)[:, None]
         out = keyed_symbols(states, int(axes[-1][0]), len(axes[-1]), lambda a, b: base)
@@ -136,6 +176,28 @@ class LatticePeriodic(LatticeFamily):
     def site(self, g) -> SiteMeasure:
         return self._sites[self.residue(g)]
 
+    def kakutani_generator(self, e: tuple[int, ...], horizon: int) -> KakutaniResult:
+        residues = _box_residues(self.period)
+        terms = {r: hellinger_sq(self.site(r), self.site(_plus(r, e, -1))) for r in residues}
+        return _periodic_kakutani(terms, self.period, horizon)
+
+    def log_derivative(self, x: "LatticeConfiguration", g: tuple[int, ...]) -> LogValue:
+        if not self.preserved_by(g):
+            raise NonSingularError(f"periodic lattice family is singular under translation by {g}")
+        return LogValue(0.0, 0.0)
+
+    @property
+    def box_reach(self) -> int:
+        # the boxes exhaust every translation, so all of them must be
+        # non-singular, which for periodic families means constant sites
+        d = self.dimension
+        if not all(self.preserved_by(_unit_vector(d, axis)) for axis in range(d)):
+            raise NonSingularError("periodic lattice family is singular under some box translation")
+        return 0
+
+    def box_weights(self, x: "LatticeConfiguration", read, shape) -> np.ndarray:
+        return np.ones(shape)
+
     def box_symbols(self, states: np.ndarray, axes: list[np.ndarray]) -> np.ndarray:
         *prefix, last = axes
         # the residue class of each row's prefix, numbered row-major
@@ -162,7 +224,7 @@ class LatticePeriodic(LatticeFamily):
     def preserved_by(self, g) -> bool:
         """Whether translating by g leaves every site measure unchanged."""
         return all(
-            self._sites[r].probs == self.site(tuple(a + b for a, b in zip(r, _as_vec(g)))).probs
+            self._sites[r].probs == self.site(_plus(r, _as_vec(g))).probs
             for r in self._sites
         )
 
@@ -247,58 +309,14 @@ def kakutani_sum_generator(
 ) -> KakutaniResult:
     """Squared-Hellinger equivalence sum for the translation along one
     standard basis vector, over the box of the given radius."""
-    e = _unit_vector(family.dimension, axis)
-
-    if isinstance(family, LatticeCompact):
-        affected = set(family.window)
-        affected |= {tuple(a + b for a, b in zip(g, e)) for g in family.window}
-        value = 0.0
-        for h in sorted(affected):
-            if max(abs(v) for v in h) <= horizon:
-                value += hellinger_sq(
-                    family.site(h), family.site(tuple(a - b for a, b in zip(h, e)))
-                )
-        return KakutaniResult(value, CONVERGENT, 0.0)
-
-    assert isinstance(family, LatticePeriodic)
-    per_residue = {
-        r: hellinger_sq(
-            family.site(r), family.site(tuple(a - b for a, b in zip(r, e)))
-        )
-        for r in _box_residues(family.period)
-    }
-    if all(v == 0.0 for v in per_residue.values()):
-        return KakutaniResult(0.0, CONVERGENT, 0.0)
-    value = 0.0
-    for r, term in per_residue.items():
-        if term:
-            count = 1
-            for ri, p in zip(r, family.period):
-                count *= (horizon - ri) // p + (horizon + ri) // p + 1
-            value += count * term
-    return KakutaniResult(value, DIVERGENT, None)
+    return family.kakutani_generator(_unit_vector(family.dimension, axis), horizon)
 
 
 def rn_derivative_g(family: LatticeFamily, x: LatticeConfiguration, g) -> LogValue:
     """log of the density of the g-translated measure at x: the exact finite
     product over perturbed sites i of mu_i(x_{i-g}) / mu_i(x_i) paired against
     the base."""
-    vec = _as_vec(g)
-    if isinstance(family, LatticePeriodic):
-        if not family.preserved_by(vec):
-            raise NonSingularError(
-                f"periodic lattice family is singular under translation by {vec}"
-            )
-        return LogValue(0.0, 0.0)
-    assert isinstance(family, LatticeCompact)
-    base = family.base.floats.logs
-    total = 0.0
-    for i, m in family.window.items():
-        pulled = tuple(a - b for a, b in zip(i, vec))
-        logs, there, here = m.floats.logs, x.symbol(pulled) - 1, x.symbol(i) - 1
-        total += logs[there] - base[there]
-        total -= logs[here] - base[here]
-    return LogValue(total, 0.0)
+    return family.log_derivative(x, _as_vec(g))
 
 
 def _atom_coords(atom: Mapping[object, int]) -> dict[tuple[int, ...], int]:
@@ -320,23 +338,7 @@ def box_ratio_average(
         raise ValueError("n_max must be >= 1")
     d = family.dimension
     atoms = [(float(c), _atom_coords(atom)) for c, atom in f_terms]
-    reach = max(
-        (max(abs(v) for v in g) for _, atom in atoms for g in atom),
-        default=0,
-    )
-    if isinstance(family, LatticeCompact) and family.window:
-        reach = max(
-            reach, max(max(abs(v) for v in g) for g in family.window)
-        )
-    if isinstance(family, LatticePeriodic):
-        # the boxes exhaust every translation, so all of them must be
-        # non-singular, which for periodic families means constant sites
-        if not all(
-            family.preserved_by(_unit_vector(d, axis)) for axis in range(d)
-        ):
-            raise NonSingularError(
-                "periodic lattice family is singular under some box translation"
-            )
+    reach = max([_norm(g) for _, atom in atoms for g in atom] + [family.box_reach])
 
     block = x.box(n_max, margins=(reach,) * d)
     lows = (-n_max - reach,) * d
@@ -363,16 +365,7 @@ def box_ratio_average(
             ind &= read(g_atom) == symbol
         values += c * ind
 
-    if isinstance(family, LatticeCompact) and family.window:
-        logs = np.zeros(radius.shape)
-        base_logs = family.base.log_probs()
-        for i, m in family.window.items():
-            table = m.log_probs() - base_logs
-            here = table[x.symbol(i) - 1]
-            logs += table[read(i) - 1] - here
-        weights = np.exp(logs)
-    else:
-        weights = np.ones(radius.shape)
+    weights = family.box_weights(x, read, radius.shape)
 
     num = np.bincount(radius.ravel(), (weights * values).ravel(), minlength=n_max + 1)
     den = np.bincount(radius.ravel(), weights.ravel(), minlength=n_max + 1)

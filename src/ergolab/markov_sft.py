@@ -20,9 +20,13 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .bernoulli import _as_fraction
 from .errors import NonSingularError
-from .shift_core import Cylinder
+from .shift_core import Cylinder, RangeCapError
 
 _SUM_TOL = Fraction(1, 10**12)
+
+#: the most evolved marginals a family keeps while its marginal is off the
+#: base one; each step can lengthen every entry, so further out is refused
+_MARGINAL_CAP = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -194,11 +198,6 @@ class MarkovFamily:
         self._evolved: list[tuple[Fraction, ...]] = []
         self._settled = False
 
-    @property
-    def half_width(self) -> int:
-        """K with transition(n) = base for |n| > K."""
-        return max((abs(k) for k in self.window), default=0)
-
     def transition(self, n: int) -> tuple[tuple[Fraction, ...], ...]:
         return self.window.get(n, self.base_transition)
 
@@ -214,6 +213,11 @@ class MarkovFamily:
             )
             self._settled = j > self._hi and row == self.base_marginal
             if not self._settled:
+                if len(self._evolved) == _MARGINAL_CAP:
+                    raise RangeCapError(
+                        f"marginal at {n}: more than {_MARGINAL_CAP} steps from the window's "
+                        "left end do not return to the base marginal"
+                    )
                 self._evolved.append(row)
         return self._evolved[i] if 0 <= i < len(self._evolved) else self.base_marginal
 
@@ -575,8 +579,6 @@ class TailTrivialityReport(NamedTuple):
     eps: Fraction
     witness_b: Cylinder | None
     witness_c: Cylinder | None
-    density_in_b: Fraction | None
-    density_in_c: Fraction | None
     forced_lower_bound: Fraction | None
 
 
@@ -606,33 +608,25 @@ def tail_triviality_probe(
     )
     if any(cyl.is_empty for cyl in d_cylinders):
         # the empty cylinder matches everything: D is the whole space
-        return TailTrivialityReport(False, eps, None, None, None, None, None)
+        return TailTrivialityReport(False, eps, None, None, None)
 
-    words = list(family.sft.words(2 * radius + 1))
-    in_d: dict[tuple[int, ...], bool] = {}
-    for w in words:
-        in_d[w] = any(cyl.matches_word(-radius, w) for cyl in d_cylinders)
+    # the first word in D and the first outside it; membership is
+    # all-or-nothing at this radius
+    first: dict[bool, Cylinder] = {}
+    for w in family.sft.words(2 * radius + 1):
+        in_d = any(cyl.matches_word(-radius, w) for cyl in d_cylinders)
+        first.setdefault(in_d, Cylinder(-radius, radius, w))
+        if len(first) == 2:
+            break
+    else:
+        return TailTrivialityReport(False, eps, None, None, None)
 
-    nearly_full = []
-    nearly_null = []
-    for w in words:
-        cyl = Cylinder(-radius, radius, w)
-        # membership is all-or-nothing at this radius
-        if in_d[w]:
-            nearly_full.append(cyl)
-        else:
-            nearly_null.append(cyl)
-    if not nearly_full or not nearly_null:
-        return TailTrivialityReport(False, eps, None, None, None, None, None)
-
-    b, c = nearly_full[0], nearly_null[0]
+    b, c = first[True], first[False]
     mu_c = markov_cylinder_measure(family, c)
     return TailTrivialityReport(
         violated=True,
         eps=eps,
         witness_b=b,
         witness_c=c,
-        density_in_b=Fraction(1),
-        density_in_c=Fraction(0),
         forced_lower_bound=eps**2 / 2 * mu_c,
     )

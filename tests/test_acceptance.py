@@ -54,8 +54,8 @@ def test_criterion_1_cocycle_exactness():
     cases = 1000
     for case in range(cases):
         fam = COMPACT_FAMILIES[case % len(COMPACT_FAMILIES)]
-        assert float(bn.uniformity_fraction(fam)) <= 4.0
-        assert fam.half_width <= 3
+        assert float(fam.uniformity_fraction()) <= 4.0
+        assert max(abs(k) for k in fam.window) <= 3
         x = fam.configuration(spawn(MASTER, case))
         n = int(uniform01(MASTER, 1, case) * 17) - 8
         m = int(uniform01(MASTER, 2, case) * 17) - 8
@@ -112,7 +112,7 @@ def test_criterion_2_kakutani():
 def test_criterion_3_homoclinic_ratio_bounds():
     checked = violations = 0
     for fam in COMPACT_FAMILIES:
-        assert float(bn.uniformity_fraction(fam)) <= 4.0
+        assert float(fam.uniformity_fraction()) <= 4.0
         x = fam.configuration(spawn(MASTER, 3))
         for radius in range(4):
             width = 2 * radius + 1

@@ -271,6 +271,8 @@ class TestConservativity:
         assert rep.verdict == bn.DIVERGENT
         for n, value in rep.checkpoints:
             assert value == float(n)
+        # the empty window's floor is +0.0, which a report renders as 0.0
+        assert math.copysign(1.0, rep.term_log_floor) == 1.0 and rep.term_log_floor == 0.0
 
     def test_one_site_certified_with_floor(self):
         fam = one_site_family()
@@ -285,7 +287,7 @@ class TestConservativity:
     def test_term_envelope_for_wide_family(self):
         fam = wide_family()
         x = fam.configuration(8)
-        k_width = 2 * fam.half_width + 1
+        k_width = 2 * max(abs(k) for k in fam.window) + 1
         bound = 2 * k_width * math.log(3)
         logs, _ = bn.rn_log_weights(fam, x, -np.arange(1, 2001))
         assert np.all(np.abs(logs) <= bound + 1e-12)

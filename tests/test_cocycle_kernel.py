@@ -522,7 +522,7 @@ class TestBatchedRuns:
         for t in (0.2, 0.5):
             got = av.maximal_inequality_probe(system, f, t, 120, 24, 6)
             assert got == ref_maximal_inequality(system, f, t, sups)
-        two_terms = f.plus(av.Observable.indicator(ps.PoissonEvent.count([0, 5], 2)).scaled(-0.5))
+        two_terms = av.Observable.combine(f.terms + ((-0.5, ps.PoissonEvent.count([0, 5], 2)),))
         times = -np.arange(24)
         assert np.array_equal(
             av.values_matrix(system, 6, 30, two_terms, times),

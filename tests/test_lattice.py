@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ergolab import bernoulli as bn
 from ergolab import lattice as lt
 from ergolab.bernoulli import CONVERGENT, DIVERGENT, SiteMeasure
 from ergolab.errors import NonSingularError
@@ -97,6 +98,21 @@ class TestKakutaniGenerator:
                         for p, q in zip(a.probs, b.probs)
                     )
             assert res.value == pytest.approx(brute, abs=1e-12)
+
+    def test_sites_beyond_the_box_go_to_the_tail(self):
+        # the same window at 40 as a 1-d family: the two increments it makes
+        # lie outside the box, so the value is 0 and both are the tail
+        fam = lt.LatticeCompact(2, HALF, {(40, 0): TILTED})
+        one_d = bn.kakutani_sum(bn.CompactFamily(HALF, {40: TILTED}), 16)
+        res = lt.kakutani_sum_generator(fam, 0, 16)
+        assert res == one_d == (0.0, CONVERGENT, one_d.tail_bound)
+        assert res.tail_bound == pytest.approx(0.1362966948437268, abs=1e-12)
+        # along the other axis the increments are at (40, 0) and (40, 1)
+        assert lt.kakutani_sum_generator(fam, 1, 16) == res
+        # a box that holds one of the two increments splits them
+        inside = lt.kakutani_sum_generator(fam, 0, 40)
+        assert inside.value + inside.tail_bound == res.tail_bound
+        assert inside.value == inside.tail_bound == res.tail_bound / 2
 
     def test_alternating_rows_vertical_divergent(self):
         fam = lt.alternating_rows(axis=1)
@@ -194,6 +210,27 @@ class TestBoxRatioAverage:
                     num += w * f_val
                     den += w
             assert series.values[n - 1] == pytest.approx(num / den, rel=1e-12)
+
+    def test_periodic_refusal_comes_before_the_box(self, monkeypatch):
+        fam = lt.alternating_rows(axis=1)
+
+        def no_box(self, radius, margins=None):
+            raise AssertionError("drew the box of a singular family")
+
+        monkeypatch.setattr(lt.LatticeConfiguration, "box", no_box)
+        with pytest.raises(NonSingularError, match="some box translation"):
+            lt.box_ratio_average(fam, [(1.0, {})], fam.configuration(0), 4)
+
+    def test_constant_periodic_family_has_unit_weights(self):
+        sites = {(0, 0): TILTED, (1, 0): TILTED}
+        fam = lt.LatticePeriodic((2, 1), sites)
+        x = fam.configuration(6)
+        series = lt.box_ratio_average(fam, [(1.0, {(0, 0): 1})], x, 5)
+        box = x.box(5)
+        radius = np.maximum.outer(np.abs(np.arange(-5, 6)), np.abs(np.arange(-5, 6)))
+        for n in range(1, 6):
+            # unit weights: the plain share of 1s over the box [-n, n]^2
+            assert series.values[n - 1] == np.mean(box[::-1, ::-1][radius <= n] == 1)
 
     def test_box_sizes_nested_counts(self):
         fam = iid2()

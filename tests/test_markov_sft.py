@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ergolab import markov_sft as mk
-from ergolab.shift_core import Cylinder
+from ergolab.shift_core import Cylinder, RangeCapError
 
 F = Fraction
 
@@ -180,6 +180,20 @@ class TestCylinderMeasure:
         # one step shows the base marginal is kept; then the cylinder's two edges
         assert len(calls) == 3
         assert fam.marginal(-(10**9)) == fam.marginal(10**9) == fam.base_marginal
+
+    def test_unsettled_marginals_stop_at_the_cap(self, monkeypatch):
+        # the perturbed golden-mean marginal never returns to the base one
+        monkeypatch.setattr(mk, "_MARGINAL_CAP", 16)
+        fam = perturbed_golden()
+        assert fam.marginal(16) != fam.base_marginal
+        with pytest.raises(RangeCapError, match="more than 16 steps"):
+            fam.marginal(17)
+        with pytest.raises(RangeCapError):
+            mk.markov_cylinder_measure(fam, Cylinder.of([1], 10**9))
+        assert len(fam._evolved) == 16
+        # the kept marginals still answer, and so does every one left of them
+        assert fam.marginal(16) == fam._evolved[-1]
+        assert fam.marginal(-(10**9)) == fam.base_marginal
 
     def test_marginal_settles_once_it_returns_to_the_base(self):
         # identical base rows; the marginal leaves the base one at 1, is back
@@ -367,6 +381,19 @@ class TestTailTriviality:
         assert rep.violated
         assert rep.forced_lower_bound > 0
         assert rep.witness_b is not None and rep.witness_c is not None
+
+    def test_witnesses_are_the_first_words_in_and_outside_d(self):
+        fam = golden_family()
+        d = [Cylinder.of([1, 2], left=0), Cylinder.of([2, 1, 1], left=-1)]
+        rep = mk.tail_triviality_probe(fam, d)
+        words = list(fam.sft.words(3))
+        inside = [w for w in words if any(cyl.matches_word(-1, w) for cyl in d)]
+        outside = [w for w in words if w not in inside]
+        assert words.index(inside[0]) > 0 and len(outside) > 1
+        assert rep.witness_b == Cylinder(-1, 1, inside[0])
+        assert rep.witness_c == Cylinder(-1, 1, outside[0])
+        mu_c = mk.markov_cylinder_measure(fam, rep.witness_c)
+        assert rep.forced_lower_bound == rep.eps**2 / 2 * mu_c
 
 
 # --- pairwise reference for the per-word certificates ----------------------

@@ -95,7 +95,14 @@ SUMMABLE_WITH_WINDOW = {
 }
 LETTER = [{"coef": "1", "word": [1], "left": 0}]
 
-#: config -> the words its one stderr line must hold; every one exits 2
+GOLDEN_MEAN = {
+    "type": "markov",
+    "sft": [[1, 1], [1, 0]],
+    "transition": [["3/4", "1/4"], ["1", "0"]],
+}
+
+#: config -> the words its one stderr line must hold; every one exits 2,
+#: apart from the rows whose words are a certified failure, which exit 3
 REJECTED = {
     # rules of the JSON schema that the key tables replace
     "seed-bool": (minimal_config(seed=True), "bad integer True"),
@@ -159,6 +166,15 @@ REJECTED = {
     "coupling-scan-negative-n": (
         config_on(MARKOV, {"name": "coupling_scan", "n": -1}),
         "word length -1 is negative",
+    ),
+    # a marginal that never returns to the base one kept every evolved
+    # marginal, each with more bits than the last
+    "markov-marginal-over-cap": (
+        config_on(
+            dict(GOLDEN_MEAN, transition_window={"0": [["1/2", "1/2"], ["1", "0"]]}),
+            {"name": "cylinder_measure", "word": [1], "left": 10**9},
+        ),
+        "certified failure: marginal at 1000000000: more than 8192 steps",
     ),
     # malformed operation values, most of them nested
     "f-list-of-int": (config_on(BERNOULLI, {"name": "dual_series", "f": [1]}), "got 1"),
@@ -579,8 +595,15 @@ class TestCli:
     @pytest.mark.parametrize("cfg, says", REJECTED.values(), ids=list(REJECTED))
     def test_rejected_config_exit_2(self, tmp_path, capsys, cfg, says):
         code, err = self.cli_error(tmp_path, capsys, cfg)
-        assert code == 2
+        assert code == (3 if says.startswith("certified failure") else 2)
         assert says in err
+
+    def test_window_free_markov_cylinder_far_right(self, tmp_path, capsys):
+        cfg = config_on(GOLDEN_MEAN, {"name": "cylinder_measure", "word": [1, 2], "left": 10**9})
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli.main(["--config", str(cfg_path)]) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["value"] == "1/5"
 
     @pytest.mark.parametrize("name", list(runner._HANDLERS))
     def test_unknown_operation_key_exit_2(self, tmp_path, capsys, name):
