@@ -436,8 +436,6 @@ def _window_kakutani(increments: Iterable[tuple[int, float]], horizon: int) -> K
 def _periodic_kakutani(terms: dict, period: tuple[int, ...], horizon: int) -> KakutaniResult:
     """The Kakutani sum over the box of the given radius of a family whose
     increments repeat with ``period``, from the increment at each residue."""
-    if not any(terms.values()):
-        return KakutaniResult(0.0, CONVERGENT, 0.0)
     value = 0.0
     for r, term in terms.items():
         if term:

@@ -21,6 +21,7 @@ import numpy as np
 
 from .averages import SumSeries
 from .bernoulli import (
+    CONVERGENT,
     KakutaniResult,
     LogValue,
     SiteMeasure,
@@ -59,11 +60,12 @@ def _norm(g) -> int:
 class LatticeFamily:
     """Base interface for Z^d product families; use the concrete shapes.
     Each shape answers its own ``kakutani_generator``, ``log_derivative``,
-    ``box_reach`` (the sup-norm radius the box weights read) and
-    ``box_weights``."""
+    ``require_box_nonsingular``, ``box_reach`` (the sup-norm radius the box
+    weights read) and ``box_weights``."""
 
     dimension: int
     alphabet: Alphabet
+    box_reach = 0
 
     def site(self, g) -> SiteMeasure:
         raise NotImplementedError
@@ -73,6 +75,9 @@ class LatticeFamily:
         path ``states[r]``, which has folded in the r-th prefix (row-major)
         of the absolute coordinates ``axes[:-1]``, along the last axis."""
         raise NotImplementedError
+
+    def require_box_nonsingular(self) -> None:
+        """Raise ``NonSingularError`` if some box translation is singular."""
 
     def configuration(self, seed: int) -> "LatticeConfiguration":
         return LatticeConfiguration(self, seed)
@@ -179,6 +184,8 @@ class LatticePeriodic(LatticeFamily):
     def kakutani_generator(self, e: tuple[int, ...], horizon: int) -> KakutaniResult:
         residues = _box_residues(self.period)
         terms = {r: hellinger_sq(self.site(r), self.site(_plus(r, e, -1))) for r in residues}
+        if not any(terms.values()):
+            return KakutaniResult(0.0, CONVERGENT, 0.0)
         return _periodic_kakutani(terms, self.period, horizon)
 
     def log_derivative(self, x: "LatticeConfiguration", g: tuple[int, ...]) -> LogValue:
@@ -186,14 +193,12 @@ class LatticePeriodic(LatticeFamily):
             raise NonSingularError(f"periodic lattice family is singular under translation by {g}")
         return LogValue(0.0, 0.0)
 
-    @property
-    def box_reach(self) -> int:
+    def require_box_nonsingular(self) -> None:
         # the boxes exhaust every translation, so all of them must be
         # non-singular, which for periodic families means constant sites
         d = self.dimension
         if not all(self.preserved_by(_unit_vector(d, axis)) for axis in range(d)):
             raise NonSingularError("periodic lattice family is singular under some box translation")
-        return 0
 
     def box_weights(self, x: "LatticeConfiguration", read, shape) -> np.ndarray:
         return np.ones(shape)
@@ -235,9 +240,7 @@ def alternating_rows(axis: int = 1, dimension: int = 2) -> LatticePeriodic:
     even = SiteMeasure.of(["3/4", "1/4"])
     odd = SiteMeasure.of(["1/4", "3/4"])
     period = tuple(1 + e for e in _unit_vector(dimension, axis))
-    sites = {}
-    for r in _box_residues(period):
-        sites[r] = even if r[axis] == 0 else odd
+    sites = {r: even if r[axis] == 0 else odd for r in _box_residues(period)}
     return LatticePeriodic(period, sites)
 
 
@@ -258,12 +261,7 @@ class LatticeConfiguration:
 
     def translated(self, g) -> "LatticeConfiguration":
         """T_g of this point: reads h as we read h - g."""
-        vec = _as_vec(g)
-        return LatticeConfiguration(
-            self.family,
-            self.seed,
-            tuple(o - v for o, v in zip(self.offset, vec)),
-        )
+        return LatticeConfiguration(self.family, self.seed, _plus(self.offset, _as_vec(g), -1))
 
     def symbol(self, g) -> int:
         vec = tuple(v + o for v, o in zip(_as_vec(g), self.offset))
@@ -338,6 +336,7 @@ def box_ratio_average(
         raise ValueError("n_max must be >= 1")
     d = family.dimension
     atoms = [(float(c), _atom_coords(atom)) for c, atom in f_terms]
+    family.require_box_nonsingular()
     reach = max([_norm(g) for _, atom in atoms for g in atom] + [family.box_reach])
 
     block = x.box(n_max, margins=(reach,) * d)

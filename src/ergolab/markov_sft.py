@@ -24,9 +24,10 @@ from .shift_core import Cylinder, RangeCapError
 
 _SUM_TOL = Fraction(1, 10**12)
 
-#: the most evolved marginals a family keeps while its marginal is off the
-#: base one; each step can lengthen every entry, so further out is refused
-_MARGINAL_CAP = 1 << 13
+#: the most bits of evolved marginals a family keeps while its marginal is off
+#: the base one, an entry costing its denominator's bit length plus a 64-bit
+#: word (about 20 MB); each step can lengthen every entry, so further is refused
+_MARGINAL_BITS = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -196,6 +197,7 @@ class MarkovFamily:
         # the marginals at _lo + 1, _lo + 2, ... up to the first one past _hi
         # that is back on the stationary base marginal, which base steps keep
         self._evolved: list[tuple[Fraction, ...]] = []
+        self._evolved_bits = 0
         self._settled = False
 
     def transition(self, n: int) -> tuple[tuple[Fraction, ...], ...]:
@@ -213,10 +215,11 @@ class MarkovFamily:
             )
             self._settled = j > self._hi and row == self.base_marginal
             if not self._settled:
-                if len(self._evolved) == _MARGINAL_CAP:
+                self._evolved_bits += sum(e.denominator.bit_length() + 64 for e in row)
+                if self._evolved_bits > _MARGINAL_BITS:
                     raise RangeCapError(
-                        f"marginal at {n}: more than {_MARGINAL_CAP} steps from the window's "
-                        "left end do not return to the base marginal"
+                        f"marginal at {n}: the marginals from the window's left end pass "
+                        f"{_MARGINAL_BITS} bits without returning to the base marginal"
                     )
                 self._evolved.append(row)
         return self._evolved[i] if 0 <= i < len(self._evolved) else self.base_marginal

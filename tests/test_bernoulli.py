@@ -114,6 +114,18 @@ class TestKakutaniSum:
         fam = bn.periodic_family([TILTED, TILTED])
         assert bn.kakutani_sum(fam, 100) == (0.0, bn.CONVERGENT, 0.0)
 
+    def test_periodic_sites_equal_as_floats_stay_divergent(self):
+        # the sites differ, so the family is singular, but by less than a
+        # float resolves: every increment rounds to 0.0
+        eps = Fraction(1, 10**20)
+        near = bn.SiteMeasure((Fraction(1, 2) + eps, Fraction(1, 2) - eps))
+        fam = bn.periodic_family([bn.SiteMeasure.of(["1/2", "1/2"]), near])
+        assert isinstance(fam, bn.PeriodicFamily)
+        assert bn.hellinger_sq(fam.site(0), fam.site(1)) == 0.0
+        assert bn.kakutani_sum(fam, 100) == (0.0, bn.DIVERGENT, None)
+        with pytest.raises(NonSingularError):
+            fam.require_nonsingular()
+
     def test_summable_certified(self):
         fam = summable_family()
         res = bn.kakutani_sum(fam, 200)

@@ -181,19 +181,33 @@ class TestCylinderMeasure:
         assert len(calls) == 3
         assert fam.marginal(-(10**9)) == fam.marginal(10**9) == fam.base_marginal
 
-    def test_unsettled_marginals_stop_at_the_cap(self, monkeypatch):
+    def test_unsettled_marginals_stop_at_the_bit_budget(self, monkeypatch):
         # the perturbed golden-mean marginal never returns to the base one
-        monkeypatch.setattr(mk, "_MARGINAL_CAP", 16)
+        monkeypatch.setattr(mk, "_MARGINAL_BITS", 2000)
         fam = perturbed_golden()
-        assert fam.marginal(16) != fam.base_marginal
-        with pytest.raises(RangeCapError, match="more than 16 steps"):
-            fam.marginal(17)
-        with pytest.raises(RangeCapError):
+        with pytest.raises(RangeCapError, match="pass 2000 bits"):
             mk.markov_cylinder_measure(fam, Cylinder.of([1], 10**9))
-        assert len(fam._evolved) == 16
+        kept = len(fam._evolved)
+        bits = sum(e.denominator.bit_length() + 64 for row in fam._evolved for e in row)
+        # the refused marginal is counted but not kept
+        assert 0 < kept < 16 and bits <= 2000 < fam._evolved_bits
+        with pytest.raises(RangeCapError):
+            fam.marginal(kept + 1)
         # the kept marginals still answer, and so does every one left of them
-        assert fam.marginal(16) == fam._evolved[-1]
+        assert fam.marginal(kept) == fam._evolved[-1] != fam.base_marginal
         assert fam.marginal(-(10**9)) == fam.base_marginal
+
+    def test_wide_window_with_small_marginals_answers(self):
+        # every marginal is the uniform one, so 9000 of them stay far under
+        # the budget although none settles before the window's right end
+        full = mk.SFT.of([[1, 1], [1, 1]])
+        uniform = [[F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)]]
+        lazy = [[F(3, 4), F(1, 4)], [F(1, 4), F(3, 4)]]
+        fam = mk.MarkovFamily(full, uniform, None, {0: lazy, 10000: lazy})
+        assert mk.markov_cylinder_measure(fam, Cylinder.of([1, 2], 9000)) == F(1, 4)
+        assert len(fam._evolved) == 9000
+        # each entry 1/2 costs its 2-bit denominator plus one word
+        assert fam._evolved_bits == 9000 * 2 * (2 + 64) < mk._MARGINAL_BITS // 50
 
     def test_marginal_settles_once_it_returns_to_the_base(self):
         # identical base rows; the marginal leaves the base one at 1, is back

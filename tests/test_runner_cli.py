@@ -101,8 +101,7 @@ GOLDEN_MEAN = {
     "transition": [["3/4", "1/4"], ["1", "0"]],
 }
 
-#: config -> the words its one stderr line must hold; every one exits 2,
-#: apart from the rows whose words are a certified failure, which exit 3
+#: config -> the words its one stderr line must hold; every one exits 2
 REJECTED = {
     # rules of the JSON schema that the key tables replace
     "seed-bool": (minimal_config(seed=True), "bad integer True"),
@@ -167,15 +166,6 @@ REJECTED = {
         config_on(MARKOV, {"name": "coupling_scan", "n": -1}),
         "word length -1 is negative",
     ),
-    # a marginal that never returns to the base one kept every evolved
-    # marginal, each with more bits than the last
-    "markov-marginal-over-cap": (
-        config_on(
-            dict(GOLDEN_MEAN, transition_window={"0": [["1/2", "1/2"], ["1", "0"]]}),
-            {"name": "cylinder_measure", "word": [1], "left": 10**9},
-        ),
-        "certified failure: marginal at 1000000000: more than 8192 steps",
-    ),
     # malformed operation values, most of them nested
     "f-list-of-int": (config_on(BERNOULLI, {"name": "dual_series", "f": [1]}), "got 1"),
     "f-string": (config_on(BERNOULLI, {"name": "dual_series", "f": "abc"}), "got 'abc'"),
@@ -239,6 +229,33 @@ REJECTED = {
             {"name": "variance_decay", "region": [5], "blocks": [2]},
         ),
         "invalid input: point 5 outside cycle of length 3",
+    ),
+}
+
+#: config -> the words its one stderr line must hold; every one exits 3
+CERTIFIED_FAILURES = {
+    "null-subsequence-no-admissible-time": (
+        minimal_config(
+            seed="3",
+            system={"type": "poisson", "ground": "cycle", "length": 4},
+            operation={
+                "name": "find_null_subsequence",
+                "regions": [["0", "1"]],
+                "count": 2,
+                "horizon": 20,
+            },
+        ),
+        "certified failure: no admissible time at step 2 within horizon 20",
+    ),
+    # a marginal that never returns to the base one kept every evolved
+    # marginal, each with more bits than the last
+    "markov-marginal-over-budget": (
+        config_on(
+            dict(GOLDEN_MEAN, transition_window={"0": [["1/2", "1/2"], ["1", "0"]]}),
+            {"name": "cylinder_measure", "word": [1], "left": 10**9},
+        ),
+        "certified failure: marginal at 1000000000: the marginals from the window's left end "
+        "pass 67108864 bits",
     ),
 }
 
@@ -539,21 +556,11 @@ class TestCli:
     def test_unreadable_config_exit_4(self, tmp_path):
         assert cli.main(["--config", str(tmp_path / "missing.json")]) == 4
 
-    def test_certified_failure_exit_3(self, tmp_path):
-        cfg = {
-            "schema": "v1",
-            "seed": "3",
-            "system": {"type": "poisson", "ground": "cycle", "length": 4},
-            "operation": {
-                "name": "find_null_subsequence",
-                "regions": [["0", "1"]],
-                "count": 2,
-                "horizon": 20,
-            },
-        }
-        cfg_path = tmp_path / "c.json"
-        cfg_path.write_text(json.dumps(cfg))
-        assert cli.main(["--config", str(cfg_path)]) == 3
+    @pytest.mark.parametrize("cfg, says", CERTIFIED_FAILURES.values(), ids=list(CERTIFIED_FAILURES))
+    def test_certified_failure_exit_3(self, tmp_path, capsys, cfg, says):
+        code, err = self.cli_error(tmp_path, capsys, cfg)
+        assert code == 3
+        assert says in err
 
     @pytest.mark.parametrize(
         "operation",
@@ -595,7 +602,7 @@ class TestCli:
     @pytest.mark.parametrize("cfg, says", REJECTED.values(), ids=list(REJECTED))
     def test_rejected_config_exit_2(self, tmp_path, capsys, cfg, says):
         code, err = self.cli_error(tmp_path, capsys, cfg)
-        assert code == (3 if says.startswith("certified failure") else 2)
+        assert code == 2
         assert says in err
 
     def test_window_free_markov_cylinder_far_right(self, tmp_path, capsys):
