@@ -51,7 +51,6 @@ class Observable:
 class SumSeries:
     checkpoints: tuple[int, ...]
     values: tuple[float, ...]
-    normalization: str  # "raw" | "per_n" | "ratio"
     error_bounds: tuple[float, ...] = ()
 
     @property
@@ -138,26 +137,28 @@ def _cylinder_values(
 ) -> np.ndarray:
     """f(T^t x) for each t in times, shape ``lead + (len(times),)``, over the
     symbols ``read(lo, hi)`` returns, shape ``lead + (cells,)``."""
+    terms = [(c, {j: atom.symbol(j) for j in atom.coords()}) for c, atom in obs.terms]
+    coords = [j for _, pattern in terms for j in pattern]
     out = np.zeros(lead + (len(times),))
-    spans = [atom for _, atom in obs.terms if not atom.is_empty]
-    if not spans:
-        for c, _ in obs.terms:
-            out += c
-        return out
-    lo = min(a.left for a in spans) + int(times.min())
-    hi = max(a.right for a in spans) + int(times.max())
-    block = read(lo, hi)
+    if not coords:
+        return _add_patterns(out, terms, None)
+    lo = min(coords) + int(times.min())
+    block = read(lo, max(coords) + int(times.max()))
     for cols, take in column_chunks(block, times):
-        chunk = out[..., cols]
-        ind = np.empty(chunk.shape, dtype=bool)
-        for c, atom in obs.terms:
-            if atom.is_empty:
-                chunk += c
-                continue
-            ind.fill(True)
-            for j in atom.coords():
-                ind &= take(j - lo) == atom.symbol(j)
-            chunk += c * ind
+        _add_patterns(out[..., cols], terms, lambda j: take(j - lo))
+    return out
+
+
+def _add_patterns(out: np.ndarray, terms, read: Callable) -> np.ndarray:
+    """Add c * [read(p) == s for every (p, s) of the pattern] into ``out``
+    for each term (c, pattern), a pattern mapping coordinates to symbols;
+    an empty pattern adds c."""
+    ind = np.empty(out.shape, dtype=bool)
+    for c, pattern in terms:
+        ind.fill(True)
+        for p, s in pattern.items():
+            ind &= read(p) == s
+        out += c * ind
     return out
 
 
@@ -232,9 +233,7 @@ def birkhoff_series(system, f: Observable, x, horizon: int) -> SumSeries:
     values = system.value_series(x, f, np.arange(horizon))
     sums = np.cumsum(values)
     pts = series_checkpoints(horizon)
-    return SumSeries(
-        tuple(pts), tuple(float(sums[n - 1] / n) for n in pts), "per_n"
-    )
+    return SumSeries(tuple(pts), tuple(float(sums[n - 1] / n) for n in pts))
 
 
 def _dual_sums(system, f: Observable, x, horizon: int, tol: float = 1e-12):
@@ -253,7 +252,6 @@ def dual_series(system, f: Observable, x, horizon: int, tol: float = 1e-12) -> S
     return SumSeries(
         tuple(pts),
         tuple(float(sums[n - 1]) for n in pts),
-        "raw",
         tuple(n * err for n in pts),
     )
 
@@ -263,7 +261,7 @@ def hurewicz_ratio_series(system, f: Observable, x, horizon: int, tol: float = 1
     num, weights, _ = _dual_sums(system, f, x, horizon, tol)
     den = np.cumsum(weights)
     pts = series_checkpoints(horizon)
-    return SumSeries(tuple(pts), tuple(float(num[n - 1] / den[n - 1]) for n in pts), "ratio")
+    return SumSeries(tuple(pts), tuple(float(num[n - 1] / den[n - 1]) for n in pts))
 
 
 # ---------------------------------------------------------------------------

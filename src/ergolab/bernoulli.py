@@ -120,9 +120,6 @@ class SiteMeasure:
         levels = thresholds(np.cumsum(probs)).tolist()
         return SiteFloats(tuple(math.log(p) for p in probs), tuple(levels))
 
-    def log_probs(self) -> np.ndarray:
-        return np.array(self.floats.logs, dtype=np.float64)
-
 
 class SiteFloats(NamedTuple):
     """The float data of a site that the cocycles and the sampler read: the
@@ -187,10 +184,8 @@ class BernoulliFamily:
     def uniformity(self, horizon: int) -> UniformityBound:
         return UniformityBound(float(self.uniformity_fraction()), True)
 
-    def configuration(
-        self, seed: int, pinned: Mapping[int, int] | None = None
-    ) -> Configuration:
-        return Configuration(LazyTail(seed, self.levels_at), pinned)
+    def configuration(self, seed: int) -> Configuration:
+        return Configuration(LazyTail(seed, self.levels_at))
 
     def run_configuration(self, master_seed: int, run: int) -> Configuration:
         return self.configuration(spawn(master_seed, run))
@@ -480,6 +475,28 @@ def _window_log_ratio(base: SiteMeasure, window: Mapping, symbol, moved) -> floa
     return total
 
 
+def _window_log_ratios(base: SiteFloats, window: Mapping, here: Callable) -> Callable:
+    """The array form of ``_window_log_ratio``: returns ``add(out, there)``,
+    which adds into ``out``, site by site in window order, log(m_i / base)
+    at the symbols ``there(i)`` minus the same at ``here(i)``, as
+    ``t = table[there]; t -= here; out += t``.  ``window`` maps each site i
+    to its ``SiteFloats``; the tables and the ``here`` terms are built once."""
+    base_logs = np.array(base.logs)
+    # entry s of a site's table is its log ratio at symbol s
+    tables = {i: np.concatenate(([0.0], np.array(m.logs) - base_logs)) for i, m in window.items()}
+    heres = {i: table[here(i)] for i, table in tables.items()}
+
+    def add(out: np.ndarray, there: Callable) -> np.ndarray:
+        t = np.empty(out.shape)
+        for i, table in tables.items():
+            np.take(table, there(i), out=t, mode="clip")
+            t -= heres[i]
+            out += t
+        return out
+
+    return add
+
+
 def cocycle_gap(
     family: BernoulliFamily,
     x: Configuration,
@@ -518,17 +535,9 @@ def _log_weights(
     lo = int(min(k for k in window) + min(ns.min(), 0))
     hi = int(max(k for k in window) + max(ns.max(), 0))
     block = read(lo, hi)
-    base_logs = family.base.log_probs()
-    # entry s of a site's table is its log ratio at symbol s
-    tables = [np.concatenate(([0.0], np.array(m.logs) - base_logs)) for m in window.values()]
-    heres = [table[block[..., i - lo, None]] for i, table in zip(window, tables)]
+    add = _window_log_ratios(family.base.floats, window, lambda i: block[..., i - lo, None])
     for cols, take in column_chunks(block, ns):
-        chunk = out[..., cols]
-        t = np.empty(chunk.shape)
-        for i, table, here in zip(window, tables, heres):
-            np.take(table, take(i - lo), out=t, mode="clip")
-            t -= here
-            chunk += t
+        add(out[..., cols], lambda i: take(i - lo))
     return out, err
 
 

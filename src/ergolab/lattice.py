@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .averages import SumSeries
+from .averages import SumSeries, _add_patterns
 from .bernoulli import (
     CONVERGENT,
     KakutaniResult,
@@ -28,6 +28,7 @@ from .bernoulli import (
     _periodic_kakutani,
     _window_kakutani,
     _window_log_ratio,
+    _window_log_ratios,
     hellinger_sq,
 )
 from .errors import NonSingularError
@@ -129,15 +130,9 @@ class LatticeCompact(LatticeFamily):
     def box_weights(self, x: "LatticeConfiguration", read, shape) -> np.ndarray:
         """exp of ``log_derivative`` at each g of the box, where ``read(i)``
         holds x_{i - g} over the box."""
-        if not self.window:
-            return np.ones(shape)
-        logs = np.zeros(shape)
-        base_logs = self.base.log_probs()
-        for i, m in self.window.items():
-            table = m.log_probs() - base_logs
-            here = table[x.symbol(i) - 1]
-            logs += table[read(i) - 1] - here
-        return np.exp(logs)
+        window = {g: m.floats for g, m in self.window.items()}
+        add = _window_log_ratios(self.base.floats, window, x.symbol)
+        return np.exp(add(np.zeros(shape), read))
 
     def box_symbols(self, states: np.ndarray, axes: list[np.ndarray]) -> np.ndarray:
         base = np.array(self.base.floats.levels, dtype=np.uint64)[:, None]
@@ -288,7 +283,7 @@ class LatticeConfiguration:
         # drawn block by block inside keyed_symbols
         states = np.array([combine(self.seed, TAG_LATTICE)], dtype=np.uint64)
         for a in axes[:-1]:
-            states = fold(states, zigzag_vec(a))
+            states = fold(states[:, None], zigzag_vec(a)).reshape(-1)
         return self.family.box_symbols(states, axes).reshape(shape)
 
 
@@ -354,20 +349,11 @@ def box_ratio_average(
         )
         return block[slices][tuple(slice(None, None, -1) for _ in range(d))]
 
-    values = np.zeros(radius.shape)
-    for c, atom in atoms:
-        if not atom:
-            values += c
-            continue
-        ind = np.ones(radius.shape, dtype=bool)
-        for g_atom, symbol in atom.items():
-            ind &= read(g_atom) == symbol
-        values += c * ind
-
+    values = _add_patterns(np.zeros(radius.shape), atoms, read)
     weights = family.box_weights(x, read, radius.shape)
 
     num = np.bincount(radius.ravel(), (weights * values).ravel(), minlength=n_max + 1)
     den = np.bincount(radius.ravel(), weights.ravel(), minlength=n_max + 1)
     num_c, den_c = np.cumsum(num), np.cumsum(den)
     pts = tuple(range(1, n_max + 1))
-    return SumSeries(pts, tuple(float(num_c[n] / den_c[n]) for n in pts), "ratio")
+    return SumSeries(pts, tuple(float(num_c[n] / den_c[n]) for n in pts))

@@ -46,7 +46,6 @@ class GroundSpace:
 
     weight: Callable[[int], Fraction]
     jump: Callable[[int, int], int]
-    name: str = "ground"
 
     def region_weight(self, region: Iterable[int]) -> Fraction:
         return sum((Fraction(self.weight(p)) for p in region), Fraction(0))
@@ -55,17 +54,11 @@ class GroundSpace:
 def integer_translation(step: int = 1) -> GroundSpace:
     """Translation p -> p + step on Z with unit weights (no finite invariant
     probability: the canonical ergodic-suspension base)."""
-    return GroundSpace(
-        weight=lambda p: Fraction(1),
-        jump=lambda p, k: p + k * step,
-        name=f"translation[{step}]",
-    )
+    return GroundSpace(weight=lambda p: Fraction(1), jump=lambda p, k: p + k * step)
 
 
 def integer_identity() -> GroundSpace:
-    return GroundSpace(
-        weight=lambda p: Fraction(1), jump=lambda p, k: p, name="identity"
-    )
+    return GroundSpace(weight=lambda p: Fraction(1), jump=lambda p, k: p)
 
 
 def finite_cycle(length: int) -> GroundSpace:
@@ -84,7 +77,7 @@ def finite_cycle(length: int) -> GroundSpace:
         check(p)
         return (p + k) % length
 
-    return GroundSpace(weight=weight, jump=jump, name=f"cycle[{length}]")
+    return GroundSpace(weight=weight, jump=jump)
 
 
 def weighted_points(weights: Mapping[int, object]) -> GroundSpace:
@@ -99,7 +92,7 @@ def weighted_points(weights: Mapping[int, object]) -> GroundSpace:
             raise ValueError(f"point {p} has no assigned weight")
         return table[p]
 
-    return GroundSpace(weight=weight, jump=lambda p, k: p, name="weighted")
+    return GroundSpace(weight=weight, jump=lambda p, k: p)
 
 
 @dataclass(frozen=True)
@@ -446,18 +439,10 @@ def find_null_subsequence(
 
 
 def banach_density_filter(
-    values, eps: float, horizon: int
+    values: Callable[[int], float], eps: float, horizon: int
 ) -> tuple[list[int], float]:
-    """Indices n in [1, horizon] with a_n < eps, and their density.
-
-    ``values`` is a sequence (values[0] is a_1) or a callable n -> a_n.
-    """
-    if callable(values):
-        seq = [float(values(n)) for n in range(1, horizon + 1)]
-    else:
-        seq = [float(v) for v in values[:horizon]]
-        if len(seq) < horizon:
-            raise ValueError("need at least `horizon` values")
+    """Indices n in [1, horizon] with a_n = values(n) < eps, and their density."""
+    seq = [float(values(n)) for n in range(1, horizon + 1)]
     kept = [n for n, a in enumerate(seq, start=1) if 0.0 <= a < eps]
     return kept, len(kept) / horizon
 

@@ -294,6 +294,7 @@ def _homoclinic_scan(family, seed, radius_max, n_max):
 
 
 def _conservativity(family, seed, horizon):
+    _batched("conservativity_probe", 1, horizon, "horizon")
     x = family.configuration(spawn(seed, 0))
     rep = bn.conservativity_probe(family, x, horizon)
     return {
@@ -306,28 +307,30 @@ def _conservativity(family, seed, horizon):
 
 def _series(which: str, series: Callable) -> Callable:
     def handler(system, seed, f, horizon):
+        _batched(f"{which}_series", 1, horizon, "horizon")
         out = series(system, f, system.run_sample(seed, 0), horizon)
         return {"final_value": out.final_value, "series": {which: series_rows(out)}}
 
     return handler
 
 
-def _batched(system, name: str, runs: int, width: int, what: str) -> None:
-    """A Bernoulli probe holds its runs as one (runs, width) matrix: refuse
-    one of more than ``RANGE_CAP`` cells rather than run out of memory."""
-    if system.kind == "bernoulli" and runs * width > RANGE_CAP:
+def _batched(name: str, runs: int, width: int, what: str) -> None:
+    """A sampled operation holds its runs as one (runs, width) matrix:
+    refuse one of more than ``RANGE_CAP`` cells rather than run out of
+    memory."""
+    if runs * width > RANGE_CAP:
         raise ConfigError(
             f"operation {name}: runs x {what} = {runs * width} cells exceeds the cap {RANGE_CAP}"
         )
 
 
 def _maximal(system, seed, f, t, runs, horizon):
-    _batched(system, "maximal_inequality", runs, horizon, "horizon")
+    _batched("maximal_inequality", runs, horizon, "horizon")
     return averages.maximal_inequality_probe(system, f, t, runs, horizon, seed)._asdict()
 
 
 def _two_subsequence(system, seed, f, blocks, times, times_rule, spacing, alpha, runs):
-    _batched(system, "two_subsequence_probe", runs, max(blocks), "largest block")
+    _batched("two_subsequence_probe", runs, max(blocks), "largest block")
     if times is None:
         n = max(blocks)
         times = list(range(n)) if times_rule == "all" else [spacing * (j + 1) for j in range(n)]
@@ -433,6 +436,7 @@ def _banach(gs, seed, horizon, sequence, eps):
 
 
 def _variance_decay(gs, seed, region, k, blocks, spacing, runs):
+    _batched("variance_decay", runs, max(blocks), "largest block")
     event = ps.PoissonEvent.count(region, k)
     spacing = len(region) if spacing is None else spacing
     times = [spacing * (j + 1) for j in range(max(blocks))]
@@ -452,6 +456,7 @@ def _variance_decay(gs, seed, region, k, blocks, spacing, runs):
 
 
 def _weak_mixing(gs, seed, f, g, times, runs):
+    _batched("weak_mixing_probe", runs, len(times), "times")
     points = ps.weak_mixing_probe(gs, f, g, times, runs, seed)
     return {
         "limit": points[0].limit if points else None,

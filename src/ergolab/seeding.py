@@ -9,10 +9,12 @@ experiment never re-randomizes anything.
 The mixer is the splitmix64 finalizer applied over the key path.  It is
 implemented twice, once on Python ints and once in place on numpy uint64
 arrays, and the two are bit-identical (tested).  The vectorized form is what
-makes 10^5-coordinate windows and 10^4-seed Monte Carlo batches cheap; grids
-are mixed in cache-sized row blocks.  The design is counter-based (Salmon
-et al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011): a draw is
-a pure function of (seed, key), so any blocking gives the same bits.
+makes 10^5-coordinate windows and 10^4-seed Monte Carlo batches cheap.  One
+function, ``fold``, extends arrays of key paths by arrays of keys, with
+numpy broadcasting; every vectorized draw goes through it.  The design is
+counter-based (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
+SC 2011): a draw is a pure function of (seed, key), so any blocking gives
+the same bits.
 
 Symbols are drawn by ``keyed_symbols`` against integer inverse-CDF
 ``thresholds``, one cache-sized block at a time, without forming the
@@ -36,8 +38,8 @@ TAG_POISSON = 0x504F4953  # per-point Poisson counts
 TAG_SPAWN = 0x5350574E  # derived per-run seeds
 TAG_LATTICE = 0x4C415454  # lattice symbol draws
 
-#: cells per block of a keyed grid: a block's two uint64 buffers and its
-#: float64 output (768 KiB together) stay in a core's L2 cache
+#: cells per block of a keyed grid or a mix: a few 8-byte buffers of this
+#: many cells (256 KiB each) stay in a core's L2 cache
 GRID_BLOCK = 1 << 15
 
 
@@ -95,10 +97,26 @@ def _mix(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     return z
 
 
-def _to_unit(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _to_unit(z: np.ndarray) -> np.ndarray:
     """Top 53 bits of a mixed uint64 array as floats in [0, 1); shifts ``z``."""
     z >>= np.uint64(11)
-    return np.multiply(z, 2.0**-53, out=out)
+    return z * 2.0**-53
+
+
+def fold(states, keys) -> np.ndarray:
+    """``combine(..., k)`` for the key path of state s extended by one more
+    key k, over the pairs (s, k) that numpy broadcasting forms from
+    ``states`` and ``keys``; ``states[:, None]`` forms every pair, row-major.
+
+    ``states`` holds uint64 ``combine`` values; ``keys`` must already be
+    nonnegative (zigzag-encoded when signed).
+    """
+    # array additions wrap mod 2^64 as the scalar mixer's masks do; int64
+    # keys cast to uint64 inside the one add, which holds no temporary, and
+    # the sum is C-ordered so that ``_mix`` mixes it in place
+    z = np.add(states, keys, dtype=np.uint64, casting="unsafe", order="C")
+    z += np.uint64(_GOLDEN)
+    return _mix(z)
 
 
 def combine_vec(seed: int, parts: tuple[int, ...], keys: np.ndarray) -> np.ndarray:
@@ -106,12 +124,7 @@ def combine_vec(seed: int, parts: tuple[int, ...], keys: np.ndarray) -> np.ndarr
 
     ``keys`` must already be nonnegative (zigzag-encoded when signed).
     """
-    h0 = combine(seed, *parts)
-    # keep the scalar part of the addition in Python ints: numpy warns on
-    # scalar uint64 overflow while array ops wrap silently
-    z = keys.astype(np.uint64, order="C")
-    z += np.uint64((h0 + _GOLDEN) & _MASK)
-    return _mix(z)
+    return fold(np.uint64(combine(seed, *parts)), keys)
 
 
 def uniform01_vec(seed: int, parts: tuple[int, ...], keys: np.ndarray) -> np.ndarray:
@@ -132,20 +145,8 @@ def combine_seeds(seeds: np.ndarray, parts: tuple[int, ...]) -> np.ndarray:
     h ^= np.uint64(_GOLDEN)
     _mix(h)
     for p in parts:
-        h += np.uint64((_GOLDEN + (p & _MASK)) & _MASK)
-        _mix(h)
+        h = fold(h, p & _MASK)
     return h
-
-
-def fold(states: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Key paths extended by one more key, flattened row-major.
-
-    Entry r * len(keys) + j is ``combine(..., k)`` for the key path of
-    ``states[r]`` extended by ``k = keys[j]`` (nonnegative).
-    """
-    k = keys.astype(np.uint64)
-    k += np.uint64(_GOLDEN)
-    return _mix(np.add.outer(states, k).reshape(-1))
 
 
 def uniform01_grid(
@@ -154,23 +155,10 @@ def uniform01_grid(
     """(len(seeds), len(keys)) grid; entry [i, j] == uniform01(seeds[i], *parts, keys[j]).
 
     ``keys`` must already be nonnegative (zigzag-encoded when signed).  The
-    grid is mixed in blocks of whole rows, about ``GRID_BLOCK`` cells each
-    (one row when a row is wider), through two reused uint64 buffers; each
-    cell depends on its own (seed, key) only, so the blocking cannot change
-    a bit.
+    whole grid is formed at once, so callers keep it to about
+    ``GRID_BLOCK`` cells.
     """
-    h = combine_seeds(seeds, parts)
-    k = keys.astype(np.uint64)
-    k += np.uint64(_GOLDEN)
-    out = np.empty((len(h), len(k)))
-    rows = max(1, GRID_BLOCK // max(len(k), 1))
-    z = np.empty((min(rows, len(h)), len(k)), dtype=np.uint64)
-    scratch = np.empty(min(z.size, GRID_BLOCK), dtype=np.uint64)
-    for lo in range(0, len(h), rows):
-        hi = min(lo + rows, len(h))
-        zb = np.add(h[lo:hi, None], k, out=z[: hi - lo])
-        _to_unit(_mix(zb, scratch), out=out[lo:hi])
-    return out
+    return _to_unit(fold(combine_seeds(seeds, parts)[:, None], keys))
 
 
 def spawn_vec(seed: int, indices: np.ndarray) -> np.ndarray:
@@ -184,12 +172,9 @@ def uniform01_nd(seed: int, parts: tuple[int, ...], key_arrays) -> np.ndarray:
     Entry [idx] equals uniform01(seed, *parts, k1[idx], k2[idx], ...); keys
     must already be nonnegative.
     """
-    key_arrays = [np.asarray(k) for k in key_arrays]
-    h = np.full(key_arrays[0].shape, combine(seed, *parts), dtype=np.uint64)
+    h = np.uint64(combine(seed, *parts))
     for keys in key_arrays:
-        h += keys.astype(np.uint64, copy=False)
-        h += np.uint64(_GOLDEN)
-        _mix(h)
+        h = fold(h, keys)
     return _to_unit(h)
 
 

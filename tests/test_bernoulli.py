@@ -145,14 +145,14 @@ class TestRnDerivative:
 
     def test_worked_example_log_third(self):
         fam = one_site_family()
-        x = fam.configuration(5, pinned={0: 1, 1: 2})
+        x = fam.configuration(5).rewired(Cylinder.of([1, 2], left=0))
         val = bn.rn_derivative(fam, x, 1)
         assert val.error_bound == 0.0
         assert val.log_magnitude == pytest.approx(math.log(1 / 3), abs=1e-14)
 
     def test_worked_example_cancellation(self):
         fam = one_site_family()
-        x = fam.configuration(5, pinned={0: 1, 1: 1})
+        x = fam.configuration(5).rewired(Cylinder.of([1, 1], left=0))
         assert bn.rn_derivative(fam, x, 1).log_magnitude == pytest.approx(0.0, abs=1e-14)
 
     @pytest.mark.parametrize("n", [-7, -3, -1, 1, 2, 5, 9])
@@ -250,7 +250,7 @@ class TestHomoclinicRatioBounds:
         # differing only at the origin, the ratio attains the per-site bound,
         # which is why a 4N-exponent uniform bound cannot be right at N=0
         fam = one_site_family()
-        x = fam.configuration(5, pinned={0: 1, 1: 1})
+        x = fam.configuration(5).rewired(Cylinder.of([1, 1], left=0))
         y = x.rewired(Cylinder.of([2], left=0))
         res = bn.homoclinic_ratio_bound_check(fam, x, y, 0, 1)
         assert abs(res.ratio_log) == pytest.approx(math.log(3), abs=1e-12)

@@ -192,11 +192,18 @@ class TestBoxRatioAverage:
         )
         assert abs(series.final_value - 0.5) < 0.02
 
-    def test_small_boxes_match_brute_force(self):
+    @pytest.mark.parametrize(
+        "shift, terms",
+        [
+            ((0, 0), [(1.0, {(0, 0): 1, (1, 0): 2})]),
+            # a constant term next to a pattern, on a moved point
+            ((2, -1), [(0.5, {}), (-2.0, {(0, 1): 2})]),
+        ],
+    )
+    def test_small_boxes_match_brute_force(self, shift, terms):
         fam = compact2()
-        x = fam.configuration(11)
-        atom = {(0, 0): 1, (1, 0): 2}
-        series = lt.box_ratio_average(fam, [(1.0, atom)], x, 3)
+        x = fam.configuration(11).translated(shift)
+        series = lt.box_ratio_average(fam, terms, x, 3)
         for n in (1, 2, 3):
             num = den = 0.0
             for i in range(-n, n + 1):
@@ -204,8 +211,9 @@ class TestBoxRatioAverage:
                     g = (i, j)
                     w = math.exp(lt.rn_derivative_g(fam, x, g).log_magnitude)
                     moved = x.translated(g)
-                    f_val = float(
-                        moved.symbol((0, 0)) == 1 and moved.symbol((1, 0)) == 2
+                    f_val = sum(
+                        c * all(moved.symbol(p) == s for p, s in pattern.items())
+                        for c, pattern in terms
                     )
                     num += w * f_val
                     den += w

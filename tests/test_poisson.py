@@ -572,7 +572,6 @@ def halving_translation(step):
     return ps.GroundSpace(
         weight=lambda p: F(1, 2 ** (1 + abs(p) % 5)),
         jump=lambda p, k: p + k * step,
-        name=f"halving[{step}]",
     )
 
 
@@ -645,7 +644,7 @@ class TestNullSubsequenceIndex:
                 raise ValueError(f"point {p} has no assigned weight")
             return F(1)
 
-        gs = ps.GroundSpace(weight=weight, jump=lambda p, k: p + k, name="partial")
+        gs = ps.GroundSpace(weight=weight, jump=lambda p, k: p + k)
         assert self.assert_same(gs, [[0, 11], [1, 10]], 1, 20) == ("times", [2])
 
 
@@ -662,10 +661,6 @@ class TestBanachDensity:
     def test_ones_sequence(self):
         kept, density = ps.banach_density_filter(lambda n: 1.0, 0.5, 100)
         assert kept == [] and density == 0.0
-
-    def test_accepts_prefix_sequence(self):
-        kept, density = ps.banach_density_filter([0.0, 1.0, 0.0, 1.0], 0.5, 4)
-        assert kept == [1, 3] and density == 0.5
 
 
 class TestVarianceDecay:

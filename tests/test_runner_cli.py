@@ -146,7 +146,7 @@ REJECTED = {
         config_on({"type": "zd", "kind": "alternating", "axis": 5}, {"name": "zd_cocycle_fuzz"}),
         "axis 5 outside dimension 2",
     ),
-    # a batched Bernoulli probe over RANGE_CAP cells ran out of memory
+    # a sampled operation over RANGE_CAP (runs, times) cells ran out of memory
     "maximal-inequality-over-cap": (
         config_on(
             BERNOULLI,
@@ -160,6 +160,50 @@ REJECTED = {
             {"name": "two_subsequence_probe", "f": LETTER, "blocks": [8, 4096], "runs": 4097},
         ),
         "runs x largest block = 16781312 cells exceeds the cap 16777216",
+    ),
+    "dual-series-over-cap": (
+        config_on(BERNOULLI, {"name": "dual_series", "horizon": 10**10}),
+        "operation dual_series: runs x horizon = 10000000000 cells exceeds the cap",
+    ),
+    "letter-birkhoff-series-over-cap": (
+        config_on(BERNOULLI, {"name": "birkhoff_series", "f": LETTER, "horizon": 2**24 + 1}),
+        "operation birkhoff_series: runs x horizon = 16777217 cells exceeds the cap",
+    ),
+    "poisson-ratio-series-over-cap": (
+        config_on(POISSON, {"name": "ratio_series", "horizon": 10**10}),
+        "operation ratio_series: runs x horizon = 10000000000 cells exceeds the cap",
+    ),
+    "conservativity-over-cap": (
+        config_on(BERNOULLI, {"name": "conservativity_probe", "horizon": 10**10}),
+        "operation conservativity_probe: runs x horizon = 10000000000 cells exceeds the cap",
+    ),
+    "poisson-maximal-inequality-over-cap": (
+        config_on(
+            POISSON,
+            {"name": "maximal_inequality", "f": [{"constraints": [[[0], 0]]}], "t": "1",
+             "runs": 2, "horizon": 10**10},
+        ),
+        "operation maximal_inequality: runs x horizon = 20000000000 cells exceeds the cap",
+    ),
+    "poisson-two-subsequence-over-cap": (
+        config_on(
+            POISSON,
+            {"name": "two_subsequence_probe", "f": [{"constraints": [[[0], 0]]}],
+             "blocks": [8, 4096], "runs": 4097},
+        ),
+        "runs x largest block = 16781312 cells exceeds the cap 16777216",
+    ),
+    "variance-decay-over-cap": (
+        config_on(POISSON, {"name": "variance_decay", "blocks": [10**9], "runs": 2}),
+        "operation variance_decay: runs x largest block = 2000000000 cells exceeds the cap",
+    ),
+    "weak-mixing-over-cap": (
+        config_on(
+            POISSON,
+            {"name": "weak_mixing_probe", "f": [{"constraints": [[[0], 0]]}],
+             "g": [{"constraints": [[[0], 0]]}], "times": [1], "runs": 10**9},
+        ),
+        "operation weak_mixing_probe: runs x times = 1000000000 cells exceeds the cap",
     ),
     # a negative word length made coupling_scan extend words without end
     "coupling-scan-negative-n": (

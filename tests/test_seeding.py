@@ -71,11 +71,16 @@ def test_vec_and_nd_match_scalar_past_one_block():
     keys = np.arange(n, dtype=np.uint64) * np.uint64(3)
     vec = seeding.uniform01_vec(21, (8,), keys)
     nd = seeding.uniform01_nd(21, (8,), [keys.reshape(1, n), keys[::-1].reshape(1, n)])
-    assert vec.shape == (n,) and nd.shape == (1, n)
+    # three rows of n keys: the grid is mixed past its first block
+    seeds = np.array([4, 2**64 - 1, 9], dtype=np.uint64)
+    grid = seeding.uniform01_grid(seeds, (8,), keys)
+    assert vec.shape == (n,) and nd.shape == (1, n) and grid.shape == (3, n)
     for j in [0, seeding.GRID_BLOCK - 1, seeding.GRID_BLOCK, n - 1, *range(0, n, 811)]:
         k, k_rev = int(keys[j]), int(keys[n - 1 - j])
         assert vec[j] == seeding.uniform01(21, 8, k)
         assert nd[0, j] == seeding.uniform01(21, 8, k, k_rev)
+        for r, seed in enumerate(seeds):
+            assert grid[r, j] == seeding.uniform01(int(seed), 8, k)
 
 
 def test_nd_matches_scalar():
