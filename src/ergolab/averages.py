@@ -15,13 +15,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import product
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from . import bernoulli as bn
 from . import poisson as ps
-from .seeding import spawn
+from .seeding import GRID_BLOCK, spawn
 from .shift_core import Configuration, Cylinder, column_chunks
 
 series_checkpoints = bn.series_checkpoints
@@ -116,17 +116,31 @@ class BernoulliSystem:
         read = partial(self.family.run_grid, master_seed, n_runs)
         return _cylinder_values(obs, np.asarray(times, dtype=np.int64), read, (n_runs,))
 
-    def dual_log_weights(
-        self, x: Configuration, n: int, tol: float = 1e-12
-    ) -> tuple[np.ndarray, float]:
-        """log d(mu o T^-k)/d mu (x) for k = 0..n-1."""
-        return bn.rn_log_weights(self.family, x, -np.arange(n), tol=tol)
-
     def dual_log_weight_grid(
         self, master_seed: int, n_runs: int, n: int, tol: float = 1e-12
     ) -> tuple[np.ndarray, float]:
-        """(n_runs, n): row r is ``dual_log_weights`` at ``run_sample(master_seed, r)``."""
+        """(n_runs, n): row r is log d(mu o T^-k)/d mu at
+        ``run_sample(master_seed, r)`` for k = 0..n-1."""
         return bn.rn_log_weight_grid(self.family, master_seed, n_runs, -np.arange(n), tol=tol)
+
+    def series_terms(
+        self, x: Configuration, obs: Observable, ns: range, tol: float, weighted: bool
+    ) -> tuple[Iterator, float]:
+        """The chunks of (log weight, f(T^n x)) over n in ``ns`` that
+        ``bn._checkpoint_sums`` reads, drawn from one block of x, and the
+        weights' per-entry error bound; without ``weighted`` every log
+        weight is 0.0 and no cocycle is read."""
+        window, err = bn._cocycle_window(self.family, tol) if weighted else ({}, 0.0)
+        terms = _patterns(obs)
+        coords = [j for _, pattern in terms for j in pattern]
+        values = lambda out, read: _add_patterns(out, terms, read)  # noqa: E731
+        return bn._series_terms(self.family, x, window, ns, coords, values), err
+
+
+def _patterns(obs: Observable) -> list[tuple[float, dict[int, int]]]:
+    """The observable's terms as (c, pattern), a pattern mapping each
+    coordinate of the cylinder to its symbol."""
+    return [(c, {j: atom.symbol(j) for j in atom.coords()}) for c, atom in obs.terms]
 
 
 def _cylinder_values(
@@ -137,7 +151,7 @@ def _cylinder_values(
 ) -> np.ndarray:
     """f(T^t x) for each t in times, shape ``lead + (len(times),)``, over the
     symbols ``read(lo, hi)`` returns, shape ``lead + (cells,)``."""
-    terms = [(c, {j: atom.symbol(j) for j in atom.coords()}) for c, atom in obs.terms]
+    terms = _patterns(obs)
     coords = [j for _, pattern in terms for j in pattern]
     out = np.zeros(lead + (len(times),))
     if not coords:
@@ -190,11 +204,6 @@ class PoissonSystem:
         """f(T_*^t nu) for each t in times."""
         return _event_values(obs, times, sample.indicators, ())
 
-    def dual_log_weights(
-        self, sample: ps.PointSample, n: int, tol: float = 1e-12
-    ) -> tuple[np.ndarray, float]:
-        return np.zeros(n), 0.0
-
     def dual_log_weight_grid(
         self, master_seed: int, n_runs: int, n: int, tol: float = 1e-12
     ) -> tuple[np.ndarray, float]:
@@ -205,6 +214,15 @@ class PoissonSystem:
     ) -> np.ndarray:
         read = partial(ps.indicator_grid, self.gs, master_seed, n_runs)
         return _event_values(obs, times, read, (n_runs,))
+
+    def series_terms(
+        self, sample: ps.PointSample, obs: Observable, ns: range, tol: float, weighted: bool
+    ) -> tuple[Iterator, float]:
+        """The chunks of (log weight, f(T_*^n nu)) over n in ``ns`` that
+        ``bn._checkpoint_sums`` reads: the suspension preserves its measure,
+        so every log weight is 0.0, whose exp is exactly 1.0."""
+        chunks = (ns[c : c + GRID_BLOCK] for c in range(0, len(ns), GRID_BLOCK))
+        return ((np.zeros(len(n)), self.value_series(sample, obs, n)) for n in chunks), 0.0
 
 
 def _event_values(
@@ -228,40 +246,35 @@ def values_matrix(system, master_seed: int, n_runs: int, obs: Observable, times)
 # Series
 
 
+def _series_sums(system, f: Observable, x, ns: range, tol: float = 1e-12, weighted: bool = True):
+    """The checkpoints of a series over the terms n in ``ns``, and at each
+    checkpoint n the sums over its first n terms of w f(T^n x) and of w, in
+    one streamed pass (``bn._checkpoint_sums``), with the weights' per-entry
+    error bound; w = d(mu o T^n)/d mu (x), or 1 when not ``weighted``."""
+    if not ns:
+        raise ValueError("horizon must be >= 1")
+    pts = series_checkpoints(len(ns))
+    terms, err = system.series_terms(x, f, ns, tol, weighted)
+    num, den = bn._checkpoint_sums(terms, [n - 1 for n in pts])
+    return pts, num, den, err
+
+
 def birkhoff_series(system, f: Observable, x, horizon: int) -> SumSeries:
     """Forward averages S_n(f)(x)/n at power-of-two checkpoints."""
-    values = system.value_series(x, f, np.arange(horizon))
-    sums = np.cumsum(values)
-    pts = series_checkpoints(horizon)
-    return SumSeries(tuple(pts), tuple(float(sums[n - 1] / n) for n in pts))
-
-
-def _dual_sums(system, f: Observable, x, horizon: int, tol: float = 1e-12):
-    """Cumulative dual sums of f at x for n = 1..horizon, the cocycle weights
-    d(mu o T^-k)/d mu (x) for k < horizon, and the weights' error bound."""
-    logs, err = system.dual_log_weights(x, horizon, tol)
-    weights = np.exp(logs)
-    values = system.value_series(x, f, -np.arange(horizon))
-    return np.cumsum(weights * values), weights, err
+    pts, sums, _, _ = _series_sums(system, f, x, range(horizon), weighted=False)
+    return SumSeries(tuple(pts), tuple(float(s / n) for s, n in zip(sums, pts)))
 
 
 def dual_series(system, f: Observable, x, horizon: int, tol: float = 1e-12) -> SumSeries:
     """Raw dual sums sum_{k<n} d(mu o T^-k)/d mu (x) f(T^-k x)."""
-    sums, _, err = _dual_sums(system, f, x, horizon, tol)
-    pts = series_checkpoints(horizon)
-    return SumSeries(
-        tuple(pts),
-        tuple(float(sums[n - 1]) for n in pts),
-        tuple(n * err for n in pts),
-    )
+    pts, sums, _, err = _series_sums(system, f, x, range(0, -horizon, -1), tol)
+    return SumSeries(tuple(pts), tuple(float(s) for s in sums), tuple(n * err for n in pts))
 
 
 def hurewicz_ratio_series(system, f: Observable, x, horizon: int, tol: float = 1e-12) -> SumSeries:
     """Dual-weighted ratio averages: dual sums of f over dual sums of 1."""
-    num, weights, _ = _dual_sums(system, f, x, horizon, tol)
-    den = np.cumsum(weights)
-    pts = series_checkpoints(horizon)
-    return SumSeries(tuple(pts), tuple(float(num[n - 1] / den[n - 1]) for n in pts))
+    pts, num, den, _ = _series_sums(system, f, x, range(0, -horizon, -1), tol)
+    return SumSeries(tuple(pts), tuple(float(v) for v in num / den))
 
 
 # ---------------------------------------------------------------------------

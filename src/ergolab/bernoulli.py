@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from itertools import pairwise
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -322,7 +322,25 @@ class SummableFamily(BernoulliFamily):
         return _summable_site(self.cr, abs(k))
 
     def site_floats(self, k: int) -> SiteFloats:
-        return _summable_floats(self.cr, abs(k))
+        k = abs(k)
+        return self.base.floats if k >= self._fair_from else _summable_floats(self.cr, k)
+
+    @cached_property
+    def _fair_from(self) -> float:
+        """The least k with c r^k <= 2^-55, from which on every site's float
+        record is the fair coin's (``_summable_floats``), so that a block
+        reaching far out costs no big-int power per coordinate; infinite
+        when its float estimate lies past ``RANGE_CAP``."""
+        a, b, p, q = self.cr
+        k = math.ceil((math.log(a) - math.log(b) + 55 * math.log(2)) / -math.log(self._rf))
+        if k > RANGE_CAP:
+            return math.inf
+        k = max(k, 0)
+        while k > 0 and (a * p ** (k - 1)) << 55 <= b * q ** (k - 1):
+            k -= 1
+        while (a * p**k) << 55 > b * q**k:
+            k += 1
+        return k
 
     def majorant(self, k: int) -> float:
         return self.sup * self._rf ** abs(k)
@@ -515,6 +533,13 @@ def cocycle_gap(
     return abs(total.log_magnitude - first.log_magnitude - second.log_magnitude)
 
 
+def _cocycle_window(family: BernoulliFamily, tol: float) -> tuple[dict[int, SiteFloats], float]:
+    """The window the vectorized cocycle reads and its per-entry truncation
+    bound, once the family is certified non-singular."""
+    family.require_nonsingular()
+    return family.effective_window(tol)
+
+
 def _log_weights(
     family: BernoulliFamily,
     read: Callable[[int, int], np.ndarray],
@@ -526,9 +551,8 @@ def _log_weights(
     shape ``lead + (cells,)``, as an array of shape ``lead + (len(ns),)``,
     plus the per-entry truncation error bound: the kernel of both
     ``rn_log_weights`` and ``rn_log_weight_grid``."""
-    family.require_nonsingular()
     ns = np.asarray(ns, dtype=np.int64)
-    window, err = family.effective_window(tol)
+    window, err = _cocycle_window(family, tol)
     out = np.zeros(lead + (len(ns),))
     if not window:
         return out, err
@@ -566,6 +590,74 @@ def rn_log_weight_grid(
     ``family.run_configuration(master_seed, r)``."""
     read = partial(family.run_grid, master_seed, n_runs)
     return _log_weights(family, read, (n_runs,), ns, tol)
+
+
+def _series_terms(
+    family: BernoulliFamily,
+    x: Configuration,
+    window: Mapping[int, SiteFloats],
+    ns: range,
+    coords: Iterable[int],
+    values: Callable,
+) -> Iterator[tuple[np.ndarray, np.ndarray | float]]:
+    """The terms n in ``ns`` of a weighted series at x, one column chunk at
+    a time, for ``_checkpoint_sums``: each chunk's log (T^n)'(x) over
+    ``window`` (0.0 for the empty window) and ``values(out, read)``, the
+    observable's values at T^n x added into a zero ``out`` over the symbols
+    ``read(j)`` at j + n.
+
+    One block of x covers every window site and every coordinate in
+    ``coords``, at offset 0 and at every n; a block longer than
+    ``RANGE_CAP`` is refused (``ValueError``) before it, or any array as
+    long as ``ns``, is made."""
+    sites = [*window, *coords]
+    lo, block = 0, np.empty(0, dtype=np.int16)
+    if sites:
+        lo = min(sites) + min(ns[0], ns[-1], 0)
+        hi = max(sites) + max(ns[0], ns[-1], 0)
+        if hi - lo + 1 > RANGE_CAP:
+            raise ValueError(
+                f"the series reads {hi - lo + 1} coordinates [{lo}, {hi}], over the cap {RANGE_CAP}"
+            )
+        block = x.block(lo, hi)
+    if window:
+        add = _window_log_ratios(family.base.floats, window, lambda i: block[i - lo, None])
+    else:
+        add = lambda out, there: out  # noqa: E731
+
+    def chunks():
+        for cols, take in column_chunks(block, np.arange(ns.start, ns.stop, ns.step)):
+            read = lambda j: take(j - lo)  # noqa: E731
+            width = cols.stop - cols.start
+            yield add(np.zeros(width), read), values(np.zeros(width), read)
+
+    return chunks()
+
+
+def _checkpoint_sums(terms: Iterable[tuple[np.ndarray, object]], at: Sequence[int]) -> np.ndarray:
+    """(2, len(at)) array: at each index i in ``at``, row 0 holds the sum of
+    w_k v_k and row 1 the sum of w_k over k <= i, where ``terms`` yields
+    consecutive chunks of (log w, v) and w = exp(log w).
+
+    Only these sums are kept.  Each chunk's first term takes the last sums
+    of the chunk before it, and ``np.cumsum`` adds one term at a time from
+    the left, so every sum is the one a single ``np.cumsum`` over the whole
+    series gives, bit for bit."""
+    at = np.asarray(at, dtype=np.intp)
+    out = np.empty((2, len(at)))
+    carry = np.zeros((2, 1))
+    start = 0
+    for logs, values in terms:
+        sums = np.empty((2, len(logs)))
+        np.exp(logs, out=sums[1])
+        np.multiply(sums[1], values, out=sums[0])
+        sums[:, :1] += carry
+        np.cumsum(sums, axis=1, out=sums)
+        inside = (start <= at) & (at < start + len(logs))
+        out[:, inside] = sums[:, at[inside] - start]
+        carry = sums[:, -1:]
+        start += len(logs)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -669,17 +761,20 @@ def conservativity_probe(
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    logs, _ = rn_log_weights(family, x, -np.arange(1, horizon + 1), tol=tol)
-    sums = np.cumsum(np.exp(logs))
+    window, _ = _cocycle_window(family, tol)
     pts = series_checkpoints(horizon)
-    checkpoints = tuple((n, float(sums[n - 1])) for n in pts)
+    decade = max(horizon // 10, 1)
+    # the dual series of f = 1 at k = 1..horizon, read at the checkpoints
+    # and at the decade
+    terms = _series_terms(family, x, window, range(-1, -horizon - 1, -1), (), lambda out, read: 1.0)
+    sums = _checkpoint_sums(terms, [n - 1 for n in pts] + [decade - 1])[1]
+    checkpoints = tuple((n, float(s)) for n, s in zip(pts, sums))
 
     if family.term_log_floor is not None:
         return ConservativityReport(checkpoints, DIVERGENT, family.term_log_floor)
 
-    total = float(sums[-1])
-    at_decade = float(sums[max(horizon // 10, 1) - 1])
-    increment = total - at_decade
+    total = checkpoints[-1][1]
+    increment = total - float(sums[-1])
     if total > 1e3 and increment > 10.0:
         verdict = DIVERGENT_LOOKING
     elif increment < 1e-6:

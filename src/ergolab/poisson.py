@@ -440,11 +440,15 @@ def find_null_subsequence(
 
 def banach_density_filter(
     values: Callable[[int], float], eps: float, horizon: int
-) -> tuple[list[int], float]:
-    """Indices n in [1, horizon] with a_n = values(n) < eps, and their density."""
-    seq = [float(values(n)) for n in range(1, horizon + 1)]
-    kept = [n for n, a in enumerate(seq, start=1) if 0.0 <= a < eps]
-    return kept, len(kept) / horizon
+) -> tuple[int, int | None, float]:
+    """The number of indices n in [1, horizon] with 0 <= a_n = values(n) <
+    eps, the first of them (None if there is none) and their density."""
+    kept, first = 0, None
+    for n in range(1, horizon + 1):
+        if 0.0 <= float(values(n)) < eps:
+            kept += 1
+            first = first or n
+    return kept, first, kept / horizon
 
 
 # ---------------------------------------------------------------------------

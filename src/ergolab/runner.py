@@ -431,8 +431,9 @@ _SEQUENCES = {
 
 
 def _banach(gs, seed, horizon, sequence, eps):
-    kept, density = ps.banach_density_filter(_SEQUENCES[sequence], eps, horizon)
-    return {"density": density, "kept": len(kept), "first": kept[0] if kept else None}
+    _batched("banach_density", 1, horizon, "horizon")
+    kept, first, density = ps.banach_density_filter(_SEQUENCES[sequence], eps, horizon)
+    return {"density": density, "kept": kept, "first": first}
 
 
 def _variance_decay(gs, seed, region, k, blocks, spacing, runs):

@@ -8,6 +8,7 @@ from ergolab import averages as av
 from ergolab import bernoulli as bn
 from ergolab import poisson as ps
 from ergolab.shift_core import Cylinder
+from test_cocycle_kernel import ref_dual_log_weights
 from test_poisson import ref_indicator
 
 F = Fraction
@@ -130,11 +131,12 @@ class TestDualSeries:
     def test_weights_match_scalar_cocycle(self):
         sys = perturbed_system()
         x = sys.sample(12)
-        logs, err = sys.dual_log_weights(x, 32)
-        assert err == 0.0
+        logs = ref_dual_log_weights(sys, x, 32)
         for k in range(32):
             expected = bn.rn_derivative(sys.family, x, -k).log_magnitude
             assert logs[k] == pytest.approx(expected, abs=1e-12)
+        # a compact family's weights are exact
+        assert set(av.dual_series(sys, av.Observable.constant(1.0), x, 32).error_bounds) == {0.0}
 
 
 class TestRatioSeries:
@@ -279,3 +281,10 @@ class TestBatching:
             seen.update(series)
         # some event hits in some run
         assert len(seen) > 1
+
+
+@pytest.mark.parametrize("series", [av.birkhoff_series, av.dual_series, av.hurewicz_ratio_series])
+def test_series_needs_a_term(series):
+    sys = perturbed_system()
+    with pytest.raises(ValueError, match="horizon must be >= 1"):
+        series(sys, letter_indicator(), sys.sample(1), 0)

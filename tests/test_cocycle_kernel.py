@@ -8,6 +8,7 @@ Python loop iteration per Monte Carlo run.  Every comparison is exact
 must reproduce the reports bit for bit.
 """
 
+import functools
 import math
 import random
 import tracemalloc
@@ -482,7 +483,7 @@ class TestBatchedRuns:
         for r in range(12):
             x = system.run_sample(8, r)
             assert grid[r].tolist() == ref_dual_log_weights(system, x, n).tolist()
-            assert grid[r].tolist() == system.dual_log_weights(x, n)[0].tolist()
+            assert grid[r].tolist() == bn.rn_log_weights(system.family, x, -np.arange(n))[0].tolist()
 
     @pytest.mark.parametrize("name", list(BATCHED))
     def test_values_matrix_matches_per_run_loop(self, name):
@@ -545,3 +546,107 @@ def test_summable_conservativity_keeps_no_exact_sites():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+# --- streamed series -----------------------------------------------------------
+
+STREAMED = {
+    # window sites on both sides of 0
+    "compact": lambda: av.BernoulliSystem(compact_family()),
+    "summable": lambda: av.BernoulliSystem(bn.SummableFamily(F(1, 10), F(1, 2))),
+    "iid": lambda: av.BernoulliSystem(bn.CompactFamily(TILTED, {})),
+    "poisson": lambda: av.PoissonSystem(ps.integer_translation(1)),
+}
+#: a chunk holds GRID_BLOCK terms, so these end inside, on and past a chunk
+STREAMED_HORIZONS = [1, GRID_BLOCK - 1, GRID_BLOCK, GRID_BLOCK + 1, 3 * GRID_BLOCK + 7]
+
+
+def two_term_f(system):
+    """A two-term observable, one of whose terms is constant."""
+    if system.kind == "poisson":
+        terms = [(2.0, ps.PoissonEvent.count([0, 1], 1)), (0.5, ps.PoissonEvent(()))]
+    else:
+        terms = [(-1.5, Cylinder.of([2, 1], left=-1)), (0.25, Cylinder.empty())]
+    return av.Observable.combine(terms)
+
+
+def streamed_point(system):
+    x = system.run_sample(11, 2)
+    return x.rewired(Cylinder.of([1, 2, 2], left=-2)) if system.kind == "bernoulli" else x
+
+
+@functools.cache
+def ref_series_sums(name, forward):
+    """Whole-array partial sums over the longest horizon at streamed_point:
+    of f(T^n x) over n = 0, 1, ... (forward), else of exp(log weight) *
+    f(T^n x) and of the weights over n = 0, -1, ...; a shorter horizon's
+    sums are their prefix."""
+    system = STREAMED[name]()
+    f, x, horizon = two_term_f(system), streamed_point(system), STREAMED_HORIZONS[-1]
+    value_series = ref_value_series if system.kind == "bernoulli" else system.value_series
+    if forward:
+        return np.cumsum(value_series(x, f, np.arange(horizon))), None
+    weights = np.exp(ref_dual_log_weights(system, x, horizon))
+    return np.cumsum(weights * value_series(x, f, -np.arange(horizon))), np.cumsum(weights)
+
+
+@pytest.mark.parametrize("horizon", STREAMED_HORIZONS)
+@pytest.mark.parametrize("name", list(STREAMED))
+def test_streamed_series_match_full_arrays(name, horizon):
+    system = STREAMED[name]()
+    f, x = two_term_f(system), streamed_point(system)
+    pts = bn.series_checkpoints(horizon)
+    num, den = ref_series_sums(name, forward=False)
+    dual = av.dual_series(system, f, x, horizon)
+    assert dual.checkpoints == tuple(pts)
+    assert dual.values == tuple(float(num[n - 1]) for n in pts)
+    ratio = av.hurewicz_ratio_series(system, f, x, horizon)
+    assert ratio.values == tuple(float(num[n - 1] / den[n - 1]) for n in pts)
+    forward, _ = ref_series_sums(name, forward=True)
+    birkhoff = av.birkhoff_series(system, f, x, horizon)
+    assert birkhoff.values == tuple(float(forward[n - 1] / n) for n in pts)
+
+
+@pytest.mark.parametrize("horizon", STREAMED_HORIZONS)
+@pytest.mark.parametrize("name", ["compact", "summable", "iid"])
+def test_streamed_conservativity_matches_full_arrays(monkeypatch, name, horizon):
+    family = STREAMED[name]().family
+    x = streamed_point(STREAMED[name]())
+    kept = []
+
+    def spy(terms, at):
+        kept.append((list(at), kernel(terms, at)))
+        return kept[-1][1]
+
+    kernel = bn._checkpoint_sums
+    monkeypatch.setattr(bn, "_checkpoint_sums", spy)
+    report = bn.conservativity_probe(family, x, horizon)
+    sums = np.cumsum(np.exp(ref_rn_log_weights(family, x, -np.arange(1, horizon + 1), 1e-9)[0]))
+    pts = bn.series_checkpoints(horizon)
+    assert report.checkpoints == tuple((n, float(sums[n - 1])) for n in pts)
+    # the heuristic verdict reads the sum at the decade too
+    ((at, got),) = kept
+    decade = max(horizon // 10, 1) - 1
+    assert at == [n - 1 for n in pts] + [decade]
+    assert got[1].tolist() == sums[at].tolist()
+
+
+def test_streamed_series_hold_no_full_length_float_array():
+    """A series streams its terms: it holds one int16 block and an index
+    array, never a float array as long as the horizon (38, 38 and 24 MiB
+    when each series held its weights, values and sums whole)."""
+    system = av.BernoulliSystem(compact_family())
+    f, x = two_term_f(system), system.sample(5)
+    calls = {
+        "dual": lambda: av.dual_series(system, f, x, 10**6),
+        "ratio": lambda: av.hurewicz_ratio_series(system, f, x, 10**6),
+        "conservativity": lambda: bn.conservativity_probe(system.family, x, 1 << 20),
+    }
+    for name, call in calls.items():
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20, name

@@ -650,17 +650,17 @@ class TestNullSubsequenceIndex:
 
 class TestBanachDensity:
     def test_zero_sequence(self):
-        kept, density = ps.banach_density_filter(lambda n: 0.0, 0.5, 1000)
-        assert density == 1.0 and len(kept) == 1000
+        kept, first, density = ps.banach_density_filter(lambda n: 0.0, 0.5, 1000)
+        assert density == 1.0 and kept == 1000 and first == 1
 
     def test_inverse_n(self):
-        kept, density = ps.banach_density_filter(lambda n: 1.0 / n, 0.01, 10_000)
-        assert kept[0] == 101 and kept[-1] == 10_000
-        assert len(kept) == 9900 and density == pytest.approx(0.99)
+        kept, first, density = ps.banach_density_filter(lambda n: 1.0 / n, 0.01, 10_000)
+        assert first == 101
+        assert kept == 9900 and density == pytest.approx(0.99)
 
     def test_ones_sequence(self):
-        kept, density = ps.banach_density_filter(lambda n: 1.0, 0.5, 100)
-        assert kept == [] and density == 0.0
+        kept, first, density = ps.banach_density_filter(lambda n: 1.0, 0.5, 100)
+        assert kept == 0 and first is None and density == 0.0
 
 
 class TestVarianceDecay:

@@ -94,6 +94,7 @@ SUMMABLE_WITH_WINDOW = {
     "window": {"0": ["3/4", "1/4"]},
 }
 LETTER = [{"coef": "1", "word": [1], "left": 0}]
+TWO_LETTERS = [{"coef": "1", "word": [1, 2], "left": 0}]
 
 GOLDEN_MEAN = {
     "type": "markov",
@@ -176,6 +177,26 @@ REJECTED = {
     "conservativity-over-cap": (
         config_on(BERNOULLI, {"name": "conservativity_probe", "horizon": 10**10}),
         "operation conservativity_probe: runs x horizon = 10000000000 cells exceeds the cap",
+    ),
+    # a horizon at the cap passed, and the block the series read, which
+    # also spans the word and the window, went over it as exit 3
+    **{
+        f"{name}-block-over-cap": (
+            config_on(BERNOULLI, {"name": name, "f": TWO_LETTERS, "horizon": 2**24}),
+            "the series reads 16777217 coordinates",
+        )
+        for name in ("birkhoff_series", "dual_series", "ratio_series")
+    },
+    "windowed-conservativity-block-over-cap": (
+        config_on(
+            dict(BERNOULLI, kind="compact", window={"3": ["3/4", "1/4"]}),
+            {"name": "conservativity_probe", "horizon": 2**24},
+        ),
+        "the series reads 16777217 coordinates [-16777213, 3], over the cap 16777216",
+    ),
+    "banach-density-over-cap": (
+        config_on(POISSON, {"name": "banach_density", "horizon": 10**9}),
+        "operation banach_density: runs x horizon = 1000000000 cells exceeds the cap",
     ),
     "poisson-maximal-inequality-over-cap": (
         config_on(
