@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
-from itertools import pairwise
+from itertools import pairwise, product
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -368,9 +368,11 @@ class SummableFamily(BernoulliFamily):
         return LogValue(total, self.tail(radius - abs(n)) + self.tail(radius))
 
     def uniformity(self, horizon: int) -> UniformityBound:
-        """A horizon-scan supremum, flagged ``exact=False``."""
-        value = max(float(self.site(k).ratio) for k in range(-horizon, horizon + 1))
-        return UniformityBound(value, False)
+        """The supremum of the site ratios over |k| <= horizon, flagged
+        ``exact=False``.  The ratio (1/2 + c r^|k|) / (1/2 - c r^|k|) falls
+        as |k| grows and rounding to float is monotone, so at any horizon
+        the supremum is site 0's."""
+        return UniformityBound(float(self.site(0).ratio), False)
 
     @cached_property
     def levels_at(self) -> LevelsAt:
@@ -706,15 +708,42 @@ def homoclinic_ratio_bound_check(
     """
     rx = rn_derivative(family, x, n, tol)
     ry = rn_derivative(family, y, n, tol)
-    ratio_log = rx.log_magnitude - ry.log_magnitude
-    slack = rx.error_bound + ry.error_bound + LOG_SLACK
+    return _ratio_check(rx, ry, _homoclinic_bounds(family, radius, n))
 
+
+def homoclinic_scan(
+    family: BernoulliFamily, x: Configuration, radius_max: int, n_max: int, tol: float = 1e-12
+) -> tuple[int, int]:
+    """(pairs checked, violations) of ``homoclinic_ratio_bound_check`` over
+    x and every y that rewires x on [-r, r], for r <= radius_max and
+    |n| <= n_max.  The pairs are taken radius by radius and n by n, so x's
+    cocycle and the two bounds, which no word changes, are computed once
+    per (r, n)."""
+    checked = violations = 0
+    for radius in range(radius_max + 1):
+        for n in range(-n_max, n_max + 1):
+            rx = rn_derivative(family, x, n, tol)
+            bounds = _homoclinic_bounds(family, radius, n)
+            for word in product(family.alphabet.symbols, repeat=2 * radius + 1):
+                y = x.rewired(Cylinder(-radius, radius, word))
+                checked += 1
+                violations += not _ratio_check(rx, rn_derivative(family, y, n, tol), bounds).ok
+    return checked, violations
+
+
+def _homoclinic_bounds(family: BernoulliFamily, radius: int, n: int) -> tuple[float, float]:
+    """The product and uniform bounds of ``homoclinic_ratio_bound_check``."""
     product_bound = 0.0
     for k in range(-radius, radius + 1):
         product_bound += family.site(k).log_ratio + family.site(k - n).log_ratio
     L = uniformity_constant(family, horizon=radius + abs(n)).value
-    uniform_bound = 2.0 * (2 * radius + 1) * math.log(L)
+    return product_bound, 2.0 * (2 * radius + 1) * math.log(L)
 
+
+def _ratio_check(rx: LogValue, ry: LogValue, bounds: tuple[float, float]) -> RatioBoundCheck:
+    ratio_log = rx.log_magnitude - ry.log_magnitude
+    slack = rx.error_bound + ry.error_bound + LOG_SLACK
+    product_bound, uniform_bound = bounds
     return RatioBoundCheck(
         ratio_log=ratio_log,
         product_bound_log=product_bound,

@@ -15,6 +15,7 @@ import math
 from bisect import bisect_right
 from functools import cached_property, reduce
 from itertools import product
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -33,6 +34,7 @@ from .bernoulli import (
 )
 from .errors import NonSingularError
 from .seeding import (
+    GRID_BLOCK,
     TAG_LATTICE,
     combine,
     fold,
@@ -245,23 +247,35 @@ def _box_residues(period: tuple[int, ...]) -> Iterable[tuple[int, ...]]:
 
 
 class LatticeConfiguration:
-    """Lazy point of the lattice shift space; pure in (seed, coordinates)."""
+    """Lazy point of the lattice shift space; pure in (seed, coordinates).
 
-    __slots__ = ("family", "seed", "offset")
+    Scalar reads are kept in ``reads``, keyed by absolute coordinate and
+    shared with every translate, so that each is drawn once per point; as
+    for ``LazyTail``, at most ``GRID_BLOCK`` reads are kept."""
+
+    __slots__ = ("family", "seed", "offset", "reads")
 
     def __init__(self, family: LatticeFamily, seed: int, offset=None) -> None:
         self.family = family
         self.seed = seed
         self.offset = _as_vec(offset) if offset is not None else (0,) * family.dimension
+        self.reads: dict[tuple[int, ...], int] = {}
 
     def translated(self, g) -> "LatticeConfiguration":
         """T_g of this point: reads h as we read h - g."""
-        return LatticeConfiguration(self.family, self.seed, _plus(self.offset, _as_vec(g), -1))
+        out = LatticeConfiguration(self.family, self.seed, _plus(self.offset, _as_vec(g), -1))
+        out.reads = self.reads
+        return out
 
     def symbol(self, g) -> int:
-        vec = tuple(v + o for v, o in zip(_as_vec(g), self.offset))
-        key = combine(self.seed, TAG_LATTICE, *(zigzag(v) for v in vec))
-        return 1 + bisect_right(self.family.site(vec).floats.levels, key >> 11)
+        vec = tuple(map(add, map(int, g), self.offset))
+        s = self.reads.get(vec)
+        if s is None:
+            key = combine(self.seed, TAG_LATTICE, *map(zigzag, vec))
+            s = 1 + bisect_right(self.family.site(vec).floats.levels, key >> 11)
+            if len(self.reads) < GRID_BLOCK:
+                self.reads[vec] = s
+        return s
 
     def box(self, radius: int, margins=None) -> np.ndarray:
         """Symbols on the product of ranges [-radius - m_i, radius + m_i].

@@ -15,7 +15,6 @@ import re
 import time
 from fractions import Fraction
 from functools import partial
-from itertools import product
 from typing import Any, Callable, Mapping
 
 import numpy as np
@@ -280,16 +279,18 @@ def _cocycle_fuzz(family, seed, cases, span, tol):
 
 
 def _homoclinic_scan(family, seed, radius_max, n_max):
-    x = family.configuration(spawn(seed, 0))
-    checked = violations = 0
+    # |A|^(2r + 1) words times 2 n_max + 1 shifts at each radius r, summed
+    # term by term up to the cap, so a huge radius builds no huge int
+    pairs = 0
     for radius in range(radius_max + 1):
-        for word in product(family.alphabet.symbols, repeat=2 * radius + 1):
-            y = x.rewired(Cylinder(-radius, radius, word))
-            for n in range(-n_max, n_max + 1):
-                res = bn.homoclinic_ratio_bound_check(family, x, y, radius, n)
-                checked += 1
-                if not res.ok:
-                    violations += 1
+        pairs += family.alphabet.size ** (2 * radius + 1) * (2 * n_max + 1)
+        if pairs > RANGE_CAP:
+            raise ConfigError(
+                f"operation homoclinic_scan: radius_max {radius_max} and n_max {n_max} "
+                f"make over {RANGE_CAP} pairs"
+            )
+    x = family.configuration(spawn(seed, 0))
+    checked, violations = bn.homoclinic_scan(family, x, radius_max, n_max)
     return {"pairs_checked": checked, "violations": violations, "all_ok": violations == 0}
 
 

@@ -23,6 +23,7 @@ uniforms; the result equals ``searchsorted`` on the uniforms bit for bit.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -56,10 +57,20 @@ def zigzag(n: int) -> int:
     return 2 * n if n >= 0 else -2 * n - 1
 
 
+@lru_cache(maxsize=256)
+def _head(seed: int, first: int) -> int:
+    """``combine(seed, first)``.  The scalar reads of a point share their
+    (seed, tag) head, so a few cached heads serve every such read."""
+    h = _finalize((seed & _MASK) ^ _GOLDEN)
+    return _finalize((h + _GOLDEN + (first & _MASK)) & _MASK)
+
+
 def combine(seed: int, *parts: int) -> int:
     """Mix a seed with a key path of integers into a uint64."""
-    h = _finalize((int(seed) & _MASK) ^ _GOLDEN)
-    for p in parts:
+    if not parts:
+        return _finalize((int(seed) & _MASK) ^ _GOLDEN)
+    h = _head(int(seed), int(parts[0]))
+    for p in parts[1:]:
         h = _finalize((h + _GOLDEN + (int(p) & _MASK)) & _MASK)
     return h
 

@@ -118,13 +118,19 @@ class LazyTail:
     of thresholds at or below the top 53 bits of the key (seed, k).  Scalar
     reads and ``keyed_symbols`` blocks count the same thresholds, so the two
     agree bit for bit and never depend on access order.
+
+    Scalar reads are kept in ``reads``, keyed by coordinate, so that each
+    is drawn once; a draw is a pure function of (seed, k), so a kept read
+    is the read itself.  Once ``GRID_BLOCK`` reads are kept, further ones
+    are drawn each time.
     """
 
-    __slots__ = ("seed", "levels_at")
+    __slots__ = ("seed", "levels_at", "reads")
 
     def __init__(self, seed: int, levels_at: LevelsAt) -> None:
         self.seed = seed
         self.levels_at = levels_at
+        self.reads: dict[int, int] = {}
 
     @classmethod
     def constant(cls, seed: int, probs) -> "LazyTail":
@@ -132,9 +138,14 @@ class LazyTail:
         return cls(seed, window_levels(thresholds(np.cumsum([float(p) for p in probs])), {}))
 
     def symbol(self, i: int) -> int:
-        # u * 2^53 is the key's top 53 bits, exactly
-        u = uniform01(self.seed, TAG_SYMBOL, zigzag(i))
-        return 1 + bisect_right(self.levels_at(i, 1).ravel().tolist(), u * 2.0**53)
+        s = self.reads.get(i)
+        if s is None:
+            # u * 2^53 is the key's top 53 bits, exactly
+            u = uniform01(self.seed, TAG_SYMBOL, zigzag(i))
+            s = 1 + bisect_right(self.levels_at(i, 1).ravel().tolist(), u * 2.0**53)
+            if len(self.reads) < GRID_BLOCK:
+                self.reads[i] = s
+        return s
 
     def block(self, lo: int, hi: int) -> np.ndarray:
         """Symbols on [lo, hi] inclusive, as int16."""

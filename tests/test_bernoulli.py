@@ -1,5 +1,7 @@
 import math
+import time
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -231,6 +233,21 @@ class TestUniformity:
         assert not res.exact
         assert res.value == pytest.approx(float(Fraction(3, 5) / Fraction(2, 5)))
 
+    @pytest.mark.parametrize(
+        "c, r", [(Fraction(1, 10), Fraction(1, 2)), (Fraction(1, 5), Fraction(9, 10)),
+                 (Fraction(3, 13), Fraction(1, 3))],
+    )
+    def test_summable_equals_the_horizon_scan(self, c, r):
+        # the site ratio falls as |k| grows, so the scan's supremum is site
+        # 0's at every horizon, and a far horizon costs nothing
+        fam = bn.SummableFamily(c, r)
+        for horizon in range(40):
+            scan = max(float(fam.site(k).ratio) for k in range(-horizon, horizon + 1))
+            assert bn.uniformity_constant(fam, horizon) == (scan, False)
+        start = time.perf_counter()
+        assert bn.uniformity_constant(fam, 10**8) == (float(fam.site(0).ratio), False)
+        assert time.perf_counter() - start < 1.0
+
 
 class TestHomoclinicRatioBounds:
     def test_equal_points(self):
@@ -265,6 +282,32 @@ class TestHomoclinicRatioBounds:
             y = x.rewired(Cylinder.of(list(word), left=0))
             for n in range(1, 6):
                 assert bn.homoclinic_ratio_bound_check(fam, x, y, 0, n).ok
+
+    @pytest.mark.parametrize(
+        "fam, violated",
+        [(wide_family(), True), (iid_family(), False), (summable_family(), True)],
+        ids=["compact", "iid", "summable"],
+    )
+    def test_scan_counts_equal_a_loop_over_pairs(self, fam, violated, monkeypatch):
+        def loop(x):
+            checked = violations = 0
+            for radius in range(2):
+                for word in product(fam.alphabet.symbols, repeat=2 * radius + 1):
+                    y = x.rewired(Cylinder(-radius, radius, word))
+                    for n in range(-3, 4):
+                        checked += 1
+                        violations += not bn.homoclinic_ratio_bound_check(fam, x, y, radius, n).ok
+            return checked, violations
+
+        scan = bn.homoclinic_scan(fam, fam.configuration(4), 1, 3)
+        assert scan == loop(fam.configuration(4)) == (7 * (2 + 8), 0)
+        # a quarter of each bound, shared by the scan and the pair check,
+        # is broken by some pairs of a perturbed family
+        bounds = bn._homoclinic_bounds
+        monkeypatch.setattr(bn, "_homoclinic_bounds", lambda *a: tuple(b / 4 for b in bounds(*a)))
+        got = bn.homoclinic_scan(fam, fam.configuration(4), 1, 3)
+        assert got == loop(fam.configuration(4))
+        assert (got[1] > 0) == violated
 
     def test_product_bound_below_uniform_bound(self):
         fam = wide_family()

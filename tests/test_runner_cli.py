@@ -194,6 +194,19 @@ REJECTED = {
         ),
         "the series reads 16777217 coordinates [-16777213, 3], over the cap 16777216",
     ),
+    # a homoclinic scan of |A|^(2r + 1) words x (2 n_max + 1) shifts per
+    # radius r, here 2^81 words at r = 40, ran without end
+    "homoclinic-scan-radius-over-cap": (
+        config_on(
+            dict(BERNOULLI, kind="compact", window={"0": ["3/4", "1/4"]}),
+            {"name": "homoclinic_scan", "radius_max": 40},
+        ),
+        "operation homoclinic_scan: radius_max 40 and n_max 8 make over 16777216 pairs",
+    ),
+    "homoclinic-scan-shifts-over-cap": (
+        config_on(BERNOULLI, {"name": "homoclinic_scan", "radius_max": 0, "n_max": 2**23}),
+        "radius_max 0 and n_max 8388608 make over 16777216 pairs",
+    ),
     "banach-density-over-cap": (
         config_on(POISSON, {"name": "banach_density", "horizon": 10**9}),
         "operation banach_density: runs x horizon = 1000000000 cells exceeds the cap",
