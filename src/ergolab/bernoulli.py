@@ -342,6 +342,20 @@ class SummableFamily(BernoulliFamily):
             k += 1
         return k
 
+    def _site_roots(self, reach: int) -> Iterator[tuple[float, float]]:
+        """sqrt of each float probability of site k, for k = -reach - 1 ..
+        reach.  Site k is ((d + 2e) / 2d, (d - 2e) / 2d) with e / d =
+        c r^|k|, and int true division rounds correctly, as ``float`` of the
+        site's Fractions does; e and d move by one factor of r a step."""
+        a, b, p, q = self.cr
+        e, d = a * p ** (reach + 1), b * q ** (reach + 1)
+        for k in range(-reach - 1, reach + 1):
+            yield math.sqrt((d + 2 * e) / (2 * d)), math.sqrt((d - 2 * e) / (2 * d))
+            if k < 0:
+                e, d = e // p, d // q
+            else:
+                e, d = e * p, d * q
+
     def majorant(self, k: int) -> float:
         return self.sup * self._rf ** abs(k)
 
@@ -349,8 +363,14 @@ class SummableFamily(BernoulliFamily):
         return 2.0 * self.sup * self._rf ** (h + 1) / (1.0 - self._rf)
 
     def kakutani(self, horizon: int, tol: float) -> KakutaniResult:
-        sites = (self.site(k) for k in range(-horizon - 1, horizon + 1))
-        value = sum(hellinger_sq(b, a) for a, b in pairwise(sites))
+        """The sum of ``hellinger_sq`` over consecutive sites, in the same
+        order and with the same float terms.  Past ``_fair_from`` both sites
+        of a pair round to the float 0.5, so the pair adds exactly 0.0 and
+        the sum stops there."""
+        reach = min(horizon, self._fair_from)
+        value = sum(
+            (s - t) ** 2 + (u - v) ** 2 for (t, v), (s, u) in pairwise(self._site_roots(reach))
+        )
         tail_bound = math.exp(self.sup) * self.sup * self.tail(horizon - 1)
         verdict = CONVERGENT if tail_bound <= tol else INCONCLUSIVE
         return KakutaniResult(float(value), verdict, tail_bound)

@@ -14,6 +14,7 @@ the restricted derivatives exact finite products.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, NamedTuple, Sequence
@@ -115,29 +116,49 @@ def primitivity_index(sft: SFT) -> int | None:
     return None
 
 
+def _over_common_denominator(values) -> tuple[int, list[int]]:
+    """(d, [v d for v in values]) for Fractions, d the lcm of their
+    denominators: the same rationals as integers over one denominator."""
+    d = math.lcm(*(v.denominator for v in values))
+    return d, [v.numerator * (d // v.denominator) for v in values]
+
+
 def stationary_distribution(transition) -> tuple[Fraction, ...]:
-    """Exact row vector pi with pi P = pi and sum 1 (rational Gauss)."""
+    """Exact row vector pi with pi P = pi and sum 1.
+
+    The system (P^T - I) x = 0 on all rows but the last, sum x = 1 on the
+    last, is scaled by the lcm D of the denominators and eliminated in
+    integers (Bareiss' fraction-free elimination, Math. Comp. 22, 1968), so
+    every entry stays a minor of the system.  The last pivot is its
+    determinant, and back substitution gives the integers det * x_i, one
+    Fraction each at the end (Cramer's rule).
+    """
     p = [[_as_fraction(e) for e in row] for row in transition]
     n = len(p)
-    # rows 0..n-2: (P^T - I) x = 0; last row: sum x = 1
-    rows = [[p[j][i] - (1 if i == j else 0) for j in range(n)] for i in range(n - 1)]
-    rows.append([Fraction(1)] * n)
-    rhs = [Fraction(0)] * (n - 1) + [Fraction(1)]
+    # rows 0..n-2: D (P^T - I) x = 0; last row: sum x = 1; the rhs is column n
+    d, m = _over_common_denominator([p[j][i] for i in range(n - 1) for j in range(n)])
+    a = [m[i * n : i * n + n] + [0] for i in range(n - 1)]
+    for i in range(n - 1):
+        a[i][i] -= d
+    a.append([1] * (n + 1))
+    det = 1
     for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        pivot = next((r for r in range(col, n) if a[r][col]), None)
         if pivot is None:
             raise ValueError("stationary distribution is not unique")
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        rhs[col], rhs[pivot] = rhs[pivot], rhs[col]
-        inv = 1 / rows[col][col]
-        rows[col] = [e * inv for e in rows[col]]
-        rhs[col] *= inv
-        for r in range(n):
-            if r != col and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [e - f * g for e, g in zip(rows[r], rows[col])]
-                rhs[r] -= f * rhs[col]
-    return tuple(rhs)
+        a[col], a[pivot] = a[pivot], a[col]
+        top = a[col]
+        lead = top[col]
+        for row in a[col + 1 :]:
+            f = row[col]
+            for j in range(col + 1, n + 1):
+                row[j] = (row[j] * lead - f * top[j]) // det
+        det = lead
+    y = [0] * n
+    for i in reversed(range(n)):
+        row = a[i]
+        y[i] = (det * row[n] - sum(row[j] * y[j] for j in range(i + 1, n))) // row[i]
+    return tuple(Fraction(v, det) for v in y)
 
 
 def _check_stochastic(sft: SFT, matrix, what: str) -> tuple[tuple[Fraction, ...], ...]:
@@ -146,16 +167,17 @@ def _check_stochastic(sft: SFT, matrix, what: str) -> tuple[tuple[Fraction, ...]
         raise ValueError(f"{what}: wrong shape")
     for s in sft.states:
         row = rows[s - 1]
-        if abs(sum(row) - 1) > _SUM_TOL:
-            raise ValueError(f"{what}: row {s} sums to {sum(row)}")
-        for t in sft.states:
-            positive = row[t - 1] > 0
-            if positive != sft.edge(s, t):
+        d, nums = _over_common_denominator(row)
+        # |sum(row) - 1| > _SUM_TOL, with sum(row) = sum(nums) / d
+        if abs(sum(nums) - d) * _SUM_TOL.denominator > d * _SUM_TOL.numerator:
+            raise ValueError(f"{what}: row {s} sums to {Fraction(sum(nums), d)}")
+        for t, num in zip(sft.states, nums):
+            if (num > 0) != sft.edge(s, t):
                 raise ValueError(
                     f"{what}: support mismatch at ({s},{t}); "
                     "need entries positive exactly on the adjacency support"
                 )
-            if row[t - 1] < 0:
+            if num < 0:
                 raise ValueError(f"{what}: negative entry at ({s},{t})")
     return rows
 
@@ -175,15 +197,15 @@ class MarkovFamily:
         if base_marginal is None:
             base_marginal = stationary_distribution(self.base_transition)
         pi = tuple(_as_fraction(e) for e in base_marginal)
-        if len(pi) != sft.n_states or any(e <= 0 for e in pi):
+        n = sft.n_states
+        if len(pi) != n or any(e.numerator <= 0 for e in pi):
             raise ValueError("base marginal must be strictly positive on all states")
-        if sum(pi) != 1:
+        d_pi, u = _over_common_denominator(pi)
+        if sum(u) != d_pi:
             raise ValueError("base marginal must sum to 1")
-        row = tuple(
-            sum(pi[s] * self.base_transition[s][t] for s in range(sft.n_states))
-            for t in range(sft.n_states)
-        )
-        if row != pi:
+        # pi P = pi, both sides times d_pi and P's common denominator d
+        d, m = _over_common_denominator([e for row in self.base_transition for e in row])
+        if any(sum(u[s] * m[s * n + t] for s in range(n)) != u[t] * d for t in range(n)):
             raise ValueError("base marginal is not stationary for the base transition")
         self.base_marginal = pi
         self.window: dict[int, tuple[tuple[Fraction, ...], ...]] = {}

@@ -48,17 +48,32 @@ class GroundSpace:
     jump: Callable[[int, int], int]
 
     def region_weight(self, region: Iterable[int]) -> Fraction:
-        return sum((Fraction(self.weight(p)) for p in region), Fraction(0))
+        """The exact sum of the weights: integer numerators added over a
+        running common denominator, one Fraction at the end."""
+        num, den = 0, 1
+        for p in region:
+            w = self.weight(p)
+            w = w if type(w) is Fraction else Fraction(w)
+            d = w.denominator
+            if den % d:
+                step = d // math.gcd(den, d)
+                num, den = num * step, den * step
+            num += w.numerator * (den // d)
+        return Fraction(num, den)
+
+
+#: the unit weight, shared: a Fraction is immutable
+_UNIT = Fraction(1)
 
 
 def integer_translation(step: int = 1) -> GroundSpace:
     """Translation p -> p + step on Z with unit weights (no finite invariant
     probability: the canonical ergodic-suspension base)."""
-    return GroundSpace(weight=lambda p: Fraction(1), jump=lambda p, k: p + k * step)
+    return GroundSpace(weight=lambda p: _UNIT, jump=lambda p, k: p + k * step)
 
 
 def integer_identity() -> GroundSpace:
-    return GroundSpace(weight=lambda p: Fraction(1), jump=lambda p, k: p)
+    return GroundSpace(weight=lambda p: _UNIT, jump=lambda p, k: p)
 
 
 def finite_cycle(length: int) -> GroundSpace:
@@ -71,7 +86,7 @@ def finite_cycle(length: int) -> GroundSpace:
 
     def weight(p: int) -> Fraction:
         check(p)
-        return Fraction(1)
+        return _UNIT
 
     def jump(p: int, k: int) -> int:
         check(p)

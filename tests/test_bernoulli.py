@@ -135,6 +135,32 @@ class TestKakutaniSum:
         assert res.tail_bound < 1e-9
         assert res.value == pytest.approx(oracle_kakutani(fam, 200), rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "c, r, horizons",
+        [
+            (Fraction(1, 10), Fraction(1, 2), [*range(1, 60), 104, 500]),
+            (Fraction(2, 9), Fraction(1, 2), [*range(1, 60), 106]),
+            (Fraction(1, 10), Fraction(9, 10), [1, 2, 3, 50, 339, 340, 341, 345, 700]),
+            (Fraction(1, 5), Fraction(99, 100), [1, 2, 7, 120, 300]),
+        ],
+    )
+    def test_summable_is_the_site_by_site_sum(self, c, r, horizons):
+        # the earlier loop: one exact site per coordinate, the Hellinger
+        # increments summed left to right; past _fair_from each adds 0.0
+        fam = bn.SummableFamily(c, r)
+        for horizon in horizons:
+            sites = [fam.site(k) for k in range(-horizon - 1, horizon + 1)]
+            want = sum(bn.hellinger_sq(b, a) for a, b in zip(sites, sites[1:]))
+            assert bn.kakutani_sum(fam, horizon).value.hex() == float(want).hex()
+
+    @pytest.mark.parametrize("r", [Fraction(1, 2), Fraction(9, 10)])
+    def test_summable_at_the_cap_returns_at_once(self, r):
+        fam = summable_family(r)
+        start = time.perf_counter()
+        res = bn.kakutani_sum(fam, 2**24)
+        assert time.perf_counter() - start < 1.0
+        assert res.value == bn.kakutani_sum(fam, fam._fair_from + 3).value
+
     def test_horizon_validation(self):
         with pytest.raises(ValueError):
             bn.kakutani_sum(iid_family(), 0)
