@@ -14,15 +14,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import CertifiedFailure
 from .seeding import (
+    _GOLDEN,
     GRID_BLOCK,
     TAG_POISSON,
+    _count_levels,
+    _keyed_top,
+    combine_seeds,
     spawn_vec,
     uniform01_grid,
     zigzag,
@@ -253,19 +257,63 @@ class PointSample:
 
     def indicators(self, event: PoissonEvent, times: Sequence[int]) -> np.ndarray:
         """Indicators of the times[j]-fold suspension image lying in the event."""
-        return _indicators(self.gs, self.counts, event, times)[0]
+        return _indicators(
+            self.gs, lambda rows, points, cap, first: self.counts(points, cap), 1, event, times
+        )[0]
 
 
-def _count_table(mean: float) -> np.ndarray:
+def _count_table(mean: float, size: int = 4 * COUNT_CAP) -> np.ndarray:
     """Poisson CDF table, accumulated by summation: ``searchsorted(table, u,
-    side="right")`` is the smallest k < 4 * COUNT_CAP with u < CDF(k), or
-    4 * COUNT_CAP."""
+    side="right")`` is the smallest k < size with u < CDF(k), or size.  A
+    shorter table is a prefix of a longer one, bit for bit."""
     pmf = math.exp(-mean)
     cdf = [pmf]
-    for k in range(1, 4 * COUNT_CAP):
+    for k in range(1, size):
         pmf *= mean / k
         cdf.append(cdf[-1] + pmf)
-    return np.asarray(cdf)
+    return np.asarray(cdf[:size])
+
+
+@lru_cache(maxsize=1)
+def _plan(gs: GroundSpace, points: tuple[int, ...], cap: int | None) -> tuple:
+    """What a count read needs of its points: each block of runs a read
+    draws looks it up, so it is built once per read (only the last read's is
+    kept).  It is (salted, levels, split):
+
+    - salted: zigzag(p) + the mixer's golden step per point, as uint64;
+    - levels: with cap set, the (cap, points) thresholds, column j the first
+      cap of point j's table, or (cap, 1) when all points share one mean;
+      with cap None, (columns, table) per distinct mean, ``slice(None)`` for
+      the columns when there is one mean;
+    - split: (column, key parts, sub-draws, float table) per point of mean
+      over ``_SPLIT_MEAN``.
+
+    A table is the point's ``_count_table`` as integer thresholds
+    ceil(CDF(k) * 2^53): the uniform of a key z is (z >> 11) * 2^-53 exactly,
+    so CDF(k) <= u exactly when ceil(CDF(k) * 2^53) <= z >> 11 (the rule of
+    ``seeding.thresholds``), and no float uniform is formed.
+    """
+    means = np.array([float(gs.weight(p)) for p in points])
+    salted = np.array([zigzag(p) % 2**64 for p in points], dtype=np.uint64)
+    salted += np.uint64(_GOLDEN)
+    distinct, which = np.unique(means, return_inverse=True)
+    # a capped read counts only the first cap levels
+    size = 4 * COUNT_CAP if cap is None else min(cap, 4 * COUNT_CAP)
+    tables = np.reshape([_count_table(float(mean), size) for mean in distinct], (-1, size))
+    tables = np.ceil(tables * 2.0**53).astype(np.uint64)
+    if cap is not None:
+        # points that share one mean share one broadcast column
+        levels = np.ascontiguousarray((tables if len(distinct) == 1 else tables[which]).T)
+    elif len(distinct) == 1:
+        levels = [(slice(None), tables[0])]
+    else:
+        levels = [(which == i, table) for i, table in enumerate(tables)]
+    split = []
+    for j in np.flatnonzero(means > _SPLIT_MEAN):
+        chunks = math.ceil(means[j] / _SPLIT_MEAN)
+        table = _count_table(float(means[j]) / chunks)
+        split.append((j, (TAG_POISSON, zigzag(points[j])), chunks, table))
+    return salted, levels, split
 
 
 def _count_rows(
@@ -273,7 +321,8 @@ def _count_rows(
 ) -> np.ndarray:
     """(len(seeds), len(points)) counts: cell [r, j] inverts the keyed
     uniform of (seeds[r], TAG_POISSON, zigzag(points[j])) on the
-    ``_count_table`` of the point's mean.
+    ``_count_table`` of the point's mean, by the integer thresholds of
+    ``_plan``.
 
     A mean above ``_SPLIT_MEAN`` is split by additivity into ``chunks`` equal
     sub-means, with sub-draw i keyed (seed, TAG_POISSON, zigzag(p), i): a sum
@@ -282,45 +331,30 @@ def _count_rows(
 
     With ``cap`` set, a cell holds ``min(count, cap)`` instead: inversion by
     summation stops after ``cap`` levels, ``sum_{i<cap} [u >= table[i]]``
-    over the same ``_count_table``.  The table is non-decreasing, so this is
-    ``min(searchsorted(table, u, side="right"), cap)`` bit for bit.
+    over the same ``_count_table`` (``seeding._count_levels``, the loop
+    ``keyed_symbols`` counts symbols with).  The table is non-decreasing, so
+    this is ``min(searchsorted(table, u, side="right"), cap)`` bit for bit.
     """
-    points = list(points)
-    means = np.array([float(gs.weight(p)) for p in points])
+    points = tuple(points)
+    salted, levels, split = _plan(gs, points, cap)
     out = np.empty((len(seeds), len(points)), dtype=np.int16)
-    keys = np.array([zigzag(p) % 2**64 for p in points], dtype=np.uint64)
-    # one cache-sized block of rows per keyed draw: no float or bool grid
-    # larger than a block is ever held
-    chunk = max(1, GRID_BLOCK // max(len(points), 1))
-    if cap is None:
-        # (columns, table) per distinct mean; one mean needs no column mask
-        groups = [(means == mean, _count_table(float(mean))) for mean in np.unique(means)]
-    else:
-        # (cap, n_points) thresholds: column j holds the first cap CDF levels
-        # of point j's mean
-        distinct, which = np.unique(means, return_inverse=True)
-        tables = [_count_table(float(mean))[:cap] for mean in distinct]
-        levels = np.ascontiguousarray(np.reshape(tables, (-1, cap))[which].T)
-        hit = np.empty((min(chunk, len(seeds)), len(points)), dtype=bool)
-    for lo in range(0, len(seeds), chunk):
-        hi = min(lo + chunk, len(seeds))
-        u = uniform01_grid(seeds[lo:hi], (TAG_POISSON,), keys)
-        block = out[lo:hi]
-        if cap is None and len(groups) == 1:
-            block[...] = np.searchsorted(groups[0][1], u, side="right")
-        elif cap is None:
-            for cols, table in groups:
-                block[:, cols] = np.searchsorted(table, u[:, cols], side="right")
+    states = combine_seeds(seeds, (TAG_POISSON,))
+    # one cache-sized block of rows per keyed draw, through reused buffers
+    rows = max(1, GRID_BLOCK // max(len(points), 1))
+    z = np.empty(min(rows, len(seeds)) * len(points), dtype=np.uint64)
+    scratch = np.empty(min(z.size, GRID_BLOCK), dtype=np.uint64)
+    hit = np.empty(z.size, dtype=bool)
+    for lo in range(0, len(seeds), rows):
+        block = out[lo : lo + rows]
+        top = _keyed_top(states[lo : lo + rows], salted, z, scratch)
+        if cap is None:
+            for cols, table in levels:
+                block[:, cols] = np.searchsorted(table, top[:, cols], side="right")
         else:
-            block[...] = 0
-            for level in levels:
-                np.greater_equal(u, level, out=hit[: hi - lo])
-                block += hit[: hi - lo]
+            block.fill(0)
+            _count_levels(top, levels, block, hit)
     # a split column overwrites what its single draw gave above
-    for j in np.flatnonzero(means > _SPLIT_MEAN):
-        chunks = math.ceil(means[j] / _SPLIT_MEAN)
-        table = _count_table(float(means[j]) / chunks)
-        parts = (TAG_POISSON, zigzag(points[j]))
+    for j, parts, chunks, table in split:
         rows = max(1, GRID_BLOCK // chunks)
         for lo in range(0, len(seeds), rows):
             u = uniform01_grid(seeds[lo : lo + rows], parts, np.arange(chunks))
@@ -339,18 +373,35 @@ def sample_count_grid(
     n_runs: int,
     points: Sequence[int],
     cap: int | None = None,
+    *,
+    first: int = 0,
 ) -> np.ndarray:
     """(n_runs, len(points)) per-run point counts, clipped at ``cap`` when
-    set: row r is ``PointSample(gs, spawn(master_seed, r)).counts(points, cap)``."""
-    return _count_rows(gs, spawn_vec(master_seed, np.arange(n_runs, dtype=np.int64)), points, cap)
+    set: row r is ``PointSample(gs, spawn(master_seed, first + r)).counts(points, cap)``."""
+    runs = np.arange(first, first + n_runs, dtype=np.int64)
+    return _count_rows(gs, spawn_vec(master_seed, runs), points, cap)
+
+
+#: count cells per block of runs that ``_indicators`` draws and reduces at
+#: once: a few cache-sized draws per block pay for its Python calls
+_BLOCK_CELLS = 4 * GRID_BLOCK
 
 
 def _indicators(
-    gs: GroundSpace, read_counts: Callable, event: PoissonEvent, times: Sequence[int]
+    gs: GroundSpace,
+    read_counts: Callable,
+    n_rows: int,
+    event: PoissonEvent,
+    times: Sequence[int],
 ) -> np.ndarray:
-    """(rows, len(times)) 0/1 matrix: entry [r, j] is the indicator of the
+    """(n_rows, len(times)) 0/1 matrix: entry [r, j] is the indicator of the
     times[j]-fold suspension image of row r's sample lying in the event,
-    over the counts ``read_counts(points, cap=cap)`` returns, one row each.
+    over the counts ``read_counts(rows, points, cap, first=lo)`` returns for
+    the rows lo .. lo + rows - 1.
+
+    One streamed pass: the counts of a block of about ``_BLOCK_CELLS`` cells
+    are read, reduced to that block's rows of the (rows, distinct events)
+    result and dropped, so no (n_rows, points) array is held.
 
     Point counts are read clipped at ``K + 1``, K the largest constraint
     count.  That is exact: a point whose count exceeds K reads K + 1, so every
@@ -364,25 +415,28 @@ def _indicators(
     """
     pulled = {t: event.pulled_back(gs, t) for t in dict.fromkeys(int(t) for t in times)}
     distinct = list(dict.fromkeys(pulled.values()))
-    points = sorted({p for ev in distinct for p in ev.support()})
+    points = tuple(sorted({p for ev in distinct for p in ev.support()}))
     col = {p: i for i, p in enumerate(points)}
     cap = 1 + max((k for _, k in event.constraints), default=0)
-    counts = read_counts(points, cap=cap)
-    n_rows = len(counts)
-    ok = np.ones((n_rows, len(distinct)), dtype=bool)
-    acc = np.empty((n_rows, len(distinct)), dtype=np.int32)
-    term = np.empty((n_rows, len(distinct)), dtype=counts.dtype)
-    for c, (_, k) in enumerate(event.constraints):
-        # (distinct events, |region|) column indices of this constraint
-        idx = np.array(
-            [[col[p] for p in ev.constraints[c][0]] for ev in distinct],
-            dtype=np.intp,
-            ndmin=2,
-        )
-        acc[...] = 0
-        for cols in idx.T:
-            acc += np.take(counts, cols, axis=1, out=term)
-        ok &= acc == k
+    # per constraint: k and the (distinct events, |region|) column indices
+    regions = [
+        (k, np.array([[col[p] for p in ev.constraints[c][0]] for ev in distinct], np.intp, ndmin=2))
+        for c, (_, k) in enumerate(event.constraints)
+    ]
+    rows = max(1, _BLOCK_CELLS // max(len(points), len(distinct), 1))
+    ok = np.empty((n_rows, len(distinct)), dtype=bool)
+    acc = np.empty((min(rows, n_rows), len(distinct)), dtype=np.int32)
+    term = np.empty(acc.shape, dtype=np.int16)
+    for lo in range(0, n_rows, rows):
+        counts = read_counts(min(rows, n_rows - lo), points, cap, first=lo)
+        n = len(counts)
+        block, a, t = ok[lo : lo + n], acc[:n], term[:n]
+        block.fill(True)
+        for k, idx in regions:
+            a.fill(0)
+            for cols in idx.T:
+                a += np.take(counts, cols, axis=1, out=t)
+            block &= a == k
     row = {ev: i for i, ev in enumerate(distinct)}
     return ok[:, [row[pulled[int(t)]] for t in times]].astype(np.float64)
 
@@ -396,7 +450,7 @@ def indicator_grid(
 ) -> np.ndarray:
     """(n_runs, len(times)) 0/1 matrix: row r is
     ``PointSample(gs, spawn(master_seed, r)).indicators(event, times)``."""
-    return _indicators(gs, partial(sample_count_grid, gs, master_seed, n_runs), event, times)
+    return _indicators(gs, partial(sample_count_grid, gs, master_seed), n_runs, event, times)
 
 
 # ---------------------------------------------------------------------------
@@ -491,10 +545,10 @@ def subsequence_average_experiment(
     if max(block_sizes) > len(times):
         raise ValueError("block size exceeds number of supplied times")
     ind = indicator_grid(gs, master_seed, n_runs, event, list(times)[: max(block_sizes)])
-    cums = np.cumsum(ind, axis=1)
     means, variances = [], []
     for n in block_sizes:
-        avg = cums[:, n - 1] / n
+        # 0/1 entries: every partial sum is an exact integer in any order
+        avg = ind[:, :n].sum(axis=1) / n
         means.append(float(avg.mean()))
         variances.append(float(avg.var(ddof=1)))
     return VarianceDecay(tuple(block_sizes), tuple(means), tuple(variances))

@@ -27,7 +27,7 @@ from .seeding import spawn, uniform01
 from .shift_core import RANGE_CAP, Cylinder
 
 _INTEGER = re.compile(r"-?\d+")
-_NUMBER = re.compile(r"-?\d+(\.\d+)?(/\d+)?")
+_NUMBER = re.compile(r"-?\d+(\.\d+|/\d+)?")
 
 # A parser takes (value, where) and returns the parsed value or raises a
 # ConfigError naming ``where``.  A key is declared as (parser, default): the

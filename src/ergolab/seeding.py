@@ -19,6 +19,8 @@ the same bits.
 Symbols are drawn by ``keyed_symbols`` against integer inverse-CDF
 ``thresholds``, one cache-sized block at a time, without forming the
 uniforms; the result equals ``searchsorted`` on the uniforms bit for bit.
+Poisson counts are drawn by the same two private steps, ``_keyed_top`` and
+``_count_levels``.
 """
 
 from __future__ import annotations
@@ -202,6 +204,35 @@ def thresholds(cdf: np.ndarray) -> np.ndarray:
     return np.ceil(np.asarray(cdf)[..., :-1] * 2.0**53).astype(np.uint64)
 
 
+def _keyed_top(
+    states: np.ndarray, salted: np.ndarray, z: np.ndarray, scratch: np.ndarray
+) -> np.ndarray:
+    """The top 53 bits, ``key >> 11``, of the keys ``fold(states[r], k_j)``
+    as a (len(states), len(salted)) view of the flat uint64 buffer ``z``.
+
+    ``salted[j]`` is k_j + _GOLDEN, the half of ``fold`` that depends on the
+    key only, so callers that draw many rows salt their keys once;
+    ``scratch`` is the buffer ``_mix`` takes.
+    """
+    zb = z[: len(states) * len(salted)].reshape(len(states), len(salted))
+    np.add(states[:, None], salted, out=zb)
+    _mix(zb, scratch)
+    zb >>= np.uint64(11)
+    return zb
+
+
+def _count_levels(
+    top: np.ndarray, levels: np.ndarray, out: np.ndarray, hit: np.ndarray
+) -> None:
+    """Add #{rows l of ``levels`` : top >= l} into ``out`` cell by cell, for
+    ``top`` from ``_keyed_top`` and ``levels`` rows of ``thresholds`` (one
+    per column, or one broadcast over all); ``hit`` is a flat bool buffer of
+    at least ``top.size`` cells."""
+    hb = hit[: top.size].reshape(top.shape)
+    for level in levels:
+        out += np.greater_equal(top, level, out=hb)
+
+
 def keyed_symbols(
     states: np.ndarray,
     lo: int,
@@ -241,14 +272,7 @@ def keyed_symbols(
         kz += np.uint64(_GOLDEN)
         levels = levels_at(lo + c0, b)
         for r0 in range(0, len(states), rows):
-            r1 = min(r0 + rows, len(states))
-            zb = z[: (r1 - r0) * b].reshape(r1 - r0, b)
-            np.add(states[r0:r1, None], kz, out=zb)
-            _mix(zb, scratch)
-            zb >>= np.uint64(11)
-            hb = hit[: zb.size].reshape(zb.shape)
-            ob = out[r0:r1, c0 : c0 + b]
+            ob = out[r0 : r0 + rows, c0 : c0 + b]
             ob.fill(1)
-            for level in levels:
-                ob += np.greater_equal(zb, level, out=hb)
+            _count_levels(_keyed_top(states[r0 : r0 + rows], kz, z, scratch), levels, ob, hit)
     return out

@@ -492,6 +492,92 @@ class TestIndicatorGridEdges:
         assert peak < 32 * 2**20
 
 
+def _streamed(monkeypatch, cells):
+    """Blocks of ``cells`` count cells, so that a few hundred runs already
+    span several streamed blocks."""
+    monkeypatch.setattr(ps, "_BLOCK_CELLS", cells)
+
+
+class TestStreamedIndicators:
+    """``indicator_grid`` reads the counts of one block of runs at a time;
+    each case crosses block edges and is checked cell by cell against
+    ``ref_indicator``."""
+
+    def test_runs_at_the_block_edge(self):
+        # 300 points of weight 1/300 on the identity map: one event, so a
+        # block holds _BLOCK_CELLS // 300 runs
+        gs = ps.weighted_points({p: F(1, 300) for p in range(300)})
+        ev = ps.PoissonEvent.count(range(300), 1)
+        rows = ps._BLOCK_CELLS // 300
+        expected = _scalar_indicators(gs, 3, rows + 1, ev, [0])
+        assert 0 < expected.sum() < expected.size
+        for n_runs in (rows - 1, rows, rows + 1):
+            assert np.array_equal(ps.indicator_grid(gs, 3, n_runs, ev, [0, 5]), expected[:n_runs, [0, 0]])
+
+    def test_point_set_larger_than_a_block(self):
+        # 64-point regions 64 apart: more points than a block holds cells,
+        # so every block is one run, and one row spans several keyed draws
+        gs = unit_line()
+        ev = ps.PoissonEvent.count(range(64), 64)
+        n_points = ps._BLOCK_CELLS + 64
+        times = list(range(0, -n_points, -64))
+        grid = ps.indicator_grid(gs, 17, 3, ev, times)
+        assert grid.shape == (3, len(times))
+        assert 0 < grid.sum() < grid.size
+        counts = ps.sample_count_grid(gs, 17, 3, range(n_points), cap=65)
+        sums = counts.reshape(3, -1, 64).sum(axis=2)
+        assert np.array_equal(grid, (sums == 64).astype(np.float64))
+        # column j reads the points 64 j .. 64 j + 63; a keyed draw ends at
+        # point GRID_BLOCK
+        columns = [0, 1, 511, 512, 513, len(times) - 1]
+        for r in range(3):
+            sample = run_sample(gs, 17, r)
+            assert [grid[r, j] for j in columns] == [ref_indicator(sample, ev, times[j]) for j in columns]
+        assert np.array_equal(grid[1], run_sample(gs, 17, 1).indicators(ev, times))
+
+    @pytest.mark.parametrize("k", [0, 64], ids=["cap-1", "cap-65"])
+    def test_split_means_and_caps(self, monkeypatch, k):
+        # a translation whose means repeat with period 6: 51, 120, 3000 and
+        # 64 sum 2, 3, 60 and 2 keyed sub-draws; k = 0 reads counts clipped
+        # at 1, k = 64 at 65
+        means = [F(51), F(1, 2), F(120), F(1, 3), F(3000), F(64)]
+        gs = ps.GroundSpace(weight=lambda p: means[p % 6], jump=lambda p, n: p + n)
+        ev = ps.PoissonEvent.count([0], k)
+        _streamed(monkeypatch, 64)
+        # time t reads the point -t, of mean 51, 64, 3000, 1/3, 120, 1/2
+        grid = ps.indicator_grid(gs, 41, 200, ev, range(6))
+        assert np.array_equal(grid, _scalar_indicators(gs, 41, 200, ev, range(6)))
+        hit = grid.any(axis=0)
+        assert not hit[2] and hit[[1] if k else [3, 5]].all()
+
+    @pytest.mark.parametrize("name", TestIndicatorGridEdges.CASES)
+    def test_edge_cases_in_streamed_blocks(self, monkeypatch, name):
+        gs, ev, times = TestIndicatorGridEdges.CASES[name]
+        _streamed(monkeypatch, 256)
+        grid = ps.indicator_grid(gs, 29, 400, ev, times)
+        assert np.array_equal(grid, _scalar_indicators(gs, 29, 400, ev, times))
+
+    def test_point_sample_reads_the_grid_rows(self, monkeypatch):
+        gs, ev, times = TestIndicatorGridEdges.CASES["shared_points"]
+        _streamed(monkeypatch, 64)
+        grid = ps.indicator_grid(gs, 5, 40, ev, times)
+        for r in range(40):
+            assert np.array_equal(grid[r], run_sample(gs, 5, r).indicators(ev, times))
+
+    def test_memory_stays_far_below_the_count_grid(self):
+        # 10^4 runs x 640 points: the int16 count grid would be 12.2 MiB
+        gs = ps.integer_translation(1)
+        ev = ps.PoissonEvent.count(range(64), 0)
+        tracemalloc.start()
+        try:
+            grid = ps.indicator_grid(gs, 5, 10_000, ev, range(0, 640, 64))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert grid.shape == (10_000, 10)
+        assert peak < 10_000 * 640 * 2 / 4
+
+
 class TestNullSubsequence:
     def test_translation_block_region(self):
         gs = unit_line()
@@ -681,6 +767,16 @@ class TestVarianceDecay:
         p = math.exp(-1)
         res = ps.subsequence_average_experiment(gs, ev, [5], [1], 20_000, 7)
         assert res.variances[0] == pytest.approx(p * (1 - p), rel=0.05)
+
+    def test_block_averages_match_cumulative_sums(self):
+        gs = unit_line()
+        ev = ps.PoissonEvent.count([0, 1], 1)
+        times = [3 * j for j in range(48)]
+        res = ps.subsequence_average_experiment(gs, ev, times, [1, 7, 16, 48], 3000, 12)
+        cums = np.cumsum(ps.indicator_grid(gs, 12, 3000, ev, times), axis=1)
+        for n, mean, var in zip(res.block_sizes, res.means, res.variances):
+            avg = cums[:, n - 1] / n
+            assert (mean, var) == (float(avg.mean()), float(avg.var(ddof=1)))
 
     def test_block_size_exceeding_times_rejected(self):
         with pytest.raises(ValueError):

@@ -121,6 +121,11 @@ REJECTED = {
     "step-float": (config_on(dict(POISSON, step=1.5), ONE_FUZZ), "bad integer 1.5"),
     "step-bool": (config_on(dict(POISSON, step=True), ONE_FUZZ), "bad integer True"),
     "kind-not-string": (minimal_config(system=dict(BERNOULLI, kind=5)), "kind: 5"),
+    # a decimal over an integer passed the pattern and Fraction refused it
+    "decimal-fraction": (
+        minimal_config(system=dict(BERNOULLI, base=["1.5/3", "1/2"])),
+        "bad number '1.5/3'",
+    ),
     # system keys missing, or not used by the chosen shape
     "compact-without-base": (
         minimal_config(system={"type": "bernoulli", "kind": "compact"}),
