@@ -22,7 +22,7 @@ import numpy as np
 from . import bernoulli as bn
 from . import poisson as ps
 from .seeding import GRID_BLOCK, spawn
-from .shift_core import Configuration, Cylinder, column_chunks
+from .shift_core import Configuration, Cylinder
 
 series_checkpoints = bn.series_checkpoints
 
@@ -108,59 +108,47 @@ class BernoulliSystem:
 
     def value_series(self, x: Configuration, obs: Observable, times: np.ndarray) -> np.ndarray:
         """f(T^t x) for each t in times."""
-        return _cylinder_values(obs, np.asarray(times, dtype=np.int64), x.block, ())
+        return self._cylinder_values(x.block, (), obs, times)
 
     def values_matrix(
         self, master_seed: int, n_runs: int, obs: Observable, times: Sequence[int]
     ) -> np.ndarray:
         read = partial(self.family.run_grid, master_seed, n_runs)
-        return _cylinder_values(obs, np.asarray(times, dtype=np.int64), read, (n_runs,))
-
-    def dual_log_weight_grid(
-        self, master_seed: int, n_runs: int, n: int, tol: float = 1e-12
-    ) -> tuple[np.ndarray, float]:
-        """(n_runs, n): row r is log d(mu o T^-k)/d mu at
-        ``run_sample(master_seed, r)`` for k = 0..n-1."""
-        return bn.rn_log_weight_grid(self.family, master_seed, n_runs, -np.arange(n), tol=tol)
+        return self._cylinder_values(read, (n_runs,), obs, times)
 
     def series_terms(
         self, x: Configuration, obs: Observable, ns: range, tol: float, weighted: bool
     ) -> tuple[Iterator, float]:
-        """The chunks of (log weight, f(T^n x)) over n in ``ns`` that
+        """The chunks of (cols, log weight, f(T^n x)) over n in ``ns`` that
         ``bn._checkpoint_sums`` reads, drawn from one block of x, and the
         weights' per-entry error bound; without ``weighted`` every log
         weight is 0.0 and no cocycle is read."""
         window, err = bn._cocycle_window(self.family, tol) if weighted else ({}, 0.0)
-        terms = _patterns(obs)
+        return self._cylinder_terms(x.block, (), window, obs, ns), err
+
+    def run_terms(
+        self, master_seed: int, n_runs: int, obs: Observable, ns: range, tol: float
+    ) -> tuple[Iterator, float]:
+        """The weighted ``series_terms`` of every run at once, drawn from one
+        grid of the runs; row r of a chunk is ``run_sample(master_seed, r)``'s."""
+        window, err = bn._cocycle_window(self.family, tol)
+        read = partial(self.family.run_grid, master_seed, n_runs)
+        return self._cylinder_terms(read, (n_runs,), window, obs, ns), err
+
+    def _cylinder_terms(self, read: Callable, lead: tuple, window, obs: Observable, offsets):
+        """``bn._walk`` over ``read``, carrying f(T^n x) for n in ``offsets``."""
+        terms = [(c, {j: atom.symbol(j) for j in atom.coords()}) for c, atom in obs.terms]
         coords = [j for _, pattern in terms for j in pattern]
-        values = lambda out, read: _add_patterns(out, terms, read)  # noqa: E731
-        return bn._series_terms(self.family, x, window, ns, coords, values), err
+        values = lambda out, at: _add_patterns(out, terms, at)  # noqa: E731
+        return bn._walk(self.family, read, lead, window, offsets, coords, values)
 
-
-def _patterns(obs: Observable) -> list[tuple[float, dict[int, int]]]:
-    """The observable's terms as (c, pattern), a pattern mapping each
-    coordinate of the cylinder to its symbol."""
-    return [(c, {j: atom.symbol(j) for j in atom.coords()}) for c, atom in obs.terms]
-
-
-def _cylinder_values(
-    obs: Observable,
-    times: np.ndarray,
-    read: Callable[[int, int], np.ndarray],
-    lead: tuple[int, ...],
-) -> np.ndarray:
-    """f(T^t x) for each t in times, shape ``lead + (len(times),)``, over the
-    symbols ``read(lo, hi)`` returns, shape ``lead + (cells,)``."""
-    terms = _patterns(obs)
-    coords = [j for _, pattern in terms for j in pattern]
-    out = np.zeros(lead + (len(times),))
-    if not coords:
-        return _add_patterns(out, terms, None)
-    lo = min(coords) + int(times.min())
-    block = read(lo, max(coords) + int(times.max()))
-    for cols, take in column_chunks(block, times):
-        _add_patterns(out[..., cols], terms, lambda j: take(j - lo))
-    return out
+    def _cylinder_values(self, read: Callable, lead: tuple, obs: Observable, times) -> np.ndarray:
+        """f(T^t x) for each t in times, shape ``lead + (len(times),)``."""
+        times = np.asarray(times, dtype=np.int64)
+        out = np.empty(lead + (len(times),))
+        for cols, _, values in self._cylinder_terms(read, lead, {}, obs, times):
+            out[..., cols] = values
+        return out
 
 
 def _add_patterns(out: np.ndarray, terms, read: Callable) -> np.ndarray:
@@ -204,11 +192,6 @@ class PoissonSystem:
         """f(T_*^t nu) for each t in times."""
         return _event_values(obs, times, sample.indicators, ())
 
-    def dual_log_weight_grid(
-        self, master_seed: int, n_runs: int, n: int, tol: float = 1e-12
-    ) -> tuple[np.ndarray, float]:
-        return np.zeros((n_runs, n)), 0.0
-
     def values_matrix(
         self, master_seed: int, n_runs: int, obs: Observable, times: Sequence[int]
     ) -> np.ndarray:
@@ -218,11 +201,19 @@ class PoissonSystem:
     def series_terms(
         self, sample: ps.PointSample, obs: Observable, ns: range, tol: float, weighted: bool
     ) -> tuple[Iterator, float]:
-        """The chunks of (log weight, f(T_*^n nu)) over n in ``ns`` that
-        ``bn._checkpoint_sums`` reads: the suspension preserves its measure,
-        so every log weight is 0.0, whose exp is exactly 1.0."""
-        chunks = (ns[c : c + GRID_BLOCK] for c in range(0, len(ns), GRID_BLOCK))
-        return ((np.zeros(len(n)), self.value_series(sample, obs, n)) for n in chunks), 0.0
+        """The chunks of (cols, log weight, f(T_*^n nu)) over n in ``ns``
+        that ``bn._checkpoint_sums`` reads: the suspension preserves its
+        measure, so every log weight is 0.0, whose exp is exactly 1.0."""
+        cols = (slice(c, min(c + GRID_BLOCK, len(ns))) for c in range(0, len(ns), GRID_BLOCK))
+        return ((c, np.zeros(len(ns[c])), self.value_series(sample, obs, ns[c])) for c in cols), 0.0
+
+    def run_terms(
+        self, master_seed: int, n_runs: int, obs: Observable, ns: range, tol: float
+    ) -> tuple[Iterator, float]:
+        """``series_terms`` over the runs at once: one chunk, of zero log
+        weights and the ``values_matrix`` at ``ns``."""
+        values = self.values_matrix(master_seed, n_runs, obs, list(ns))
+        return iter([(slice(0, len(ns)), np.zeros(values.shape), values)]), 0.0
 
 
 def _event_values(
@@ -300,11 +291,12 @@ def maximal_inequality_probe(
     against the L1-over-t bound."""
     if t <= 0:
         raise ValueError("threshold t must be positive")
-    logs, _ = system.dual_log_weight_grid(master_seed, n_runs, horizon)
-    weights = np.exp(logs)
-    values = values_matrix(system, master_seed, n_runs, f, -np.arange(horizon))
-    ratios = np.cumsum(weights * values, axis=1) / np.cumsum(weights, axis=1)
-    tail = int(np.count_nonzero(np.max(np.abs(ratios), axis=1) > t)) / n_runs
+    terms, _ = system.run_terms(master_seed, n_runs, f, range(0, -horizon, -1), 1e-12)
+    # each run's two running sums carry across chunks; only their max |ratio| is kept
+    sup = np.zeros(n_runs)
+    for _, sums in bn._running_sums(terms):
+        np.maximum(sup, np.max(np.abs(sums[0] / sums[1]), axis=-1), out=sup)
+    tail = int(np.count_nonzero(sup > t)) / n_runs
     bound = system.abs_expectation(f) / t
     sigma = math.sqrt(max(tail * (1.0 - tail), 1.0 / n_runs) / n_runs)
     return MaximalInequalityResult(tail, bound, sigma, tail <= bound + 3.0 * sigma)

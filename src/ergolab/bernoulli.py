@@ -26,14 +26,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from itertools import pairwise, product
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import NonSingularError, ToleranceError
-from .seeding import spawn, spawn_vec, thresholds
+from .seeding import GRID_BLOCK, spawn, spawn_vec, thresholds
 from .shift_core import (
     RANGE_CAP,
     Alphabet,
@@ -41,7 +41,6 @@ from .shift_core import (
     Cylinder,
     LazyTail,
     LevelsAt,
-    column_chunks,
     periodic_levels,
     rule_levels,
     window_levels,
@@ -562,31 +561,6 @@ def _cocycle_window(family: BernoulliFamily, tol: float) -> tuple[dict[int, Site
     return family.effective_window(tol)
 
 
-def _log_weights(
-    family: BernoulliFamily,
-    read: Callable[[int, int], np.ndarray],
-    lead: tuple[int, ...],
-    ns,
-    tol: float,
-) -> tuple[np.ndarray, float]:
-    """log (T^n)' for n in ``ns`` over the symbols ``read(lo, hi)`` returns,
-    shape ``lead + (cells,)``, as an array of shape ``lead + (len(ns),)``,
-    plus the per-entry truncation error bound: the kernel of both
-    ``rn_log_weights`` and ``rn_log_weight_grid``."""
-    ns = np.asarray(ns, dtype=np.int64)
-    window, err = _cocycle_window(family, tol)
-    out = np.zeros(lead + (len(ns),))
-    if not window:
-        return out, err
-    lo = int(min(k for k in window) + min(ns.min(), 0))
-    hi = int(max(k for k in window) + max(ns.max(), 0))
-    block = read(lo, hi)
-    add = _window_log_ratios(family.base.floats, window, lambda i: block[..., i - lo, None])
-    for cols, take in column_chunks(block, ns):
-        add(out[..., cols], lambda i: take(i - lo))
-    return out, err
-
-
 def rn_log_weights(
     family: BernoulliFamily,
     x: Configuration,
@@ -598,87 +572,102 @@ def rn_log_weights(
     Returns (log weights, per-entry truncation error bound).  Exact (bound 0)
     for compact families.
     """
-    return _log_weights(family, x.block, (), ns, tol)
+    ns = np.asarray(ns, dtype=np.int64)
+    window, err = _cocycle_window(family, tol)
+    out = np.empty(len(ns))
+    for cols, logs, _ in _walk(family, x.block, (), window, ns):
+        out[cols] = logs
+    return out, err
 
 
-def rn_log_weight_grid(
+def _walk(
     family: BernoulliFamily,
-    master_seed: int,
-    n_runs: int,
-    ns: np.ndarray,
-    tol: float = 1e-12,
-) -> tuple[np.ndarray, float]:
-    """(n_runs, len(ns)) log weights; row r equals ``rn_log_weights`` at
-    ``family.run_configuration(master_seed, r)``."""
-    read = partial(family.run_grid, master_seed, n_runs)
-    return _log_weights(family, read, (n_runs,), ns, tol)
-
-
-def _series_terms(
-    family: BernoulliFamily,
-    x: Configuration,
+    read: Callable[[int, int], np.ndarray],
+    lead: tuple[int, ...],
     window: Mapping[int, SiteFloats],
-    ns: range,
-    coords: Iterable[int],
-    values: Callable,
-) -> Iterator[tuple[np.ndarray, np.ndarray | float]]:
-    """The terms n in ``ns`` of a weighted series at x, one column chunk at
-    a time, for ``_checkpoint_sums``: each chunk's log (T^n)'(x) over
-    ``window`` (0.0 for the empty window) and ``values(out, read)``, the
-    observable's values at T^n x added into a zero ``out`` over the symbols
-    ``read(j)`` at j + n.
-
-    One block of x covers every window site and every coordinate in
-    ``coords``, at offset 0 and at every n; a block longer than
-    ``RANGE_CAP`` is refused (``ValueError``) before it, or any array as
-    long as ``ns``, is made."""
+    offsets: range | np.ndarray,
+    coords: Sequence[int] = (),
+    values: Callable = lambda out, at: out,
+) -> Iterator[tuple[slice, np.ndarray, np.ndarray | float]]:
+    """The one walk of a Bernoulli read over shifted columns: one block
+    ``read(lo, hi)`` of shape ``lead + (cells,)`` (a configuration's
+    ``block`` with lead ``()``, or ``family.run_grid`` with ``(n_runs,)``)
+    covering every window site at offset 0 and every window site and
+    coordinate in ``coords`` at every offset; one longer than ``RANGE_CAP``
+    is refused (``ValueError``) before it, or any array as long as
+    ``offsets``, is made.  Yields ``(cols, log w, f)`` per chunk ``cols`` of
+    ``offsets`` (about ``GRID_BLOCK`` cells): log (T^n)' over ``window``,
+    and ``values(out, at)``, the values at T^n added into a zero ``out``
+    over the symbols ``at(j)`` at j + n, which ``at`` writes into one
+    reused buffer."""
     sites = [*window, *coords]
-    lo, block = 0, np.empty(0, dtype=np.int16)
+    lo, block = 0, np.empty(lead + (0,), dtype=np.int16)
+    steps = isinstance(offsets, range)
     if sites:
-        lo = min(sites) + min(ns[0], ns[-1], 0)
-        hi = max(sites) + max(ns[0], ns[-1], 0)
+        ends = (offsets[0], offsets[-1]) if steps else (offsets.min(), offsets.max())
+        first, last = sorted(int(n) for n in ends)
+        reach = [*(k + first for k in sites), *(k + last for k in sites), *window]
+        lo, hi = min(reach), max(reach)
         if hi - lo + 1 > RANGE_CAP:
             raise ValueError(
                 f"the series reads {hi - lo + 1} coordinates [{lo}, {hi}], over the cap {RANGE_CAP}"
             )
-        block = x.block(lo, hi)
+        block = read(lo, hi)
     if window:
-        add = _window_log_ratios(family.base.floats, window, lambda i: block[i - lo, None])
+        add = _window_log_ratios(family.base.floats, window, lambda i: block[..., i - lo, None])
     else:
         add = lambda out, there: out  # noqa: E731
+    if steps:
+        offsets = np.arange(offsets.start, offsets.stop, offsets.step)
+    rows = max(1, math.prod(lead))
+    width = max(1, GRID_BLOCK // rows)
+    idx = np.empty(min(width, len(offsets)), dtype=np.intp)
+    buf = np.empty(rows * len(idx), dtype=block.dtype)
 
     def chunks():
-        for cols, take in column_chunks(block, np.arange(ns.start, ns.stop, ns.step)):
-            read = lambda j: take(j - lo)  # noqa: E731
-            width = cols.stop - cols.start
-            yield add(np.zeros(width), read), values(np.zeros(width), read)
+        for c0 in range(0, len(offsets), width):
+            cols = slice(c0, min(c0 + width, len(offsets)))
+            shape = lead + (cols.stop - c0,)
+
+            def at(j: int) -> np.ndarray:
+                there = np.add(offsets[cols], j - lo, out=idx[: shape[-1]])
+                out = buf[: rows * shape[-1]].reshape(shape)
+                return np.take(block, there, axis=-1, out=out, mode="clip")
+
+            yield cols, add(np.zeros(shape), at), values(np.zeros(shape), at)
 
     return chunks()
 
 
-def _checkpoint_sums(terms: Iterable[tuple[np.ndarray, object]], at: Sequence[int]) -> np.ndarray:
-    """(2, len(at)) array: at each index i in ``at``, row 0 holds the sum of
-    w_k v_k and row 1 the sum of w_k over k <= i, where ``terms`` yields
-    consecutive chunks of (log w, v) and w = exp(log w).
+def _running_sums(terms: Iterable[tuple]) -> Iterator[tuple[slice, np.ndarray]]:
+    """``(cols, sums)`` per chunk ``(cols, log w, v)`` of ``terms``, w =
+    exp(log w): ``sums[0]`` holds the running sums of w v and ``sums[1]``
+    those of w along the last axis, over every term so far.
 
-    Only these sums are kept.  Each chunk's first term takes the last sums
-    of the chunk before it, and ``np.cumsum`` adds one term at a time from
-    the left, so every sum is the one a single ``np.cumsum`` over the whole
+    Each chunk's first term takes the last sums of the chunk before it (0.0
+    for the first), and ``np.cumsum`` adds one term at a time from the
+    left, so every sum is the one a single ``np.cumsum`` over the whole
     series gives, bit for bit."""
-    at = np.asarray(at, dtype=np.intp)
-    out = np.empty((2, len(at)))
-    carry = np.zeros((2, 1))
-    start = 0
-    for logs, values in terms:
-        sums = np.empty((2, len(logs)))
+    carry = 0.0
+    for cols, logs, values in terms:
+        sums = np.empty((2,) + logs.shape)
         np.exp(logs, out=sums[1])
         np.multiply(sums[1], values, out=sums[0])
-        sums[:, :1] += carry
-        np.cumsum(sums, axis=1, out=sums)
-        inside = (start <= at) & (at < start + len(logs))
-        out[:, inside] = sums[:, at[inside] - start]
-        carry = sums[:, -1:]
-        start += len(logs)
+        sums[..., :1] += carry
+        np.cumsum(sums, axis=-1, out=sums)
+        carry = sums[..., -1:]
+        yield cols, sums
+
+
+def _checkpoint_sums(terms: Iterable[tuple], at: Sequence[int]) -> np.ndarray:
+    """(2, len(at)) array: at each index i in ``at``, row 0 holds the sum of
+    w_k v_k and row 1 the sum of w_k over k <= i, where ``terms`` yields
+    consecutive chunks of (cols, log w, v).  Only these sums are kept."""
+    at = np.asarray(at, dtype=np.intp)
+    out = np.empty((2, len(at)))
+    for cols, sums in _running_sums(terms):
+        inside = (cols.start <= at) & (at < cols.stop)
+        out[:, inside] = sums[:, at[inside] - cols.start]
     return out
 
 
@@ -815,7 +804,7 @@ def conservativity_probe(
     decade = max(horizon // 10, 1)
     # the dual series of f = 1 at k = 1..horizon, read at the checkpoints
     # and at the decade
-    terms = _series_terms(family, x, window, range(-1, -horizon - 1, -1), (), lambda out, read: 1.0)
+    terms = _walk(family, x.block, (), window, range(-1, -horizon - 1, -1), (), lambda out, at: 1.0)
     sums = _checkpoint_sums(terms, [n - 1 for n in pts] + [decade - 1])[1]
     checkpoints = tuple((n, float(s)) for n, s in zip(pts, sums))
 

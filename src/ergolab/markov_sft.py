@@ -74,6 +74,21 @@ class SFT:
         in_range = all(0 < s <= n for s in word)
         return in_range and all(adjacency[a - 1][b - 1] for a, b in zip(word, word[1:]))
 
+    def count_words(self, length: int, cap: int) -> int:
+        """The number of admissible words of a length >= 1, or cap + 1 if
+        that is more: the sum of the entries of A^(length - 1), by repeated
+        squaring with every entry held at cap + 1 (a count above the cap
+        stays above it through sums and products of counts)."""
+        def times(a, b):
+            return [[min(sum(x * y for x, y in zip(r, c)), cap + 1) for c in zip(*b)] for r in a]
+
+        row, square, steps = [[1] * self.n_states], self.adjacency, length - 1
+        while steps:
+            if steps & 1:
+                row = times(row, square)
+            square, steps = times(square, square), steps >> 1
+        return min(sum(row[0]), cap + 1)
+
     def words(self, length: int) -> Iterator[tuple[int, ...]]:
         """All admissible words of the given length, lexicographic order."""
         if length < 0:

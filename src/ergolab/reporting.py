@@ -16,9 +16,7 @@ def jsonable(value: Any) -> Any:
     """
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, (int, float, str)):
+    if value is None or isinstance(value, (int, float, str)):  # bool is an int
         return value
     if isinstance(value, Mapping):
         return {str(k): jsonable(v) for k, v in value.items()}

@@ -367,6 +367,12 @@ def _martingale(family, seed, radius):
 
 
 def _coupling_scan(family, seed, n):
+    # the scan builds every word of length 2n + 1 (and refuses a negative n)
+    length = 2 * n + 1
+    if n >= 0 and family.sft.count_words(length, RANGE_CAP) * length > RANGE_CAP:
+        raise ConfigError(
+            f"operation coupling_scan: the words of length {length} hold over {RANGE_CAP} symbols"
+        )
     return mk.coupling_scan(family, n)._asdict()
 
 
@@ -591,7 +597,8 @@ _HANDLERS: dict[str, dict[str, tuple[dict, Callable]]] = {
         horizon=(_at_least(1, "horizon"), 1024),
     ),
     "maximal_inequality": _on_paths(
-        _maximal, t=(_float, ...), runs=(_at_least(1, "runs"), 2000), horizon=(parse_int, 128)
+        _maximal,
+        t=(_float, ...), runs=(_at_least(1, "runs"), 2000), horizon=(_at_least(1, "horizon"), 128),
     ),
     "two_subsequence_probe": _on_paths(
         _two_subsequence,
@@ -647,7 +654,9 @@ _HANDLERS: dict[str, dict[str, tuple[dict, Callable]]] = {
         times=(_nonempty(_ints, "times"), ...),
         runs=(_at_least(2, "runs"), 2000),
     ),
-    "kakutani_generator": _on("zd", _zd_kakutani, axis=(parse_int, 0), horizon=(parse_int, 64)),
+    "kakutani_generator": _on(
+        "zd", _zd_kakutani, axis=(parse_int, 0), horizon=(_at_least(1, "horizon"), 64)
+    ),
     "zd_cocycle_fuzz": _on(
         "zd", _zd_cocycle_fuzz, cases=(_at_least(1, "cases"), 200), span=(parse_int, 4)
     ),

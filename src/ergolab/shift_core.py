@@ -9,10 +9,9 @@ offset, so ``x.shifted(3).shifted(-3)`` reads back the very same symbols.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -200,35 +199,6 @@ def rule_levels(levels_of: Callable[[int], Sequence[int]]) -> LevelsAt:
         return np.ascontiguousarray(table.T)
 
     return levels_at
-
-
-def column_chunks(
-    block: np.ndarray, offsets: np.ndarray
-) -> Iterator[tuple[slice, Callable[[int], np.ndarray]]]:
-    """Cache-sized chunks of the columns ``block[..., offsets + k]``.
-
-    Yields ``(cols, take)`` for consecutive slices ``cols`` of ``offsets``,
-    about ``GRID_BLOCK`` cells of ``block`` each: ``take(k)`` is
-    ``block[..., offsets[cols] + k]``, written into one reused buffer, so it
-    must be used before the next ``take``.  Every offset plus k must index
-    ``block``.
-    """
-    lead = block.shape[:-1]
-    rows = max(1, math.prod(lead))
-    width = max(1, GRID_BLOCK // rows)
-    idx = np.empty(min(width, len(offsets)), dtype=np.intp)
-    buf = np.empty(rows * len(idx), dtype=block.dtype)
-    for c0 in range(0, len(offsets), width):
-        cols = slice(c0, min(c0 + width, len(offsets)))
-        b = cols.stop - c0
-        shape = lead + (b,)
-
-        def take(k: int) -> np.ndarray:
-            np.add(offsets[cols], k, out=idx[:b])
-            out = buf[: rows * b].reshape(shape)
-            return np.take(block, idx[:b], axis=-1, out=out, mode="clip")
-
-        yield cols, take
 
 
 class Configuration:

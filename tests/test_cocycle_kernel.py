@@ -224,6 +224,42 @@ def ref_run_sups(system, f, n_runs, horizon, master_seed):
     return sups
 
 
+def ref_whole_sups(system, f, n_runs, horizon, master_seed):
+    """Per seeded run, the running sup of |dual ratio| from whole (runs,
+    horizon) matrices of log weights and values, as the probe once formed
+    them: the Bernoulli ones from one grid of the runs by the formulas of
+    ``ref_rn_log_weights`` and ``ref_value_series``, row by row."""
+    ns = -np.arange(horizon)
+    if system.kind == "poisson":
+        logs = np.zeros((n_runs, horizon))
+        values = system.values_matrix(master_seed, n_runs, f, ns.tolist())
+    else:
+        family = system.family
+        if isinstance(family, bn.CompactFamily):
+            window = family.window
+        else:
+            window = ref_effective_window(family, 1e-12)[0]
+        atoms = [atom for _, atom in f.terms if not atom.is_empty]
+        sites = list(window) + [j for atom in atoms for j in atom.coords()]
+        lo = min(sites) + int(ns.min())
+        hi = max(sites)
+        block = family.run_grid(master_seed, n_runs, lo, hi)
+        base_logs = np.array([math.log(p) for p in family.base.probs])
+        logs = np.zeros((n_runs, horizon))
+        for i, m in window.items():
+            table = np.array([math.log(p) for p in m.probs]) - base_logs
+            logs += table[block[:, (i + ns) - lo] - 1] - table[block[:, [i - lo]] - 1]
+        values = np.zeros((n_runs, horizon))
+        for c, atom in f.terms:
+            ind = np.ones((n_runs, horizon), dtype=bool)
+            for j in atom.coords():
+                ind &= block[:, (j + ns) - lo] == atom.symbol(j)
+            values += c * ind
+    weights = np.exp(logs)
+    ratios = np.cumsum(weights * values, axis=1) / np.cumsum(weights, axis=1)
+    return np.max(np.abs(ratios), axis=1).tolist()
+
+
 def ref_maximal_inequality(system, f, t, sups):
     n_runs = len(sups)
     exceed = 0
@@ -478,14 +514,18 @@ class TestBatchedRuns:
         got = av.values_matrix(system, 17, 23, obs, times)
         assert np.array_equal(got, ref_values_matrix(system, 17, 23, obs, times))
 
-    def check_dual_log_weight_grid(self, name, n):
+    def check_run_terms(self, name, n):
         system = BATCHED[name]()
-        grid, err = system.dual_log_weight_grid(8, 12, n)
-        assert grid.shape == (12, n)
+        obs = _bernoulli_observable()
+        terms, err = system.run_terms(8, 12, obs, range(0, -n, -1), 1e-12)
+        logs, values = np.full((2, 12, n), np.nan)
+        for cols, chunk_logs, chunk_values in terms:
+            logs[:, cols], values[:, cols] = chunk_logs, chunk_values
         for r in range(12):
             x = system.run_sample(8, r)
-            assert grid[r].tolist() == ref_dual_log_weights(system, x, n).tolist()
-            assert grid[r].tolist() == bn.rn_log_weights(system.family, x, -np.arange(n))[0].tolist()
+            assert logs[r].tolist() == ref_dual_log_weights(system, x, n).tolist()
+            assert logs[r].tolist() == bn.rn_log_weights(system.family, x, -np.arange(n))[0].tolist()
+            assert values[r].tolist() == ref_value_series(x, obs, -np.arange(n)).tolist()
 
     @pytest.mark.parametrize("name", list(BATCHED))
     def test_values_matrix_matches_per_run_loop(self, name):
@@ -497,12 +537,12 @@ class TestBatchedRuns:
         self.check_values_matrix(name, list(range(-1500, 0)))
 
     @pytest.mark.parametrize("name", ["compact", "iid", "summable"])
-    def test_dual_log_weight_grid_matches_per_run(self, name):
-        self.check_dual_log_weight_grid(name, 50)
+    def test_run_terms_match_per_run(self, name):
+        self.check_run_terms(name, 50)
 
     @pytest.mark.parametrize("name", ["compact", "iid", "summable"])
-    def test_dual_log_weight_grid_across_column_chunks(self, name):
-        self.check_dual_log_weight_grid(name, GRID_BLOCK // 12 + 5)
+    def test_run_terms_across_column_chunks(self, name):
+        self.check_run_terms(name, GRID_BLOCK // 12 + 5)
 
     @pytest.mark.parametrize("name", ["compact", "iid", "summable"])
     def test_bernoulli_maximal_inequality(self, name):
@@ -533,7 +573,43 @@ class TestBatchedRuns:
         )
 
 
+    @pytest.mark.parametrize("name", ["compact", "summable", "poisson"])
+    @pytest.mark.parametrize(
+        "n_runs, horizon",
+        # more runs than GRID_BLOCK / 2 make every chunk one column wide;
+        # 12 runs take GRID_BLOCK // 12 columns a chunk, so this horizon
+        # spans four chunks
+        [(GRID_BLOCK // 2 + 3, 3), (12, 3 * (GRID_BLOCK // 12) + 5)],
+        ids=["one-column-chunks", "several-chunks"],
+    )
+    def test_maximal_inequality_matches_whole_matrices(self, name, n_runs, horizon):
+        system = STREAMED[name]()
+        # the suspension's L1 norm is exact for one nonnegative term only
+        f = two_term_f(system)
+        if system.kind == "poisson":
+            f = av.Observable.indicator(ps.PoissonEvent.count([0, 1], 1))
+        sups = ref_whole_sups(system, f, n_runs, horizon, 5)
+        for t in (0.3, float(np.median(sups))):
+            got = av.maximal_inequality_probe(system, f, t, n_runs, horizon, 5)
+            assert got == ref_maximal_inequality(system, f, t, sups)
+
+
 # --- memory --------------------------------------------------------------------
+
+
+def test_maximal_inequality_holds_no_runs_by_horizon_float_matrix():
+    """The probe keeps per-run running sums; a 2,000 x 2,000 probe held
+    several (runs, horizon) float matrices (152.6 MiB traced) when it
+    formed its weights and ratios whole."""
+    system = av.BernoulliSystem(compact_family())
+    f = av.Observable.indicator(Cylinder.of([1], 0))
+    tracemalloc.start()
+    try:
+        av.maximal_inequality_probe(system, f, 0.75, 2000, 2000, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_summable_conservativity_keeps_no_exact_sites():

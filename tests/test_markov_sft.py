@@ -53,6 +53,26 @@ class TestSFT:
         counts = [len(list(sft.words(n))) for n in range(1, 7)]
         assert counts == [2, 3, 5, 8, 13, 21]
 
+    @pytest.mark.parametrize(
+        "rows",
+        [[[1, 1], [1, 0]], [[0, 1], [1, 0]], [[1, 1, 0], [0, 1, 1], [1, 0, 1]], [[1] * 3] * 3],
+        ids=["golden", "swap", "cycle-loops", "full3"],
+    )
+    def test_count_words_matches_enumeration(self, rows):
+        sft = mk.SFT.of(rows)
+        for length in range(1, 10):
+            count = len(list(sft.words(length)))
+            assert sft.count_words(length, 10**6) == count
+            # a count past the cap reads cap + 1
+            assert sft.count_words(length, count - 1) == count
+            assert sft.count_words(length, count // 2) == count // 2 + 1
+
+    def test_count_words_saturates_without_enumerating(self):
+        # 6.6e12 golden-mean words of length 61; a length of 10^18 costs 60 squarings
+        assert mk.golden_mean().count_words(61, 2**24) == 2**24 + 1
+        assert mk.golden_mean().count_words(10**18, 2**24) == 2**24 + 1
+        assert mk.SFT.of([[0, 1], [1, 0]]).count_words(10**18, 2**24) == 2
+
     def test_admissibility(self):
         sft = mk.golden_mean()
         assert sft.admissible((1, 2, 1, 1))

@@ -3,6 +3,7 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -244,6 +245,32 @@ REJECTED = {
         ),
         "operation weak_mixing_probe: runs x times = 1000000000 cells exceeds the cap",
     ),
+    # 6.6e12 golden-mean words of length 61, which the scan enumerated
+    # without end
+    "coupling-scan-n-over-cap": (
+        config_on(GOLDEN_MEAN, {"name": "coupling_scan", "n": 30}),
+        "operation coupling_scan: the words of length 61 hold over 16777216 symbols",
+    ),
+    # a maximal or two-subsequence read whose block passed the cap ran into
+    # the symbol grid's range check (exit 3); it is refused before any draw
+    "maximal-inequality-block-over-cap": (
+        config_on(
+            dict(
+                BERNOULLI, kind="compact",
+                window={"0": ["3/4", "1/4"], "16777300": ["1/4", "3/4"]},
+            ),
+            {"name": "maximal_inequality", "f": LETTER, "t": "1", "runs": 4, "horizon": 4},
+        ),
+        "invalid input: the series reads 16777304 coordinates [-3, 16777300], over the cap",
+    ),
+    "two-subsequence-block-over-cap": (
+        config_on(
+            BERNOULLI,
+            {"name": "two_subsequence_probe", "f": LETTER + [{"word": [1], "left": 16777300}],
+             "times": [-3, -2, -1, 0], "blocks": [4], "runs": 4},
+        ),
+        "invalid input: the series reads 16777304 coordinates [-3, 16777300], over the cap",
+    ),
     # a negative word length made coupling_scan extend words without end
     "coupling-scan-negative-n": (
         config_on(MARKOV, {"name": "coupling_scan", "n": -1}),
@@ -382,6 +409,17 @@ _VACUOUS = [
         "runs", 1, 2, lambda r: len(r["series"]["correlation"]),
     ),
     (MARKOV, {"name": "martingale_check"}, "radius", 0, 1, lambda r: len(r["per_radius"])),
+    # a maximal probe over no times reduced an empty array, and a Kakutani
+    # sum over a box of negative radius reported a number
+    (
+        BERNOULLI, {"name": "maximal_inequality", "f": LETTER, "t": "1", "runs": 8},
+        "horizon", 0, 1, None,
+    ),
+    (
+        POISSON, {"name": "maximal_inequality", "f": EVENT_F, "t": "1", "runs": 8},
+        "horizon", -3, 1, None,
+    ),
+    (ZD, {"name": "kakutani_generator"}, "horizon", -4, 1, None),
     # a block of 0 times has no average; no times or blocks sample nothing;
     # a spacing of 0 samples time 0 only, while a negative one is fine
     (
@@ -687,6 +725,18 @@ class TestCli:
         code, err = self.cli_error(tmp_path, capsys, cfg)
         assert code == 2
         assert says in err
+
+    @pytest.mark.parametrize("name", [name for name in REJECTED if name.endswith("block-over-cap")])
+    def test_block_over_cap_refused_before_drawing(self, name):
+        cfg, says = REJECTED[name]
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=re.escape(says.removeprefix("invalid input: "))):
+                runner.run(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_window_free_markov_cylinder_far_right(self, tmp_path, capsys):
         cfg = config_on(GOLDEN_MEAN, {"name": "cylinder_measure", "word": [1, 2], "left": 10**9})
