@@ -452,8 +452,6 @@ def kakutani_sum(
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    if horizon > RANGE_CAP:
-        raise ValueError(f"horizon {horizon} exceeds cap {RANGE_CAP}")
     return family.kakutani(horizon, tol)
 
 

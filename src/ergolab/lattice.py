@@ -43,9 +43,7 @@ from .seeding import (
     zigzag,
     zigzag_vec,
 )
-from .shift_core import Alphabet, LevelsAt, periodic_levels
-
-_BOX_CELL_CAP = 1 << 24
+from .shift_core import RANGE_CAP, Alphabet, LevelsAt, periodic_levels
 
 
 def _as_vec(g) -> tuple[int, ...]:
@@ -285,14 +283,14 @@ class LatticeConfiguration:
         """
         d = self.family.dimension
         margins = _as_vec(margins) if margins is not None else (0,) * d
+        shape = tuple(max(2 * (radius + m) + 1, 0) for m in margins)
+        cells = math.prod(shape)
+        if cells > RANGE_CAP:
+            raise ValueError(f"box of {cells} cells exceeds the cap")
         axes = [
             np.arange(-radius - m, radius + m + 1, dtype=np.int64) + o
             for m, o in zip(margins, self.offset)
         ]
-        shape = tuple(len(a) for a in axes)
-        cells = math.prod(shape)
-        if cells > _BOX_CELL_CAP:
-            raise ValueError(f"box of {cells} cells exceeds cap {_BOX_CELL_CAP}")
         # fold the key path one axis at a time; the last axis is folded and
         # drawn block by block inside keyed_symbols
         states = np.array([combine(self.seed, TAG_LATTICE)], dtype=np.uint64)

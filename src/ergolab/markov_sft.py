@@ -21,7 +21,7 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .bernoulli import _as_fraction
 from .errors import NonSingularError
-from .shift_core import Cylinder, RangeCapError
+from .shift_core import RANGE_CAP, Cylinder, RangeCapError
 
 _SUM_TOL = Fraction(1, 10**12)
 
@@ -651,9 +651,12 @@ def tail_triviality_probe(
         return TailTrivialityReport(False, eps, None, None, None)
 
     # the first word in D and the first outside it; membership is
-    # all-or-nothing at this radius
+    # all-or-nothing at this radius.  Where they fall in word order is not
+    # known up front, so the symbols of the words visited are counted
     first: dict[bool, Cylinder] = {}
-    for w in family.sft.words(2 * radius + 1):
+    for visited, w in enumerate(family.sft.words(2 * radius + 1), 1):
+        if visited * len(w) > RANGE_CAP:
+            raise RangeCapError(f"tail_triviality_probe: words of length {len(w)} pass the cap")
         in_d = any(cyl.matches_word(-radius, w) for cyl in d_cylinders)
         first.setdefault(in_d, Cylinder(-radius, radius, w))
         if len(first) == 2:

@@ -4,9 +4,10 @@ dispatch one operation, and return a reproducible report.
 Configs are JSON with schema tag "v1".  Each key is declared once, with its
 parser and default, in `_SYSTEMS` or `_HANDLERS`; validation and parsing
 both come from these tables, so an unknown key, a missing required key or
-a wrong-typed value is a ConfigError at any level.  Numbers are decimal or
-rational strings ("0.75", "3/4"), so exact systems get exact inputs;
-integers may also be plain JSON integers.
+a wrong-typed value is a ConfigError at any level.  `_HANDLERS` also holds
+each operation's cost, which `run` refuses past the cap before it starts.
+Numbers are decimal or rational strings ("0.75", "3/4"), so exact systems
+get exact inputs; integers may also be plain JSON integers.
 """
 
 from __future__ import annotations
@@ -279,23 +280,12 @@ def _cocycle_fuzz(family, seed, cases, span, tol):
 
 
 def _homoclinic_scan(family, seed, radius_max, n_max):
-    # |A|^(2r + 1) words times 2 n_max + 1 shifts at each radius r, summed
-    # term by term up to the cap, so a huge radius builds no huge int
-    pairs = 0
-    for radius in range(radius_max + 1):
-        pairs += family.alphabet.size ** (2 * radius + 1) * (2 * n_max + 1)
-        if pairs > RANGE_CAP:
-            raise ConfigError(
-                f"operation homoclinic_scan: radius_max {radius_max} and n_max {n_max} "
-                f"make over {RANGE_CAP} pairs"
-            )
     x = family.configuration(spawn(seed, 0))
     checked, violations = bn.homoclinic_scan(family, x, radius_max, n_max)
     return {"pairs_checked": checked, "violations": violations, "all_ok": violations == 0}
 
 
 def _conservativity(family, seed, horizon):
-    _batched("conservativity_probe", 1, horizon, "horizon")
     x = family.configuration(spawn(seed, 0))
     rep = bn.conservativity_probe(family, x, horizon)
     return {
@@ -308,30 +298,17 @@ def _conservativity(family, seed, horizon):
 
 def _series(which: str, series: Callable) -> Callable:
     def handler(system, seed, f, horizon):
-        _batched(f"{which}_series", 1, horizon, "horizon")
         out = series(system, f, system.run_sample(seed, 0), horizon)
         return {"final_value": out.final_value, "series": {which: series_rows(out)}}
 
     return handler
 
 
-def _batched(name: str, runs: int, width: int, what: str) -> None:
-    """A sampled operation holds its runs as one (runs, width) matrix:
-    refuse one of more than ``RANGE_CAP`` cells rather than run out of
-    memory."""
-    if runs * width > RANGE_CAP:
-        raise ConfigError(
-            f"operation {name}: runs x {what} = {runs * width} cells exceeds the cap {RANGE_CAP}"
-        )
-
-
 def _maximal(system, seed, f, t, runs, horizon):
-    _batched("maximal_inequality", runs, horizon, "horizon")
     return averages.maximal_inequality_probe(system, f, t, runs, horizon, seed)._asdict()
 
 
 def _two_subsequence(system, seed, f, blocks, times, times_rule, spacing, alpha, runs):
-    _batched("two_subsequence_probe", runs, max(blocks), "largest block")
     if times is None:
         n = max(blocks)
         times = list(range(n)) if times_rule == "all" else [spacing * (j + 1) for j in range(n)]
@@ -367,12 +344,6 @@ def _martingale(family, seed, radius):
 
 
 def _coupling_scan(family, seed, n):
-    # the scan builds every word of length 2n + 1 (and refuses a negative n)
-    length = 2 * n + 1
-    if n >= 0 and family.sft.count_words(length, RANGE_CAP) * length > RANGE_CAP:
-        raise ConfigError(
-            f"operation coupling_scan: the words of length {length} hold over {RANGE_CAP} symbols"
-        )
     return mk.coupling_scan(family, n)._asdict()
 
 
@@ -438,13 +409,11 @@ _SEQUENCES = {
 
 
 def _banach(gs, seed, horizon, sequence, eps):
-    _batched("banach_density", 1, horizon, "horizon")
     kept, first, density = ps.banach_density_filter(_SEQUENCES[sequence], eps, horizon)
     return {"density": density, "kept": kept, "first": first}
 
 
 def _variance_decay(gs, seed, region, k, blocks, spacing, runs):
-    _batched("variance_decay", runs, max(blocks), "largest block")
     event = ps.PoissonEvent.count(region, k)
     spacing = len(region) if spacing is None else spacing
     times = [spacing * (j + 1) for j in range(max(blocks))]
@@ -464,7 +433,6 @@ def _variance_decay(gs, seed, region, k, blocks, spacing, runs):
 
 
 def _weak_mixing(gs, seed, f, g, times, runs):
-    _batched("weak_mixing_probe", runs, len(times), "times")
     points = ps.weak_mixing_probe(gs, f, g, times, runs, seed)
     return {
         "limit": points[0].limit if points else None,
@@ -542,8 +510,41 @@ def _determinism_audit(_system, seed):
     return {"sub_experiments": len(sub_configs), "all_identical": all(same)}
 
 
-def _on(types: str, handler: Callable, **keys) -> dict[str, tuple[dict, Callable]]:
-    return {system_type: (keys, handler) for system_type in types.split()}
+def _flat(system, **keys) -> tuple[str, int]:
+    """The cost of an operation whose work does not grow with its keys.  A
+    cost takes the built system and the parsed keys and returns (what,
+    cells): the cells the operation fills or visits, and what they multiply."""
+    return "cells", 0
+
+
+def _runs_x(what: str, width: Callable[..., int]) -> Callable:
+    """A sampled operation's (runs, width) matrix; one run without a runs key."""
+    return lambda system, runs=1, **keys: (f"runs x {what}", runs * width(**keys))
+
+
+def _homoclinic_cost(family, radius_max, n_max) -> tuple[str, int]:
+    # |A|^(2r + 1) words x (2 n_max + 1) shifts per radius r, counted up to
+    # the first radius past the cap, so a huge radius builds no huge int
+    pairs = 0
+    for radius in range(radius_max + 1):
+        pairs += family.alphabet.size ** (2 * radius + 1) * (2 * n_max + 1)
+        if pairs > RANGE_CAP:
+            break
+    return f"words x shifts to radius {radius}", pairs
+
+
+def _coupling_cost(family, n) -> tuple[str, int]:
+    # a word of length 2n + 1 is extended by N symbols at each end (N the
+    # primitivity index, 0 without one) and weighs |S|^2 margins; the words
+    # are counted until they pass the cap (the scan refuses a negative n)
+    length, size = 2 * n + 1, family.sft.n_states
+    work = (length + 2 * (mk.primitivity_index(family.sft) or 0)) * size**2
+    words = family.sft.count_words(length, RANGE_CAP // work) if n >= 0 else 0
+    return f"words of length {length}, counted to {words}, x {work}", words * work
+
+
+def _on(types: str, handler: Callable, cost: Callable = _flat, **keys) -> dict[str, tuple]:
+    return {system_type: (keys, handler, cost) for system_type in types.split()}
 
 
 def _with(engine: type, handler: Callable) -> Callable:
@@ -557,21 +558,28 @@ _PATHS = (
 )
 
 
-def _on_paths(handler: Callable, f_default=..., **keys) -> dict[str, tuple[dict, Callable]]:
+def _on_paths(handler: Callable, cost: Callable, f_default=..., **keys) -> dict[str, tuple]:
     """An operation on the sampled paths of a shift or a suspension."""
     return {
-        system_type: ({"f": (observable, f_default), **keys}, _with(engine, handler))
+        system_type: ({"f": (observable, f_default), **keys}, _with(engine, handler), cost)
         for system_type, observable, engine in _PATHS
     }
 
 
+_RUNS_X_HORIZON = _runs_x("horizon", lambda horizon, **_: horizon)
+_RUNS_X_BLOCK = _runs_x("largest block", lambda blocks, **_: max(blocks))
 _BLOCKS = {"blocks": (_nonempty(_list_of(_at_least(1, "blocks")), "blocks"), [16, 64, 256])}
 _WEAK_MIXING_TERMS = _records({**_COEF, "constraints": (_event, ...)}, _values)
 
-#: operation name -> accepted system type -> (keys, handler); a handler
-#: takes the built system, the seed and the parsed keys as keyword args
-_HANDLERS: dict[str, dict[str, tuple[dict, Callable]]] = {
-    "kakutani_sum": _on("bernoulli", _kakutani, horizon=(parse_int, 100)),
+#: operation name -> accepted system type -> (keys, handler, cost); the
+#: handler and the cost take the built system and the parsed keys as keyword
+#: args, the handler the seed too; an operation whose work grows with a key
+#: declares its cost here and nowhere else
+_HANDLERS: dict[str, dict[str, tuple[dict, Callable, Callable]]] = {
+    "kakutani_sum": _on(
+        "bernoulli", _kakutani, lambda family, horizon: ("horizon", horizon),
+        horizon=(parse_int, 100),
+    ),
     "uniformity_constant": _on("bernoulli", _uniformity, horizon=(parse_int, 0)),
     "rn_derivative": _on("bernoulli", _rn_derivative, n=(parse_int, ...)),
     "cocycle_fuzz": _on(
@@ -580,28 +588,30 @@ _HANDLERS: dict[str, dict[str, tuple[dict, Callable]]] = {
         tol=(_float, "0.000000000001"),
     ),
     "homoclinic_scan": _on(
-        "bernoulli", _homoclinic_scan,
+        "bernoulli", _homoclinic_scan, _homoclinic_cost,
         radius_max=(_at_least(0, "radius_max"), 3), n_max=(_at_least(0, "n_max"), 8),
     ),
-    "conservativity_probe": _on("bernoulli", _conservativity, horizon=(parse_int, 4096)),
+    "conservativity_probe": _on(
+        "bernoulli", _conservativity, _RUNS_X_HORIZON, horizon=(parse_int, 4096)
+    ),
     "birkhoff_series": _on_paths(
-        _series("birkhoff", averages.birkhoff_series), [{"coef": "1"}],
+        _series("birkhoff", averages.birkhoff_series), _RUNS_X_HORIZON, [{"coef": "1"}],
         horizon=(_at_least(1, "horizon"), 1024),
     ),
     "dual_series": _on_paths(
-        _series("dual", averages.dual_series), [{"coef": "1"}],
+        _series("dual", averages.dual_series), _RUNS_X_HORIZON, [{"coef": "1"}],
         horizon=(_at_least(1, "horizon"), 1024),
     ),
     "ratio_series": _on_paths(
-        _series("ratio", averages.hurewicz_ratio_series), [{"coef": "1"}],
+        _series("ratio", averages.hurewicz_ratio_series), _RUNS_X_HORIZON, [{"coef": "1"}],
         horizon=(_at_least(1, "horizon"), 1024),
     ),
     "maximal_inequality": _on_paths(
-        _maximal,
+        _maximal, _RUNS_X_HORIZON,
         t=(_float, ...), runs=(_at_least(1, "runs"), 2000), horizon=(_at_least(1, "horizon"), 128),
     ),
     "two_subsequence_probe": _on_paths(
-        _two_subsequence,
+        _two_subsequence, _RUNS_X_BLOCK,
         **_BLOCKS,
         times=(_ints, None),
         times_rule=(_enum("all", "spaced"), "all"),
@@ -613,7 +623,7 @@ _HANDLERS: dict[str, dict[str, tuple[dict, Callable]]] = {
     "cylinder_measure": _on("markov", _cylinder_measure, word=(_ints, ...), left=(parse_int, None)),
     "martingale_check": _on("markov", _martingale, radius=(_at_least(1, "radius"), 3)),
     "transition_ratio": _on("markov", _transition_ratio),
-    "coupling_scan": _on("markov", _coupling_scan, n=(parse_int, 1)),
+    "coupling_scan": _on("markov", _coupling_scan, _coupling_cost, n=(parse_int, 1)),
     "couple_cylinders": _on(
         "markov", _couple,
         b_word=(_ints, ...), b_left=(parse_int, None),
@@ -631,16 +641,20 @@ _HANDLERS: dict[str, dict[str, tuple[dict, Callable]]] = {
     ),
     "find_null_subsequence": _on(
         "poisson", _null_subsequence,
+        # each candidate time pulls back every region point
+        lambda gs, regions, count, horizon: (
+            "horizon x (1 + region points)", horizon * (1 + sum(map(len, regions)))
+        ),
         regions=(_list_of(_ints), ...), count=(parse_int, 8), horizon=(parse_int, 10000),
     ),
     "banach_density": _on(
-        "poisson", _banach,
+        "poisson", _banach, _RUNS_X_HORIZON,
         horizon=(_at_least(1, "horizon"), 10000),
         sequence=(_enum(*_SEQUENCES), "inverse_n"),
         eps=(_float, "0.01"),
     ),
     "variance_decay": _on(
-        "poisson", _variance_decay,
+        "poisson", _variance_decay, _RUNS_X_BLOCK,
         region=(_ints, list(range(10))),
         k=(parse_int, 0),
         **_BLOCKS,
@@ -648,7 +662,7 @@ _HANDLERS: dict[str, dict[str, tuple[dict, Callable]]] = {
         runs=(_at_least(2, "runs"), 10000),
     ),
     "weak_mixing_probe": _on(
-        "poisson", _weak_mixing,
+        "poisson", _weak_mixing, _runs_x("times", lambda times, **_: len(times)),
         f=(_WEAK_MIXING_TERMS, ...),
         g=(_WEAK_MIXING_TERMS, ...),
         times=(_nonempty(_ints, "times"), ...),
@@ -662,6 +676,9 @@ _HANDLERS: dict[str, dict[str, tuple[dict, Callable]]] = {
     ),
     "box_ratio_average": _on(
         "zd", _box_average,
+        lambda family, f, n_max: (
+            f"(2 n_max + 1)^{family.dimension}", max(2 * n_max + 1, 0) ** family.dimension
+        ),
         f=(_records({**_COEF, "pattern": (_map_of(parse_int), {})}, _values), None),
         n_max=(parse_int, 32),
     ),
@@ -677,31 +694,36 @@ _TOP_KEYS = {
 }
 
 
-def validate_config(config: Mapping[str, Any]) -> tuple[int, Callable, dict]:
+def validate_config(config: Mapping[str, Any]) -> tuple[int, Callable, dict, Callable]:
     """Check the config's top level and its operation against the tables and
-    return the seed, the handler and its parsed keys; build_system checks
-    the system's own keys as it parses them."""
+    return the seed, the handler, its parsed keys and its cost; build_system
+    checks the system's own keys as it parses them."""
     top = _fields(config, _TOP_KEYS, "config")
     system_type = _choice(top["system"], "type", _SYSTEMS, "system")
     name = _choice(top["operation"], "name", _HANDLERS, "operation")
     entries = _HANDLERS[name]
     if system_type not in entries:
         raise ConfigError(f"operation {name!r} needs a system of type {sorted(entries)}")
-    keys, handler = entries[system_type]
+    keys, handler, cost = entries[system_type]
     where = f"operation {name}"
-    return top["seed"], handler, _fields(top["operation"], keys, where, skip=("name",))
+    return top["seed"], handler, _fields(top["operation"], keys, where, skip=("name",)), cost
 
 
 def run(config: Mapping[str, Any], seed_override: int | None = None) -> dict[str, Any]:
     """Validate, build, dispatch; returns the report dict.
 
-    Raises ConfigError for invalid configs and CertifiedFailure when an
-    operation certifiably fails (callers map these to exit codes).
+    Raises ConfigError for invalid configs and for a declared cost over the
+    cap, and CertifiedFailure when an operation certifiably fails (callers
+    map these to exit codes).
     """
-    seed, handler, keys = validate_config(config)
+    seed, handler, keys, cost = validate_config(config)
     if seed_override is not None:
         seed = seed_override
     system = build_system(config["system"])
+    what, cells = cost(system, **keys)
+    if cells > RANGE_CAP:
+        name = config["operation"]["name"]
+        raise ConfigError(f"operation {name}: {what} = {cells} cells exceeds the cap {RANGE_CAP}")
     started = time.perf_counter()
     results = handler(system, seed, **keys)
     return {

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -70,6 +71,21 @@ class TestConfiguration:
         box = x.box(1, margins=(2, 0))
         assert box.shape == (7, 3)
         assert box[0, 0] == x.symbol((-3, -1))
+
+    @pytest.mark.parametrize(
+        "radius, margins, cells", [(10**9, None, (2 * 10**9 + 1) ** 2), (1, (2048, 2048), 4099**2)]
+    )
+    def test_box_over_cap_refused_before_its_axes(self, radius, margins, cells):
+        # a radius of 10^9 once built two 16 GB coordinate axes first
+        x = iid2().configuration(2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"box of {cells} cells exceeds the cap"):
+                x.box(radius, margins)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestKakutaniGenerator:

@@ -429,6 +429,21 @@ class TestTailTriviality:
         mu_c = mk.markov_cylinder_measure(fam, rep.witness_c)
         assert rep.forced_lower_bound == rep.eps**2 / 2 * mu_c
 
+    def test_far_first_word_in_d_within_the_cap(self):
+        # the first word in D follows the 17,711 words of length 21 that
+        # start with 1: 371,931 symbols visited, well under the cap
+        fam = golden_family()
+        rep = mk.tail_triviality_probe(fam, [Cylinder.of([2], left=-10)])
+        assert rep.witness_b == Cylinder(-10, 10, (2,) + (1,) * 20)
+        assert rep.witness_c == Cylinder(-10, 10, (1,) * 21)
+
+    def test_words_past_the_cap_refused(self, monkeypatch):
+        monkeypatch.setattr(mk, "RANGE_CAP", 17710 * 21)
+        with pytest.raises(RangeCapError, match="words of length 21 pass the cap"):
+            mk.tail_triviality_probe(golden_family(), [Cylinder.of([2], left=-10)])
+        monkeypatch.setattr(mk, "RANGE_CAP", 17712 * 21)
+        assert mk.tail_triviality_probe(golden_family(), [Cylinder.of([2], left=-10)]).violated
+
 
 # --- pairwise reference for the per-word certificates ----------------------
 #

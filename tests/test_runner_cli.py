@@ -207,11 +207,12 @@ REJECTED = {
             dict(BERNOULLI, kind="compact", window={"0": ["3/4", "1/4"]}),
             {"name": "homoclinic_scan", "radius_max": 40},
         ),
-        "operation homoclinic_scan: radius_max 40 and n_max 8 make over 16777216 pairs",
+        "operation homoclinic_scan: words x shifts to radius 10 = 47535434 cells exceeds the cap "
+        "16777216",
     ),
     "homoclinic-scan-shifts-over-cap": (
         config_on(BERNOULLI, {"name": "homoclinic_scan", "radius_max": 0, "n_max": 2**23}),
-        "radius_max 0 and n_max 8388608 make over 16777216 pairs",
+        "operation homoclinic_scan: words x shifts to radius 0 = 33554434 cells exceeds the cap",
     ),
     "banach-density-over-cap": (
         config_on(POISSON, {"name": "banach_density", "horizon": 10**9}),
@@ -249,7 +250,57 @@ REJECTED = {
     # without end
     "coupling-scan-n-over-cap": (
         config_on(GOLDEN_MEAN, {"name": "coupling_scan", "n": 30}),
-        "operation coupling_scan: the words of length 61 hold over 16777216 symbols",
+        "operation coupling_scan: words of length 61, counted to 64528, x 260 = 16777280 cells "
+        "exceeds the cap 16777216",
+    ),
+    # scans of 196,418 and 177,147 words, each with its certificate work,
+    # that an earlier bound on the symbols alone let run for minutes
+    "coupling-scan-golden-mean-n-12": (
+        config_on(GOLDEN_MEAN, {"name": "coupling_scan", "n": 12}),
+        "operation coupling_scan: words of length 25, counted to 144632, x 116",
+    ),
+    "coupling-scan-full-3-shift-n-5": (
+        config_on(
+            dict(MARKOV, sft=[[1] * 3] * 3, transition=[["1/3"] * 3] * 3),
+            {"name": "coupling_scan", "n": 5},
+        ),
+        "operation coupling_scan: words of length 11, counted to 143396, x 117",
+    ),
+    # a null-subsequence search with no size bound: every candidate
+    # overlaps on the identity, and 10^9 steps on a translation
+    "null-subsequence-identity-over-cap": (
+        config_on(
+            {"type": "poisson", "ground": "identity"},
+            {"name": "find_null_subsequence", "regions": [[0]], "count": 2, "horizon": 10**12},
+        ),
+        "operation find_null_subsequence: horizon x (1 + region points) = 2000000000000 cells "
+        "exceeds the cap",
+    ),
+    "null-subsequence-count-over-cap": (
+        config_on(
+            POISSON,
+            {"name": "find_null_subsequence", "regions": [[0]], "count": 10**9, "horizon": 10**9},
+        ),
+        "horizon x (1 + region points) = 2000000000 cells exceeds the cap 16777216",
+    ),
+    # a Z^d box of 10^9 ran numpy out of memory building its axes (exit 1)
+    "zd-box-block-over-cap": (
+        config_on(
+            {"type": "zd", "kind": "compact", "base": ["1/2", "1/2"],
+             "window": {"0,0": ["3/4", "1/4"]}},
+            {"name": "box_ratio_average", "n_max": 10**9},
+        ),
+        "operation box_ratio_average: (2 n_max + 1)^2 = 4000000004000000001 cells exceeds the cap",
+    ),
+    # the box's margins, here a window site far out, pass the cap that
+    # 2 n_max + 1 does not
+    "zd-window-box-block-over-cap": (
+        config_on(
+            {"type": "zd", "kind": "compact", "base": ["1/2", "1/2"],
+             "window": {"5000,0": ["3/4", "1/4"]}},
+            {"name": "box_ratio_average", "n_max": 1},
+        ),
+        "invalid input: box of 100060009 cells exceeds the cap",
     ),
     # a maximal or two-subsequence read whose block passed the cap ran into
     # the symbol grid's range check (exit 3); it is refused before any draw
@@ -366,6 +417,15 @@ CERTIFIED_FAILURES = {
         ),
         "certified failure: marginal at 1000000000: the marginals from the window's left end "
         "pass 67108864 bits",
+    ),
+    # the first word in D comes after every golden-mean word of length 81
+    # that starts with 1, about 10^16 of them; the probe ran without end
+    "tail-probe-words-over-cap": (
+        config_on(
+            GOLDEN_MEAN,
+            {"name": "tail_triviality_probe", "cylinders": [{"word": [2], "left": -40}]},
+        ),
+        "certified failure: tail_triviality_probe: words of length 81 pass the cap",
     ),
 }
 
@@ -506,7 +566,7 @@ class TestValidation:
     def test_readme_lists_every_operation_and_key(self):
         tabled = {}
         for name, entries in runner._HANDLERS.items():
-            keys = [declared(keys) for keys, _ in entries.values()]
+            keys = [declared(keys) for keys, *_ in entries.values()]
             assert all(k == keys[0] for k in keys), name
             tabled[f"`{name}`", ", ".join(entries)] = keys[0]
         assert readme_table("| operation | systems | keys |") == tabled
@@ -841,3 +901,130 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert "determinism-audit" in proc.stdout
+
+
+#: keys whose size an operation's work grows with
+SIZE_KEYS = {"runs", "horizon", "blocks", "times", "radius_max", "n_max"}
+#: operations with a size key whose work does not grow with it: a Kakutani
+#: generator sum and a uniformity constant read the family's window or
+#: period, whatever the horizon
+FLAT_IN_KEYS = {"uniformity_constant", "kakutani_generator"}
+CAP = runner.RANGE_CAP
+ZD1 = dict(ZD, dimension=1)
+FULL_3_SHIFT = dict(MARKOV, sft=[[1] * 3] * 3, transition=[["1/3"] * 3] * 3)
+COMPACT = dict(BERNOULLI, kind="compact", window={"0": ["3/4", "1/4"]})
+MAX_TERM = {"f": LETTER, "t": "1"}
+
+#: operation -> [(system, keys at the largest accepted size, cells there,
+#: keys one step past it, cells there)]: the cap itself where the cost can
+#: reach it, else the two sizes on either side of it
+BOUNDARIES = {
+    "kakutani_sum": [(BERNOULLI, {"horizon": CAP}, CAP, {"horizon": CAP + 1}, CAP + 1)],
+    "conservativity_probe": [
+        (COMPACT, {"horizon": CAP}, CAP, {"horizon": CAP + 1}, CAP + 1)
+    ],
+    **{
+        name: [
+            (BERNOULLI, {"horizon": CAP}, CAP, {"horizon": CAP + 1}, CAP + 1),
+            (POISSON, {"horizon": CAP}, CAP, {"horizon": CAP + 1}, CAP + 1),
+        ]
+        for name in ("birkhoff_series", "dual_series", "ratio_series")
+    },
+    # 2^24 + 1 = 97 x 172961
+    "maximal_inequality": [
+        (system, {**MAX_TERM, "f": f, "runs": 4096, "horizon": 4096}, CAP,
+         {**MAX_TERM, "f": f, "runs": 97, "horizon": 172961}, CAP + 1)
+        for system, f in ((BERNOULLI, LETTER), (POISSON, EVENT_F))
+    ],
+    "two_subsequence_probe": [
+        (system, {"f": f, "runs": 4096, "blocks": [8, 4096]}, CAP,
+         {"f": f, "runs": 97, "blocks": [172961]}, CAP + 1)
+        for system, f in ((BERNOULLI, LETTER), (POISSON, EVENT_F))
+    ],
+    "banach_density": [(POISSON, {"horizon": CAP}, CAP, {"horizon": CAP + 1}, CAP + 1)],
+    "variance_decay": [
+        (POISSON, {"runs": 4096, "blocks": [4096]}, CAP,
+         {"runs": 97, "blocks": [172961]}, CAP + 1)
+    ],
+    "weak_mixing_probe": [
+        (POISSON, {"f": EVENT_F, "g": EVENT_F, "times": [1, 2], "runs": CAP // 2}, CAP,
+         {"f": EVENT_F, "g": EVENT_F, "times": [1], "runs": CAP + 1}, CAP + 1)
+    ],
+    # 2 (2 n_max + 1) pairs at radius 0, 10 (2 n_max + 1) up to radius 1
+    "homoclinic_scan": [
+        (BERNOULLI, {"radius_max": 0, "n_max": 2**22 - 1}, CAP - 2,
+         {"radius_max": 0, "n_max": 2**22}, CAP + 2),
+        (BERNOULLI, {"radius_max": 1, "n_max": 838860}, CAP - 6,
+         {"radius_max": 1, "n_max": 838861}, CAP + 14),
+    ],
+    # words(2n + 1) x (2n + 1 + 2N) x |S|^2: the golden mean (N = 2) takes
+    # n = 11 and refuses n = 12, the full 3-shift (N = 1) takes n = 4
+    "coupling_scan": [
+        (GOLDEN_MEAN, {"n": 11}, 75025 * 27 * 4, {"n": 12}, (CAP // 116 + 1) * 116),
+        (FULL_3_SHIFT, {"n": 4}, 3**9 * 11 * 9, {"n": 5}, (CAP // 117 + 1) * 117),
+    ],
+    "find_null_subsequence": [
+        (POISSON, {"regions": [[0]], "horizon": CAP // 2}, CAP,
+         {"regions": [], "horizon": CAP + 1}, CAP + 1),
+    ],
+    # (2 n_max + 1)^d is odd, so the cap itself is out of reach
+    "box_ratio_average": [
+        (ZD1, {"n_max": 2**23 - 1}, CAP - 1, {"n_max": 2**23}, CAP + 1),
+        (ZD, {"n_max": 2047}, 4095**2, {"n_max": 2048}, 4097**2),
+    ],
+}
+
+
+def _cost(system, name, keys):
+    """The declared cost of a config, read without running its handler."""
+    cfg = config_on(system, {"name": name, **keys})
+    _, _, parsed, cost = runner.validate_config(cfg)
+    return cost(runner.build_system(system), **parsed)
+
+
+class TestSizeBudget:
+    def test_every_sized_operation_declares_a_cost(self):
+        for name, entries in runner._HANDLERS.items():
+            for keys, _, cost in entries.values():
+                if name in FLAT_IN_KEYS:
+                    assert cost is runner._flat, name
+                elif SIZE_KEYS & set(keys) or name in ("coupling_scan", "find_null_subsequence"):
+                    assert cost is not runner._flat, name
+
+    def test_every_declared_cost_has_its_boundary(self):
+        costed = {
+            name
+            for name, entries in runner._HANDLERS.items()
+            for _, _, cost in entries.values()
+            if cost is not runner._flat
+        }
+        assert costed == set(BOUNDARIES)
+
+    @pytest.mark.parametrize(
+        "name, system, low, low_cells, high, high_cells",
+        [(name, *case) for name, cases in BOUNDARIES.items() for case in cases],
+    )
+    def test_cost_at_the_cap(self, name, system, low, low_cells, high, high_cells):
+        assert low_cells <= CAP < high_cells
+        assert _cost(system, name, low)[1] == low_cells
+        what, cells = _cost(system, name, high)
+        assert cells == high_cells
+        with pytest.raises(
+            ConfigError, match=re.escape(f"operation {name}: {what} = {cells} cells exceeds the cap")
+        ):
+            runner.run(config_on(system, {"name": name, **high}))
+
+    def test_flat_costs_take_any_size(self):
+        for system, name in ((BERNOULLI, "uniformity_constant"), (ZD, "kakutani_generator")):
+            assert _cost(system, name, {"horizon": 10**30}) == ("cells", 0)
+
+    def test_tail_probe_over_the_cap_ends(self, tmp_path):
+        cfg, says = CERTIFIED_FAILURES["tail-probe-words-over-cap"]
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ergolab.cli", "--config", str(path)],
+            capture_output=True, text=True, timeout=30,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr == says + "\n"
