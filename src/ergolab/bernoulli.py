@@ -183,6 +183,10 @@ class BernoulliFamily:
     def uniformity(self, horizon: int) -> UniformityBound:
         return UniformityBound(float(self.uniformity_fraction()), True)
 
+    def kakutani_cost(self, horizon: int) -> tuple[str, int]:
+        """(what, cells) of ``kakutani`` at ``horizon``, the runner's cost."""
+        return "horizon", horizon
+
     def configuration(self, seed: int) -> Configuration:
         return Configuration(LazyTail(seed, self.levels_at))
 
@@ -373,6 +377,13 @@ class SummableFamily(BernoulliFamily):
         tail_bound = math.exp(self.sup) * self.sup * self.tail(horizon - 1)
         verdict = CONVERGENT if tail_bound <= tol else INCONCLUSIVE
         return KakutaniResult(float(value), verdict, tail_bound)
+
+    def kakutani_cost(self, horizon: int) -> tuple[str, int]:
+        """``kakutani`` walks the sites out to min(horizon, ``_fair_from``)
+        with big-int powers of r that grow by one factor a site, so its work
+        grows with the square of that reach, in words of r's denominator."""
+        reach, words = min(horizon, self._fair_from), -(-self.cr[3].bit_length() // 64)
+        return "(min(horizon, fair cutoff) + 1)^2 x denominator words", (reach + 1) ** 2 * words
 
     def log_derivative(self, x: Configuration, n: int, tol: float) -> LogValue:
         radius = max(abs(n) + 1, 8)

@@ -24,11 +24,11 @@ from .seeding import (
     _GOLDEN,
     GRID_BLOCK,
     TAG_POISSON,
-    _count_levels,
-    _keyed_top,
+    _keyed_counts,
     combine_seeds,
+    fold,
     spawn_vec,
-    uniform01_grid,
+    uniform01_grid,  # noqa: F401  no count reads it; perfbench traces it at this name
     zigzag,
 )
 
@@ -262,57 +262,56 @@ class PointSample:
         )[0]
 
 
-def _count_table(mean: float, size: int = 4 * COUNT_CAP) -> np.ndarray:
-    """Poisson CDF table, accumulated by summation: ``searchsorted(table, u,
-    side="right")`` is the smallest k < size with u < CDF(k), or size.  A
-    shorter table is a prefix of a longer one, bit for bit."""
-    pmf = math.exp(-mean)
-    cdf = [pmf]
-    for k in range(1, size):
-        pmf *= mean / k
-        cdf.append(cdf[-1] + pmf)
-    return np.asarray(cdf[:size])
+def _count_thresholds(means: Sequence[float], size: int) -> np.ndarray:
+    """(levels, len(means)) integer thresholds ceil(CDF(k) * 2^53), k < size,
+    of the Poisson(means[j]) CDF accumulated by summation: a key z draws the
+    count #{k : threshold k <= z >> 11}, the smallest k < size with u <
+    CDF(k), or size, for its uniform u, bit for bit (``seeding.thresholds``).
+    A column ends before its first entry that rounds to 1.0, whose threshold
+    2^53 no key reaches; shorter columns are padded with 2^53."""
+    columns = []
+    for mean in means:
+        pmf = cdf = math.exp(-mean)
+        column = []
+        for k in range(1, size + 1):
+            if cdf >= 1.0:
+                break
+            column.append(cdf)
+            pmf *= mean / k
+            cdf += pmf
+        columns.append(column)
+    rows = max(map(len, columns), default=0)
+    table = np.array([c + [1.0] * (rows - len(c)) for c in columns], ndmin=2).T
+    return np.ceil(table * 2.0**53).astype(np.uint64)
 
 
 @lru_cache(maxsize=1)
 def _plan(gs: GroundSpace, points: tuple[int, ...], cap: int | None) -> tuple:
-    """What a count read needs of its points: each block of runs a read
-    draws looks it up, so it is built once per read (only the last read's is
-    kept).  It is (salted, levels, split):
+    """What a count read needs of its points, built once per read (only the
+    last read's is kept): (salted, levels, split).
 
     - salted: zigzag(p) + the mixer's golden step per point, as uint64;
-    - levels: with cap set, the (cap, points) thresholds, column j the first
-      cap of point j's table, or (cap, 1) when all points share one mean;
-      with cap None, (columns, table) per distinct mean, ``slice(None)`` for
-      the columns when there is one mean;
-    - split: (column, key parts, sub-draws, float table) per point of mean
-      over ``_SPLIT_MEAN``.
-
-    A table is the point's ``_count_table`` as integer thresholds
-    ceil(CDF(k) * 2^53): the uniform of a key z is (z >> 11) * 2^-53 exactly,
-    so CDF(k) <= u exactly when ceil(CDF(k) * 2^53) <= z >> 11 (the rule of
-    ``seeding.thresholds``), and no float uniform is formed.
+    - levels: the points' ``_count_thresholds``, one column per point or
+      one for all when they share a mean, the first cap rows when capped;
+    - split: (column, zigzag(p), salted sub-draw keys, sub-mean levels) per
+      point of mean over ``_SPLIT_MEAN``, whose column in ``levels`` is a
+      mean-0 one: its single draw reads 0.
     """
     means = np.array([float(gs.weight(p)) for p in points])
     salted = np.array([zigzag(p) % 2**64 for p in points], dtype=np.uint64)
     salted += np.uint64(_GOLDEN)
-    distinct, which = np.unique(means, return_inverse=True)
-    # a capped read counts only the first cap levels
     size = 4 * COUNT_CAP if cap is None else min(cap, 4 * COUNT_CAP)
-    tables = np.reshape([_count_table(float(mean), size) for mean in distinct], (-1, size))
-    tables = np.ceil(tables * 2.0**53).astype(np.uint64)
-    if cap is not None:
-        # points that share one mean share one broadcast column
-        levels = np.ascontiguousarray((tables if len(distinct) == 1 else tables[which]).T)
-    elif len(distinct) == 1:
-        levels = [(slice(None), tables[0])]
-    else:
-        levels = [(which == i, table) for i, table in enumerate(tables)]
+    over = means > _SPLIT_MEAN
+    distinct, which = np.unique(np.where(over, 0.0, means), return_inverse=True)
+    levels = _count_thresholds([float(mean) for mean in distinct], size)
+    if len(distinct) > 1:
+        levels = np.take(levels, which, axis=1)
     split = []
-    for j in np.flatnonzero(means > _SPLIT_MEAN):
+    for j in np.flatnonzero(over):
         chunks = math.ceil(means[j] / _SPLIT_MEAN)
-        table = _count_table(float(means[j]) / chunks)
-        split.append((j, (TAG_POISSON, zigzag(points[j])), chunks, table))
+        keys = np.arange(chunks, dtype=np.uint64) + np.uint64(_GOLDEN)
+        sub = _count_thresholds([float(means[j]) / chunks], size)
+        split.append((j, np.uint64(zigzag(points[j]) % 2**64), keys, sub))
     return salted, levels, split
 
 
@@ -320,45 +319,28 @@ def _count_rows(
     gs: GroundSpace, seeds: np.ndarray, points: Sequence[int], cap: int | None
 ) -> np.ndarray:
     """(len(seeds), len(points)) counts: cell [r, j] inverts the keyed
-    uniform of (seeds[r], TAG_POISSON, zigzag(points[j])) on the
-    ``_count_table`` of the point's mean, by the integer thresholds of
-    ``_plan``.
+    uniform of (seeds[r], TAG_POISSON, zigzag(points[j])) on the Poisson CDF
+    of the point's mean, by one ``seeding._keyed_counts`` over the ``_plan``
+    thresholds; with ``cap`` set, only the first cap thresholds are counted,
+    which is ``min(count, cap)`` bit for bit.
 
     A mean above ``_SPLIT_MEAN`` is split by additivity into ``chunks`` equal
     sub-means, with sub-draw i keyed (seed, TAG_POISSON, zigzag(p), i): a sum
     of independent Poissons stays exact in distribution and needs no
-    rejection loop.
-
-    With ``cap`` set, a cell holds ``min(count, cap)`` instead: inversion by
-    summation stops after ``cap`` levels, ``sum_{i<cap} [u >= table[i]]``
-    over the same ``_count_table`` (``seeding._count_levels``, the loop
-    ``keyed_symbols`` counts symbols with).  The table is non-decreasing, so
-    this is ``min(searchsorted(table, u, side="right"), cap)`` bit for bit.
+    rejection loop.  The sub-draws of a block of runs take one more count,
+    clipped at ``cap`` each, and their sum is clipped again.
     """
     points = tuple(points)
     salted, levels, split = _plan(gs, points, cap)
-    out = np.empty((len(seeds), len(points)), dtype=np.int16)
+    out = np.zeros((len(seeds), len(points)), dtype=np.int16)
     states = combine_seeds(seeds, (TAG_POISSON,))
-    # one cache-sized block of rows per keyed draw, through reused buffers
-    rows = max(1, GRID_BLOCK // max(len(points), 1))
-    z = np.empty(min(rows, len(seeds)) * len(points), dtype=np.uint64)
-    scratch = np.empty(min(z.size, GRID_BLOCK), dtype=np.uint64)
-    hit = np.empty(z.size, dtype=bool)
-    for lo in range(0, len(seeds), rows):
-        block = out[lo : lo + rows]
-        top = _keyed_top(states[lo : lo + rows], salted, z, scratch)
-        if cap is None:
-            for cols, table in levels:
-                block[:, cols] = np.searchsorted(table, top[:, cols], side="right")
-        else:
-            block.fill(0)
-            _count_levels(top, levels, block, hit)
-    # a split column overwrites what its single draw gave above
-    for j, parts, chunks, table in split:
-        rows = max(1, GRID_BLOCK // chunks)
+    _keyed_counts(states, salted, levels, out)
+    for j, key, keys, sub in split:
+        rows = max(1, GRID_BLOCK // len(keys))
         for lo in range(0, len(seeds), rows):
-            u = uniform01_grid(seeds[lo : lo + rows], parts, np.arange(chunks))
-            total = np.searchsorted(table, u, side="right").sum(axis=1)
+            draws = np.zeros((min(rows, len(seeds) - lo), len(keys)), dtype=np.int16)
+            _keyed_counts(fold(states[lo : lo + rows], key), keys, sub, draws)
+            total = draws.sum(axis=1)
             if cap is not None:
                 np.minimum(total, cap, out=total)
             elif total.max() > np.iinfo(out.dtype).max:

@@ -566,6 +566,9 @@ def _on_paths(handler: Callable, cost: Callable, f_default=..., **keys) -> dict[
     }
 
 
+#: a cocycle fuzz case reads its configuration at a few sites or a bounded
+#: block, whose length the library guards
+_CASES = lambda system, cases, **_: ("cases", cases)  # noqa: E731
 _RUNS_X_HORIZON = _runs_x("horizon", lambda horizon, **_: horizon)
 _RUNS_X_BLOCK = _runs_x("largest block", lambda blocks, **_: max(blocks))
 _BLOCKS = {"blocks": (_nonempty(_list_of(_at_least(1, "blocks")), "blocks"), [16, 64, 256])}
@@ -577,13 +580,13 @@ _WEAK_MIXING_TERMS = _records({**_COEF, "constraints": (_event, ...)}, _values)
 #: declares its cost here and nowhere else
 _HANDLERS: dict[str, dict[str, tuple[dict, Callable, Callable]]] = {
     "kakutani_sum": _on(
-        "bernoulli", _kakutani, lambda family, horizon: ("horizon", horizon),
+        "bernoulli", _kakutani, lambda family, horizon: family.kakutani_cost(horizon),
         horizon=(parse_int, 100),
     ),
     "uniformity_constant": _on("bernoulli", _uniformity, horizon=(parse_int, 0)),
     "rn_derivative": _on("bernoulli", _rn_derivative, n=(parse_int, ...)),
     "cocycle_fuzz": _on(
-        "bernoulli", _cocycle_fuzz,
+        "bernoulli", _cocycle_fuzz, _CASES,
         cases=(_at_least(1, "cases"), 1000), span=(parse_int, 8),
         tol=(_float, "0.000000000001"),
     ),
@@ -637,6 +640,8 @@ _HANDLERS: dict[str, dict[str, tuple[dict, Callable, Callable]]] = {
     "mixing_gap": _on("poisson", _mixing_gap, b=(_event, ...), c=(_event, ...)),
     "mixing_gap_fuzz": _on(
         "poisson", _mixing_gap_fuzz,
+        # each case draws its two events' regions point by point
+        lambda gs, cases, points: ("cases x (1 + points)", cases * (1 + points)),
         cases=(_at_least(1, "cases"), 500), points=(_at_least(1, "points"), 8),
     ),
     "find_null_subsequence": _on(
@@ -672,7 +677,7 @@ _HANDLERS: dict[str, dict[str, tuple[dict, Callable, Callable]]] = {
         "zd", _zd_kakutani, axis=(parse_int, 0), horizon=(_at_least(1, "horizon"), 64)
     ),
     "zd_cocycle_fuzz": _on(
-        "zd", _zd_cocycle_fuzz, cases=(_at_least(1, "cases"), 200), span=(parse_int, 4)
+        "zd", _zd_cocycle_fuzz, _CASES, cases=(_at_least(1, "cases"), 200), span=(parse_int, 4)
     ),
     "box_ratio_average": _on(
         "zd", _box_average,

@@ -16,11 +16,10 @@ counter-based (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
 SC 2011): a draw is a pure function of (seed, key), so any blocking gives
 the same bits.
 
-Symbols are drawn by ``keyed_symbols`` against integer inverse-CDF
-``thresholds``, one cache-sized block at a time, without forming the
-uniforms; the result equals ``searchsorted`` on the uniforms bit for bit.
-Poisson counts are drawn by the same two private steps, ``_keyed_top`` and
-``_count_levels``.
+Symbols and Poisson counts are counts of integer inverse-CDF ``thresholds``,
+and one private loop, ``_keyed_counts``, forms, mixes and counts their keys
+one cache-sized block at a time without forming the uniforms; the result
+equals ``searchsorted`` on the uniforms bit for bit.
 """
 
 from __future__ import annotations
@@ -204,33 +203,31 @@ def thresholds(cdf: np.ndarray) -> np.ndarray:
     return np.ceil(np.asarray(cdf)[..., :-1] * 2.0**53).astype(np.uint64)
 
 
-def _keyed_top(
-    states: np.ndarray, salted: np.ndarray, z: np.ndarray, scratch: np.ndarray
-) -> np.ndarray:
-    """The top 53 bits, ``key >> 11``, of the keys ``fold(states[r], k_j)``
-    as a (len(states), len(salted)) view of the flat uint64 buffer ``z``.
-
-    ``salted[j]`` is k_j + _GOLDEN, the half of ``fold`` that depends on the
-    key only, so callers that draw many rows salt their keys once;
-    ``scratch`` is the buffer ``_mix`` takes.
-    """
-    zb = z[: len(states) * len(salted)].reshape(len(states), len(salted))
-    np.add(states[:, None], salted, out=zb)
-    _mix(zb, scratch)
-    zb >>= np.uint64(11)
-    return zb
-
-
-def _count_levels(
-    top: np.ndarray, levels: np.ndarray, out: np.ndarray, hit: np.ndarray
+def _keyed_counts(
+    states: np.ndarray, salted: np.ndarray, levels: np.ndarray, out: np.ndarray
 ) -> None:
-    """Add #{rows l of ``levels`` : top >= l} into ``out`` cell by cell, for
-    ``top`` from ``_keyed_top`` and ``levels`` rows of ``thresholds`` (one
-    per column, or one broadcast over all); ``hit`` is a flat bool buffer of
-    at least ``top.size`` cells."""
-    hb = hit[: top.size].reshape(top.shape)
-    for level in levels:
-        out += np.greater_equal(top, level, out=hb)
+    """Add to ``out[r, j]`` the number of rows l of ``levels`` with
+    levels[l, j] <= key >> 11, the key's top 53 bits, for the key
+    ``fold(states[r], k_j)``; ``levels`` is (levels, len(salted)), or one
+    (levels, 1) column shared by every key.  ``salted[j]`` is k_j + _GOLDEN,
+    the half of ``fold`` that depends on the key only.  Rows are keyed,
+    mixed and counted a cache-sized block at a time through reused buffers;
+    a cell depends on its own key only, so blocking cannot change a bit.
+    """
+    width = len(salted)
+    rows = max(1, GRID_BLOCK // max(width, 1))
+    z = np.empty(min(rows, len(states)) * width, dtype=np.uint64)
+    scratch = np.empty(min(z.size, GRID_BLOCK), dtype=np.uint64)
+    hit = np.empty(z.size, dtype=bool)
+    for r0 in range(0, len(states), rows):
+        block = states[r0 : r0 + rows]
+        zb = z[: len(block) * width].reshape(len(block), width)
+        np.add(block[:, None], salted, out=zb)
+        _mix(zb, scratch)
+        zb >>= np.uint64(11)
+        hb, ob = hit[: zb.size].reshape(zb.shape), out[r0 : r0 + rows]
+        for level in levels:
+            ob += np.greater_equal(zb, level, out=hb)
 
 
 def keyed_symbols(
@@ -245,34 +242,24 @@ def keyed_symbols(
     [r, j] is drawn from the key ``combine(seed, *parts, zigzag(lo + j))``
     against column j of ``levels_at(a, b)``, the ``thresholds`` of the
     coordinates a .. a + b - 1 as a (levels, b) array, or (levels, 1) when
-    they share one distribution.  Coordinates are zigzagged, keyed, mixed
-    and counted about ``GRID_BLOCK`` cells at a time through reused buffers,
-    so no full-size temporary is formed; each cell depends on its own key
-    only, so the blocking cannot change a bit.
+    they share one distribution, counted into ones ``GRID_BLOCK`` columns
+    at a time through key buffers reused from block to block, so no
+    full-size temporary is formed.
     """
     out = np.empty((len(states), cells), dtype=np.int16)
+    out.fill(1)
     width = min(cells, GRID_BLOCK)
-    if width == 0 or len(states) == 0:
-        return out
-    rows = min(len(states), max(1, GRID_BLOCK // width))
     step = np.arange(width, dtype=np.int64)
-    n = np.empty(width, dtype=np.int64)
-    keys = np.empty(width, dtype=np.int64)
-    z = np.empty(rows * width, dtype=np.uint64)
-    scratch = np.empty(min(z.size, GRID_BLOCK), dtype=np.uint64)
-    hit = np.empty(z.size, dtype=bool)
-    for c0 in range(0, cells, width):
-        b = min(width, cells - c0)
+    n, keys = np.empty(width, dtype=np.int64), np.empty(width, dtype=np.int64)
+    for c0 in range(0, cells, GRID_BLOCK):
+        b = min(GRID_BLOCK, cells - c0)
+        # zigzag(lo + c0 + j) by shift-xor, as ``zigzag_vec``, in place
         nb, kb = n[:b], keys[:b]
         np.add(step[:b], lo + c0, out=nb)
         np.left_shift(nb, 1, out=kb)
         nb >>= 63
         kb ^= nb
-        kz = kb.view(np.uint64)
-        kz += np.uint64(_GOLDEN)
-        levels = levels_at(lo + c0, b)
-        for r0 in range(0, len(states), rows):
-            ob = out[r0 : r0 + rows, c0 : c0 + b]
-            ob.fill(1)
-            _count_levels(_keyed_top(states[r0 : r0 + rows], kz, z, scratch), levels, ob, hit)
+        salted = kb.view(np.uint64)
+        salted += np.uint64(_GOLDEN)
+        _keyed_counts(states, salted, levels_at(lo + c0, b), out[:, c0 : c0 + b])
     return out

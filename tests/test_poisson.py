@@ -412,6 +412,75 @@ class TestSuspension:
             ps.PointSample(ps.finite_cycle(3), 3).indicators(ps.PoissonEvent.count([5], 0), [0])
 
 
+#: means on both sides of the split and of the float CDF's edges: a mean
+#: whose table keeps one row, the largest unsplit means, and means split
+#: into 2, 3 and 60 sub-draws
+KERNEL_MEANS = [2.0**-40, 1 / 3, 1.0, 49.9, 50.0, 50.1, 120.0, 3000.0]
+
+
+def _ref_table(mean):
+    """The full float CDF table of a count draw, by summation."""
+    pmf = math.exp(-mean)
+    cdf = [pmf]
+    for k in range(1, 4 * ps.COUNT_CAP):
+        pmf *= mean / k
+        cdf.append(cdf[-1] + pmf)
+    return np.array(cdf)
+
+
+def _drawn_mean(mean):
+    """The mean of one draw: a split point's sub-mean."""
+    return mean if mean <= ps._SPLIT_MEAN else mean / math.ceil(mean / ps._SPLIT_MEAN)
+
+
+class TestCountKernel:
+    """Every count is one ``seeding._keyed_counts`` over integer thresholds;
+    these check it against the scalar float draws."""
+
+    def test_grid_matches_scalar_counts_at_every_cap(self):
+        gs = ps.weighted_points({p: F(m) for p, m in enumerate(KERNEL_MEANS)})
+        points = list(range(len(KERNEL_MEANS)))
+        # rows on both sides of the row blocks of the single draw (4096
+        # rows of 8 points) and of the 60-, 3- and 2-way splits
+        n_runs = GRID_BLOCK // 2 + 1
+        edges = {0, 545, 546, 4095, 4096, 10921, 10922, n_runs - 2, n_runs - 1}
+        full = ps.sample_count_grid(gs, 23, n_runs, points)
+        refs = {r: [ref_count(run_sample(gs, 23, r), p) for p in points] for r in sorted(edges)}
+        for r, ref in refs.items():
+            assert list(full[r]) == ref, r
+        for cap in (1, 3, 65):
+            capped = ps.sample_count_grid(gs, 23, n_runs, points, cap=cap)
+            assert np.array_equal(capped, np.minimum(full, cap))
+            for r, ref in refs.items():
+                assert list(capped[r]) == [min(c, cap) for c in ref], (r, cap)
+        # the caps bind: the mean-50 point passes 65 in some runs, the
+        # mean-3000 one in every run
+        assert full[:, 4].max() > 65 and full[:, 7].min() > 65
+
+    @pytest.mark.parametrize("mean", KERNEL_MEANS)
+    @pytest.mark.parametrize("cap", [1, 3, 65, None])
+    def test_counting_thresholds_is_searchsorted(self, mean, cap):
+        drawn = _drawn_mean(mean)
+        size = 4 * ps.COUNT_CAP if cap is None else cap
+        levels = ps._count_thresholds([drawn], size)
+        assert levels.shape[1] == 1 and (levels < 2**53).all()
+        table = _ref_table(drawn)
+        # every threshold's top 53 bits and the bits one below it
+        edges = np.ceil(table * 2.0**53)
+        tops = np.unique(np.concatenate([edges, edges - 1]).clip(0, 2**53 - 1)).astype(np.uint64)
+        counts = (levels.T <= tops[:, None]).sum(axis=1)
+        ref = np.searchsorted(table, tops * 2.0**-53, side="right")
+        assert np.array_equal(counts, np.minimum(ref, size))
+
+    def test_unreached_thresholds_are_dropped(self):
+        assert ps._count_thresholds([1.0], 4 * ps.COUNT_CAP).shape == (18, 1)
+        assert ps._count_thresholds([0.0, 0.0], 4 * ps.COUNT_CAP).shape == (0, 2)
+        # a shorter column is padded with 2^53, which no key reaches
+        table = ps._count_thresholds([1.0, 1 / 3], 4 * ps.COUNT_CAP)
+        assert table.shape == (18, 2) and (table[13:, 1] == 2**53).all()
+        assert (table[:, 0] < 2**53).all()
+
+
 def _scalar_indicators(gs, seed, n_runs, ev, times):
     return np.array(
         [

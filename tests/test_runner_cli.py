@@ -94,6 +94,8 @@ SUMMABLE_WITH_WINDOW = {
     "base": ["1/2", "1/2"],
     "window": {"0": ["3/4", "1/4"]},
 }
+#: a summable family whose fair-coin cutoff lies past the cap
+SUMMABLE_FAR = dict(SUMMABLE, c="1/10", r="999999/1000000")
 LETTER = [{"coef": "1", "word": [1], "left": 0}]
 TWO_LETTERS = [{"coef": "1", "word": [1, 2], "left": 0}]
 
@@ -265,6 +267,26 @@ REJECTED = {
             {"name": "coupling_scan", "n": 5},
         ),
         "operation coupling_scan: words of length 11, counted to 143396, x 117",
+    ),
+    # a summable Kakutani walk past its fair-coin cutoff (infinite here)
+    # is quadratic in the horizon, which the horizon alone let through
+    "summable-kakutani-over-cap": (
+        config_on(SUMMABLE_FAR, {"name": "kakutani_sum", "horizon": 2**24}),
+        "operation kakutani_sum: (min(horizon, fair cutoff) + 1)^2 x denominator words = "
+        "281475010265089 cells exceeds the cap",
+    ),
+    # fuzzes that ran without end
+    "cocycle-fuzz-cases-over-cap": (
+        config_on(BERNOULLI, {"name": "cocycle_fuzz", "cases": 10**9}),
+        "operation cocycle_fuzz: cases = 1000000000 cells exceeds the cap",
+    ),
+    "zd-cocycle-fuzz-cases-over-cap": (
+        config_on(ZD, {"name": "zd_cocycle_fuzz", "cases": 10**9}),
+        "operation zd_cocycle_fuzz: cases = 1000000000 cells exceeds the cap",
+    ),
+    "mixing-gap-fuzz-points-over-cap": (
+        config_on(POISSON, {"name": "mixing_gap_fuzz", "points": 10**9}),
+        "operation mixing_gap_fuzz: cases x (1 + points) = 500000000500 cells exceeds the cap",
     ),
     # a null-subsequence search with no size bound: every candidate
     # overlaps on the identity, and 10^9 steps on a translation
@@ -904,7 +926,7 @@ class TestCli:
 
 
 #: keys whose size an operation's work grows with
-SIZE_KEYS = {"runs", "horizon", "blocks", "times", "radius_max", "n_max"}
+SIZE_KEYS = {"runs", "horizon", "blocks", "times", "radius_max", "n_max", "cases", "points"}
 #: operations with a size key whose work does not grow with it: a Kakutani
 #: generator sum and a uniformity constant read the family's window or
 #: period, whatever the horizon
@@ -919,7 +941,20 @@ MAX_TERM = {"f": LETTER, "t": "1"}
 #: keys one step past it, cells there)]: the cap itself where the cost can
 #: reach it, else the two sizes on either side of it
 BOUNDARIES = {
-    "kakutani_sum": [(BERNOULLI, {"horizon": CAP}, CAP, {"horizon": CAP + 1}, CAP + 1)],
+    # a summable walk past its cutoff: (horizon + 1)^2 x the 64-bit words of
+    # r's denominator, one word for 10^6 and two for 2^65 + 1
+    "kakutani_sum": [
+        (BERNOULLI, {"horizon": CAP}, CAP, {"horizon": CAP + 1}, CAP + 1),
+        (SUMMABLE_FAR, {"horizon": 4095}, CAP, {"horizon": 4096}, 4097**2),
+        (dict(SUMMABLE, r=f"{2**65 - 2**21 + 1}/{2**65 + 1}"), {"horizon": 2895}, 2896**2 * 2,
+         {"horizon": 2896}, 2897**2 * 2),
+    ],
+    "cocycle_fuzz": [(BERNOULLI, {"cases": CAP}, CAP, {"cases": CAP + 1}, CAP + 1)],
+    "zd_cocycle_fuzz": [(ZD, {"cases": CAP}, CAP, {"cases": CAP + 1}, CAP + 1)],
+    "mixing_gap_fuzz": [
+        (POISSON, {"cases": 2**23, "points": 1}, CAP, {"cases": 2**23 + 1, "points": 1}, CAP + 2),
+        (POISSON, {"cases": 1, "points": CAP - 1}, CAP, {"cases": 1, "points": CAP}, CAP + 1),
+    ],
     "conservativity_probe": [
         (COMPACT, {"horizon": CAP}, CAP, {"horizon": CAP + 1}, CAP + 1)
     ],
@@ -1013,6 +1048,23 @@ class TestSizeBudget:
             ConfigError, match=re.escape(f"operation {name}: {what} = {cells} cells exceeds the cap")
         ):
             runner.run(config_on(system, {"name": name, **high}))
+
+    def test_summable_kakutani_walks_to_its_cutoff(self):
+        # c = 1/10, r = 1/2: sites past 52 are the fair coin's, so any
+        # horizon walks 53 sites
+        assert _cost(SUMMABLE, "kakutani_sum", {"horizon": 10**30})[1] == 53**2
+        assert _cost(SUMMABLE, "kakutani_sum", {"horizon": 40})[1] == 41**2
+
+    def test_workload_and_catalog_sizes_stay_accepted(self):
+        # the largest fuzzes the benchmark and the catalog run, and the
+        # summable walk that takes about 0.3 s
+        for system, keys in (
+            (BERNOULLI, {"name": "cocycle_fuzz", "cases": 1000, "span": 8}),
+            (ZD, {"name": "zd_cocycle_fuzz", "cases": 500, "span": 4}),
+            (POISSON, {"name": "mixing_gap_fuzz", "cases": 500, "points": 8}),
+            (SUMMABLE_FAR, {"name": "kakutani_sum", "horizon": 4000}),
+        ):
+            assert _cost(system, keys.pop("name"), keys)[1] <= CAP
 
     def test_flat_costs_take_any_size(self):
         for system, name in ((BERNOULLI, "uniformity_constant"), (ZD, "kakutani_generator")):

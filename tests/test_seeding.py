@@ -126,3 +126,32 @@ def test_determinism():
     assert seeding.uniform01(42, 1, 2, 3) == seeding.uniform01(42, 1, 2, 3)
     assert seeding.uniform01(42, 1, 2, 3) != seeding.uniform01(43, 1, 2, 3)
     assert seeding.uniform01(42, 1, 2, 3) != seeding.uniform01(42, 1, 3, 2)
+
+
+def _ref_counts(states, keys, levels):
+    """#{l : levels[l, j] <= key >> 11} from whole-array folds."""
+    top = seeding.fold(states[:, None], keys) >> np.uint64(11)
+    return (levels[:, None, :] <= top[None]).sum(axis=0)
+
+
+@pytest.mark.parametrize(
+    "n_states, n_keys",
+    [(0, 5), (3, 0), (0, 0), (2, seeding.GRID_BLOCK + 5), (seeding.GRID_BLOCK // 7 + 1, 7)],
+    ids=["no-states", "no-keys", "neither", "row-wider-than-a-block", "rows-past-a-block"],
+)
+@pytest.mark.parametrize("shared", [True, False], ids=["one-column", "per-key"])
+def test_keyed_counts_add_the_thresholds_each_key_reaches(n_states, n_keys, shared):
+    states = seeding.combine_seeds(np.arange(n_states), (9,))
+    keys = seeding.zigzag_vec(np.arange(n_keys) - n_keys // 2)
+    rng = np.random.default_rng(4)
+    levels = np.sort(rng.integers(0, 2**53, (5, 1 if shared else n_keys), dtype=np.uint64), axis=0)
+    out = np.full((n_states, n_keys), 3, dtype=np.int16)
+    seeding._keyed_counts(states, keys + np.uint64(seeding._GOLDEN), levels, out)
+    assert np.array_equal(out, 3 + _ref_counts(states, keys, levels))
+
+
+def test_keyed_symbols_with_no_cells_or_no_rows():
+    levels_at = lambda a, b: np.zeros((1, 1), dtype=np.uint64)  # noqa: E731
+    states = seeding.combine_seeds(np.arange(3), (9,))
+    assert seeding.keyed_symbols(states, 5, 0, levels_at).shape == (3, 0)
+    assert seeding.keyed_symbols(states[:0], 5, 4, levels_at).shape == (0, 4)
