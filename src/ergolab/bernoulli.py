@@ -27,13 +27,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import pairwise, product
+from itertools import pairwise
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import NonSingularError, ToleranceError
-from .seeding import GRID_BLOCK, spawn, spawn_vec, thresholds
+from .seeding import GRID_BLOCK, TAG_SYMBOL, combine_seeds, spawn, spawn_vec, thresholds
 from .shift_core import (
     RANGE_CAP,
     Alphabet,
@@ -41,6 +41,7 @@ from .shift_core import (
     Cylinder,
     LazyTail,
     LevelsAt,
+    PointRows,
     periodic_levels,
     rule_levels,
     window_levels,
@@ -120,6 +121,11 @@ class SiteMeasure:
         return SiteFloats(tuple(math.log(p) for p in probs), tuple(levels))
 
 
+def _column(levels: tuple[int, ...]) -> np.ndarray:
+    """Sampling thresholds as the (levels, 1) column that keyed draws count."""
+    return np.array(levels, dtype=np.uint64)[:, None]
+
+
 class SiteFloats(NamedTuple):
     """The float data of a site that the cocycles and the sampler read: the
     log of each probability and the sampling thresholds
@@ -193,6 +199,11 @@ class BernoulliFamily:
     def run_configuration(self, master_seed: int, run: int) -> Configuration:
         return self.configuration(spawn(master_seed, run))
 
+    def rows(self, seeds: np.ndarray) -> PointRows:
+        """``configuration(seeds[r])`` for every row r, as one batch."""
+        levels_of = lambda p: _column(self.site_floats(p[0]).levels)  # noqa: E731
+        return PointRows(combine_seeds(seeds, (TAG_SYMBOL,)), np.zeros((len(seeds), 1), np.int64), levels_of)
+
     def run_grid(self, master_seed: int, n_runs: int, lo: int, hi: int) -> np.ndarray:
         """(n_runs, hi - lo + 1) symbols; row r is
         ``run_configuration(master_seed, r).block(lo, hi)``."""
@@ -225,6 +236,13 @@ class CompactFamily(BernoulliFamily):
     def log_derivative(self, x: Configuration, n: int, tol: float) -> LogValue:
         log_x = _window_log_ratio(self.base, self.window, x.symbol, lambda i: i + n)
         return LogValue(log_x, 0.0)
+
+    def cocycle_hull(self, shifts: np.ndarray, tol: float) -> tuple[int, int]:
+        """The hull of what ``log_derivative`` reads at the shifts +-v, v in
+        ``shifts`` (nonnegative): the window and its translates."""
+        if not self.window or not len(shifts):
+            return 0, -1
+        return min(self.window) - int(shifts.max()), max(self.window) + int(shifts.max())
 
     def uniformity_fraction(self) -> Fraction:
         """Exact sup_k max/min site probability ratio."""
@@ -333,15 +351,24 @@ class SummableFamily(BernoulliFamily):
         """The least k with c r^k <= 2^-55, from which on every site's float
         record is the fair coin's (``_summable_floats``), so that a block
         reaching far out costs no big-int power per coordinate; infinite
-        when its float estimate lies past ``RANGE_CAP``."""
+        when its float estimate lies past ``RANGE_CAP``.  Each step takes the
+        sign of k log(q/p) - log(2^55 a/b) from floats, within a bound on
+        their error, and from the powers p^k, q^k only when that cannot tell."""
         a, b, p, q = self.cr
         k = math.ceil((math.log(a) - math.log(b) + 55 * math.log(2)) / -math.log(self._rf))
         if k > RANGE_CAP:
             return math.inf
+        # log1p keeps log(q/p) accurate as r -> 1; each log is within a few ulps
+        la, lb, step = math.log(a), math.log(b), math.log1p((q - p) / p)
+
+        def fair(k: int) -> bool:
+            v, err = k * step - 55 * math.log(2) - la + lb, 2.0**-46 * (k * step + abs(la) + abs(lb) + 40)
+            return v > err or (v >= -err and (a * p**k) << 55 <= b * q**k)
+
         k = max(k, 0)
-        while k > 0 and (a * p ** (k - 1)) << 55 <= b * q ** (k - 1):
+        while k > 0 and fair(k - 1):
             k -= 1
-        while (a * p**k) << 55 > b * q**k:
+        while not fair(k):
             k += 1
         return k
 
@@ -385,17 +412,53 @@ class SummableFamily(BernoulliFamily):
         reach, words = min(horizon, self._fair_from), -(-self.cr[3].bit_length() // 64)
         return "(min(horizon, fair cutoff) + 1)^2 x denominator words", (reach + 1) ** 2 * words
 
-    def log_derivative(self, x: Configuration, n: int, tol: float) -> LogValue:
-        radius = max(abs(n) + 1, 8)
-        while self.tail(radius - abs(n)) + self.tail(radius) > tol:
+    @lru_cache(maxsize=_SUMMABLE_CACHE)
+    def _radius(self, n: int, tol: float) -> int:
+        """The radius ``log_derivative`` sums over at a shift of size n > 0,
+        searched once for each (family, n, tol)."""
+        radius = max(n + 1, 8)
+        while self.tail(radius - n) + self.tail(radius) > tol:
             radius *= 2
             if radius > RANGE_CAP:
                 raise ToleranceError(f"tolerance {tol} unachievable within cap")
-        total = 0.0
-        symbols = x.block(-radius, radius).tolist()
-        for k, s in zip(range(-radius, radius + 1), symbols):
-            total += self.site_floats(k - n).logs[s - 1] - self.site_floats(k).logs[s - 1]
-        return LogValue(total, self.tail(radius - abs(n)) + self.tail(radius))
+        return radius
+
+    def cocycle_hull(self, shifts: np.ndarray, tol: float) -> tuple[int, int]:
+        """As ``CompactFamily.cocycle_hull``; the radii are searched in order,
+        so the first shift out of reach raises ``ToleranceError``."""
+        reach = max((self._radius(v, tol) for v in shifts.tolist() if v), default=0)
+        return -reach, reach
+
+    def log_derivative(self, x: Configuration, n, tol: float) -> LogValue:
+        """The sum over k in [-R, R] of the log ratio of site k - n to site k
+        at x_k, for the radius R that ``tol`` needs at |n|.  ``n`` is one
+        shift for every row of x, or one per row of a batch ``x``, whose rows
+        are read in groups that share R, about ``GRID_BLOCK`` cells at once."""
+        if np.ndim(n) == 0:
+            radius = self._radius(abs(n), tol)
+            return LogValue(self._window_sum(x, n, radius), self.tail(radius - abs(n)) + self.tail(radius))
+        sizes = np.abs(n).tolist()
+        radius = {v: self._radius(v, tol) for v in dict.fromkeys(sizes)}
+        err = {v: self.tail(r - v) + self.tail(r) for v, r in radius.items()}
+        radii, total = np.array([radius[v] for v in sizes]), np.empty(len(n))
+        for r in set(radius.values()):
+            rows = np.flatnonzero(radii == r)
+            step = max(1, GRID_BLOCK // (2 * r + 1))
+            for at in np.array_split(rows, range(step, len(rows), step)):
+                total[at] = self._window_sum(x.take(at), n[at, None], r)
+        return LogValue(total, np.array([err[v] for v in sizes]))
+
+    def _window_sum(self, x, n, radius: int):
+        """``log_derivative`` at n (or a column of shifts) over [-radius,
+        radius]: the scalar loop's terms, added one at a time from 0.0 in k
+        order by ``np.cumsum``; + 0.0 turns the -0.0 it leaves when every
+        term is -0.0 into the loop's +0.0."""
+        ks = np.arange(-radius, radius + 1)
+        lo, hi = -radius - max(int(np.max(n)), 0), radius - min(int(np.min(n)), 0)
+        logs = np.array([self.site_floats(j).logs for j in range(lo, hi + 1)])
+        s = x.block(-radius, radius) - 1
+        terms = logs[ks - n - lo, s] - logs[ks - lo, s]
+        return np.cumsum(terms, axis=-1)[..., -1] + 0.0
 
     def uniformity(self, horizon: int) -> UniformityBound:
         """The supremum of the site ratios over |k| <= horizon, flagged
@@ -513,13 +576,15 @@ def rn_derivative(
 def _window_log_ratio(base: SiteMeasure, window: Mapping, symbol, moved) -> float:
     """log of the density of a translated base + window family at x: the sum
     over perturbed sites i of log(m_i / base) at x_{moved(i)} minus the same
-    at x_i, read through ``symbol``."""
-    base_logs = base.floats.logs
+    at x_i, read through ``symbol`` (one symbol, or one array per row of a
+    batch), added site by site in window order, so that each entry of a
+    batch's sums equals the single point's sum bit for bit."""
+    base_logs = np.array(base.floats.logs)
     total = 0.0
     for i, m in window.items():
-        logs, there, here = m.floats.logs, symbol(moved(i)) - 1, symbol(i) - 1
-        total += logs[there] - base_logs[there]
-        total -= logs[here] - base_logs[here]
+        table = np.array(m.floats.logs) - base_logs
+        total += table[symbol(moved(i)) - 1]
+        total -= table[symbol(i) - 1]
     return total
 
 
@@ -545,22 +610,50 @@ def _window_log_ratios(base: SiteFloats, window: Mapping, here: Callable) -> Cal
     return add
 
 
-def cocycle_gap(
-    family: BernoulliFamily,
-    x: Configuration,
-    n: int,
-    m: int,
-    tol: float = 1e-12,
-) -> float:
-    """Chain-rule defect |log (T^{n+m})'(x) - log (T^n)'(T^m x) - log (T^m)'(x)|.
-
-    Each of the three terms is within ``tol`` of its limit, so the chain rule
-    holds when the defect is at most ``3 * tol + LOG_SLACK``.
+def cocycle_gaps(
+    family: BernoulliFamily, seeds: np.ndarray, n: np.ndarray, m: np.ndarray, tol: float = 1e-12
+) -> np.ndarray:
+    """Chain-rule defect |log (T^{n+m})'(x) - log (T^n)'(T^m x) - log (T^m)'(x)|
+    of x = ``family.configuration(seeds[r])`` at (n[r], m[r]), for every r,
+    each equal to the one the scalar ``rn_derivative`` calls give, bit for
+    bit, raising what they raise first, case by case.  The chain rule holds
+    when the defect is at most ``3 * tol + LOG_SLACK``.
     """
-    total = rn_derivative(family, x, n + m, tol)
-    first = rn_derivative(family, x.shifted(m), n, tol)
-    second = rn_derivative(family, x, m, tol)
-    return abs(total.log_magnitude - first.log_magnitude - second.log_magnitude)
+    # the shifts in the scalar order, checked before any key is formed
+    shifts = np.stack([n + m, n, m], axis=1).reshape(-1)
+    _check_shifts(family, shifts, tol)
+    shifts = shifts.astype(np.int64)
+    # as in rn_derivative, a zero shift gives 0.0 and reads nothing
+    moved = np.flatnonzero(shifts)
+
+    def logs(views: PointRows) -> np.ndarray:
+        out = np.zeros(len(shifts))
+        if len(moved):
+            out[moved] = family.log_derivative(views.take(moved), shifts[moved], tol).log_magnitude
+        return out
+
+    return _chain_gaps(family.rows(seeds), shifts[2::3], logs)
+
+
+def _chain_gaps(rows: PointRows, moves: np.ndarray, logs: Callable) -> np.ndarray:
+    """|d[3c] - d[3c + 1] - d[3c + 2]| per case c, for d = ``logs`` of a
+    batch of three views a case: its point, the point read moved by
+    ``moves[c]``, and the point again."""
+    zero = np.zeros_like(moves)
+    views = rows.take(np.repeat(np.arange(len(moves)), 3)).moved(np.stack([zero, moves, zero], axis=1))
+    d = np.broadcast_to(logs(views), 3 * len(moves)).reshape(-1, 3)
+    return np.abs(d[:, 0] - d[:, 1] - d[:, 2])
+
+
+def _check_shifts(family: BernoulliFamily, shifts: np.ndarray, tol: float) -> None:
+    """Raise what scalar ``rn_derivative`` calls at the shifts, in order, raise
+    first: the certificate, then per shift the cap or the tolerance."""
+    family.require_nonsingular()
+    sizes = list(dict.fromkeys(np.abs(shifts).tolist()))  # in the order of first use
+    stop = next((i for i, v in enumerate(sizes) if v > RANGE_CAP), len(sizes))
+    family.cocycle_hull(np.array(sizes[:stop], dtype=np.int64), tol)
+    if stop < len(sizes):
+        raise ValueError(f"|n| exceeds cap {RANGE_CAP}")
 
 
 def _cocycle_window(family: BernoulliFamily, tol: float) -> tuple[dict[int, SiteFloats], float]:
@@ -726,7 +819,16 @@ def homoclinic_ratio_bound_check(
     """
     rx = rn_derivative(family, x, n, tol)
     ry = rn_derivative(family, y, n, tol)
-    return _ratio_check(rx, ry, _homoclinic_bounds(family, radius, n))
+    ratio_log = rx.log_magnitude - ry.log_magnitude
+    slack = rx.error_bound + ry.error_bound + LOG_SLACK
+    product_bound, uniform_bound = _homoclinic_bounds(family, radius, n)
+    return RatioBoundCheck(
+        ratio_log=ratio_log,
+        product_bound_log=product_bound,
+        uniform_bound_log=uniform_bound,
+        within_product=abs(ratio_log) <= product_bound + slack,
+        within_uniform=abs(ratio_log) <= uniform_bound + slack,
+    )
 
 
 def homoclinic_scan(
@@ -734,19 +836,51 @@ def homoclinic_scan(
 ) -> tuple[int, int]:
     """(pairs checked, violations) of ``homoclinic_ratio_bound_check`` over
     x and every y that rewires x on [-r, r], for r <= radius_max and
-    |n| <= n_max.  The pairs are taken radius by radius and n by n, so x's
-    cocycle and the two bounds, which no word changes, are computed once
-    per (r, n)."""
-    checked = violations = 0
-    for radius in range(radius_max + 1):
-        for n in range(-n_max, n_max + 1):
-            rx = rn_derivative(family, x, n, tol)
-            bounds = _homoclinic_bounds(family, radius, n)
-            for word in product(family.alphabet.symbols, repeat=2 * radius + 1):
-                y = x.rewired(Cylinder(-radius, radius, word))
-                checked += 1
-                violations += not _ratio_check(rx, rn_derivative(family, y, n, tol), bounds).ok
+    |n| <= n_max.  The shifts are taken ``GRID_BLOCK`` at a time: x's cocycle
+    at each, as the pair check takes it, then one block of x that covers
+    what every y reads at them.  The words of a radius are rows of a batch
+    over that block, checked n by n with the pair check's float comparisons."""
+    size, checked, violations = family.alphabet.size, 0, 0
+    if radius_max < 0:
+        return checked, violations  # no pairs, so nothing is read or raised
+    for n0 in range(-n_max, n_max + 1, GRID_BLOCK):
+        ns = range(n0, min(n0 + GRID_BLOCK, n_max + 1))
+        # in the pairs' order, so the first bad shift raises before x's block is read
+        rx = [rn_derivative(family, x, n, tol) for n in ns]
+        lo, hi = family.cocycle_hull(np.abs(np.array(ns)), tol)
+        cells = x.block(lo, hi)
+        # a block of words holds at most GRID_BLOCK symbols of x's block
+        step = max(1, GRID_BLOCK // max(hi - lo + 1, 1))
+        for radius in range(radius_max + 1):
+            words = size ** (2 * radius + 1)
+            bounds = [_homoclinic_bounds(family, radius, n) for n in ns]
+            for w0 in range(0, words, step):
+                # word w rewires x on [-r, r] to its base-|A| digits, the first
+                # coordinate the most significant; only the block is ever read
+                w = np.arange(w0, min(w0 + step, words))
+                y = _Rows(np.repeat(cells[None], len(w), axis=0), lo)
+                for i in range(max(-radius, lo), min(radius, hi) + 1):
+                    y.cells[:, i - lo] = 1 + w // size ** (radius - i) % size
+                for n, (log_x, err_x), (product, uniform) in zip(ns, rx, bounds):
+                    ry = family.log_derivative(y, n, tol) if n else LogValue(0.0, 0.0)
+                    ratio, slack = abs(log_x - ry.log_magnitude), err_x + ry.error_bound + LOG_SLACK
+                    ok = (ratio <= product + slack) & (ratio <= uniform + slack)
+                    violations += int(np.count_nonzero(~np.broadcast_to(ok, w.shape)))
+                checked += len(w) * len(ns)
     return checked, violations
+
+
+class _Rows:
+    """One point per row of ``cells``, reading coordinate i at column i - lo."""
+
+    def __init__(self, cells: np.ndarray, lo: int) -> None:
+        self.cells, self.lo = cells, lo
+
+    def symbol(self, i) -> np.ndarray:
+        return self.cells[:, i - self.lo]
+
+    def block(self, a: int, b: int) -> np.ndarray:
+        return self.cells[:, a - self.lo : b - self.lo + 1]
 
 
 def _homoclinic_bounds(family: BernoulliFamily, radius: int, n: int) -> tuple[float, float]:
@@ -756,19 +890,6 @@ def _homoclinic_bounds(family: BernoulliFamily, radius: int, n: int) -> tuple[fl
         product_bound += family.site(k).log_ratio + family.site(k - n).log_ratio
     L = uniformity_constant(family, horizon=radius + abs(n)).value
     return product_bound, 2.0 * (2 * radius + 1) * math.log(L)
-
-
-def _ratio_check(rx: LogValue, ry: LogValue, bounds: tuple[float, float]) -> RatioBoundCheck:
-    ratio_log = rx.log_magnitude - ry.log_magnitude
-    slack = rx.error_bound + ry.error_bound + LOG_SLACK
-    product_bound, uniform_bound = bounds
-    return RatioBoundCheck(
-        ratio_log=ratio_log,
-        product_bound_log=product_bound,
-        uniform_bound_log=uniform_bound,
-        within_product=abs(ratio_log) <= product_bound + slack,
-        within_uniform=abs(ratio_log) <= uniform_bound + slack,
-    )
 
 
 # ---------------------------------------------------------------------------

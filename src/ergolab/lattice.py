@@ -26,6 +26,8 @@ from .bernoulli import (
     KakutaniResult,
     LogValue,
     SiteMeasure,
+    _chain_gaps,
+    _column,
     _periodic_kakutani,
     _window_kakutani,
     _window_log_ratio,
@@ -34,16 +36,16 @@ from .bernoulli import (
 )
 from .errors import NonSingularError
 from .seeding import (
-    GRID_BLOCK,
     TAG_LATTICE,
     combine,
+    combine_seeds,
     fold,
     keyed_symbols,
     spawn,
     zigzag,
     zigzag_vec,
 )
-from .shift_core import RANGE_CAP, Alphabet, LevelsAt, periodic_levels
+from .shift_core import RANGE_CAP, Alphabet, LevelsAt, PointRows, periodic_levels
 
 
 def _as_vec(g) -> tuple[int, ...]:
@@ -86,6 +88,14 @@ class LatticeFamily:
     def run_configuration(self, master_seed: int, run: int) -> "LatticeConfiguration":
         return self.configuration(spawn(master_seed, run))
 
+    def rows(self, seeds: np.ndarray) -> PointRows:
+        """``configuration(seeds[r])`` for every row r, as one batch."""
+        offsets = np.zeros((len(seeds), self.dimension), dtype=np.int64)
+        return PointRows(combine_seeds(seeds, (TAG_LATTICE,)), offsets, self.levels_of)
+
+    def levels_of(self, g: tuple[int, ...]) -> np.ndarray:
+        return _column(self.site(g).floats.levels)
+
 
 class LatticeCompact(LatticeFamily):
     """Base measure outside finitely many perturbed lattice sites; an empty
@@ -119,8 +129,8 @@ class LatticeCompact(LatticeFamily):
             horizon,
         )
 
-    def log_derivative(self, x: "LatticeConfiguration", g: tuple[int, ...]) -> LogValue:
-        log_x = _window_log_ratio(self.base, self.window, x.symbol, lambda i: _plus(i, g, -1))
+    def log_derivative(self, x: "LatticeConfiguration", g) -> LogValue:
+        log_x = _window_log_ratio(self.base, self.window, x.symbol, lambda i: np.subtract(i, g))
         return LogValue(log_x, 0.0)
 
     @cached_property
@@ -134,8 +144,16 @@ class LatticeCompact(LatticeFamily):
         add = _window_log_ratios(self.base.floats, window, x.symbol)
         return np.exp(add(np.zeros(shape), read))
 
+    def levels_of(self, g: tuple[int, ...]) -> np.ndarray:
+        return self._columns.get(g, self._columns[None])
+
+    @cached_property
+    def _columns(self) -> dict:
+        """The thresholds column of each window site, and the base's at None."""
+        return {g: _column(m.floats.levels) for g, m in {None: self.base, **self.window}.items()}
+
     def box_symbols(self, states: np.ndarray, axes: list[np.ndarray]) -> np.ndarray:
-        base = np.array(self.base.floats.levels, dtype=np.uint64)[:, None]
+        base = self._columns[None]
         out = keyed_symbols(states, int(axes[-1][0]), len(axes[-1]), lambda a, b: base)
         for g, m in self.window.items():
             idx = [v - int(a[0]) for v, a in zip(g, axes)]
@@ -143,8 +161,7 @@ class LatticeCompact(LatticeFamily):
                 row = 0
                 for i, a in zip(idx[:-1], axes):
                     row = row * len(a) + i
-                site = np.array(m.floats.levels, dtype=np.uint64)[:, None]
-                drawn = keyed_symbols(states[row : row + 1], g[-1], 1, lambda a, b: site)
+                drawn = keyed_symbols(states[row : row + 1], g[-1], 1, lambda a, b: self._columns[g])
                 out[row, idx[-1]] = drawn[0, 0]
         return out
 
@@ -183,8 +200,15 @@ class LatticePeriodic(LatticeFamily):
             return KakutaniResult(0.0, CONVERGENT, 0.0)
         return _periodic_kakutani(terms, self.period, horizon)
 
-    def log_derivative(self, x: "LatticeConfiguration", g: tuple[int, ...]) -> LogValue:
-        if not self.preserved_by(g):
+    def log_derivative(self, x: "LatticeConfiguration", g) -> LogValue:
+        """0.0 if every translation in ``g`` (one vector, or one per row)
+        preserves the family; else the first that does not is refused."""
+        vectors = np.reshape(g, (-1, self.dimension))
+        preserved = np.array([self.preserved_by(r) for r in _box_residues(self.period)])
+        residues = (vectors % self.period).astype(np.int64)
+        bad = np.flatnonzero(~preserved[np.ravel_multi_index(tuple(residues.T), self.period)])
+        if len(bad):
+            g = tuple(vectors[bad[0]].tolist())
             raise NonSingularError(f"periodic lattice family is singular under translation by {g}")
         return LogValue(0.0, 0.0)
 
@@ -245,35 +269,23 @@ def _box_residues(period: tuple[int, ...]) -> Iterable[tuple[int, ...]]:
 
 
 class LatticeConfiguration:
-    """Lazy point of the lattice shift space; pure in (seed, coordinates).
+    """Lazy point of the lattice shift space; pure in (seed, coordinates)."""
 
-    Scalar reads are kept in ``reads``, keyed by absolute coordinate and
-    shared with every translate, so that each is drawn once per point; as
-    for ``LazyTail``, at most ``GRID_BLOCK`` reads are kept."""
-
-    __slots__ = ("family", "seed", "offset", "reads")
+    __slots__ = ("family", "seed", "offset")
 
     def __init__(self, family: LatticeFamily, seed: int, offset=None) -> None:
         self.family = family
         self.seed = seed
         self.offset = _as_vec(offset) if offset is not None else (0,) * family.dimension
-        self.reads: dict[tuple[int, ...], int] = {}
 
     def translated(self, g) -> "LatticeConfiguration":
         """T_g of this point: reads h as we read h - g."""
-        out = LatticeConfiguration(self.family, self.seed, _plus(self.offset, _as_vec(g), -1))
-        out.reads = self.reads
-        return out
+        return LatticeConfiguration(self.family, self.seed, _plus(self.offset, _as_vec(g), -1))
 
     def symbol(self, g) -> int:
         vec = tuple(map(add, map(int, g), self.offset))
-        s = self.reads.get(vec)
-        if s is None:
-            key = combine(self.seed, TAG_LATTICE, *map(zigzag, vec))
-            s = 1 + bisect_right(self.family.site(vec).floats.levels, key >> 11)
-            if len(self.reads) < GRID_BLOCK:
-                self.reads[vec] = s
-        return s
+        key = combine(self.seed, TAG_LATTICE, *map(zigzag, vec))
+        return 1 + bisect_right(self.family.site(vec).floats.levels, key >> 11)
 
     def box(self, radius: int, margins=None) -> np.ndarray:
         """Symbols on the product of ranges [-radius - m_i, radius + m_i].
@@ -322,6 +334,20 @@ def rn_derivative_g(family: LatticeFamily, x: LatticeConfiguration, g) -> LogVal
     product over perturbed sites i of mu_i(x_{i-g}) / mu_i(x_i) paired against
     the base."""
     return family.log_derivative(x, _as_vec(g))
+
+
+def cocycle_gaps(family: LatticeFamily, seeds: np.ndarray, g: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Chain-rule defect |log (T_{g+h})'(x) - log (T_g)'(T_h x) - log (T_h)'(x)|
+    of x = ``family.configuration(seeds[r])`` at (g[r], h[r]), for every r,
+    each equal to the scalar ``rn_derivative_g`` calls' bit for bit.  A
+    component past the cap is refused first, so no key aliases."""
+    vectors = np.stack([g + h, g, h], axis=1)
+    if (np.abs(vectors) > RANGE_CAP).any():
+        raise ValueError(f"|g| exceeds cap {RANGE_CAP}")
+    vectors = vectors.astype(np.int64).reshape(-1, family.dimension)
+    return _chain_gaps(
+        family.rows(seeds), -vectors[2::3], lambda x: family.log_derivative(x, vectors).log_magnitude
+    )
 
 
 def _atom_coords(atom: Mapping[object, int]) -> dict[tuple[int, ...], int]:

@@ -24,7 +24,7 @@ from . import __version__, averages, bernoulli as bn, lattice as lt, markov_sft 
 from . import poisson as ps
 from .errors import ConfigError
 from .reporting import jsonable, series_rows
-from .seeding import spawn, uniform01
+from .seeding import GRID_BLOCK, spawn, spawn_vec, uniform01, uniform01_nd, uniform01_vec
 from .shift_core import RANGE_CAP, Cylinder
 
 _INTEGER = re.compile(r"-?\d+")
@@ -267,15 +267,33 @@ def _rn_derivative(family, seed, n):
 
 
 def _cocycle_fuzz(family, seed, cases, span, tol):
-    worst = 0.0
-    ok = True
-    for case in range(cases):
-        x = family.configuration(spawn(seed, case))
-        n = int(uniform01(seed, 1, case) * (2 * span + 1)) - span
-        m = int(uniform01(seed, 2, case) * (2 * span + 1)) - span
-        gap = bn.cocycle_gap(family, x, n, m, tol)
-        worst = max(worst, gap)
-        ok = ok and gap <= 3 * tol + bn.LOG_SLACK
+    def gaps(case):
+        n, m = (_draw(uniform01_vec(seed, (tag,), case), span) for tag in (1, 2))
+        return bn.cocycle_gaps(family, spawn_vec(seed, case), n, m, tol)
+
+    return _fuzz(cases, gaps, 3 * tol + bn.LOG_SLACK)
+
+
+def _draw(u: np.ndarray, span: int) -> np.ndarray:
+    """int(u * (2 span + 1)) - span per uniform u, as the scalar draws make
+    it: in int64 while the products are exact, else in Python ints, which
+    the fuzzes refuse past the cap before they key anything."""
+    t = u * float(2 * span + 1)
+    if span < 2**52:
+        return t.astype(np.int64) - span
+    return np.array([int(v) - span for v in t.flat], dtype=object).reshape(t.shape)
+
+
+def _fuzz(cases: int, gaps: Callable, bound: float) -> dict:
+    """A cocycle fuzz report from ``gaps(case indices)`` over blocks of
+    ``GRID_BLOCK // 8`` cases: the running max, and whether every gap is
+    within bound.  A case is three batch rows, each read a window site at a
+    time or, when summable, in chunks of about ``GRID_BLOCK`` cells."""
+    worst, ok = 0.0, True
+    for c0 in range(0, cases, GRID_BLOCK // 8):
+        gap = gaps(np.arange(c0, min(c0 + GRID_BLOCK // 8, cases)))
+        worst = max(worst, float(np.max(gap)))
+        ok = ok and bool(np.all(gap <= bound))
     return {"cases": cases, "max_gap": worst, "all_ok": ok}
 
 
@@ -448,24 +466,13 @@ def _zd_kakutani(family, seed, axis, horizon):
 
 
 def _zd_cocycle_fuzz(family, seed, cases, span):
-    worst = 0.0
-    d = family.dimension
-    for case in range(cases):
-        x = family.run_configuration(seed, case)
-        g = tuple(
-            int(uniform01(seed, 6, case, i) * (2 * span + 1)) - span for i in range(d)
-        )
-        h = tuple(
-            int(uniform01(seed, 7, case, i) * (2 * span + 1)) - span for i in range(d)
-        )
-        total = lt.rn_derivative_g(family, x, tuple(a + b for a, b in zip(g, h)))
-        first = lt.rn_derivative_g(family, x.translated(h), g)
-        second = lt.rn_derivative_g(family, x, h)
-        worst = max(
-            worst,
-            abs(total.log_magnitude - first.log_magnitude - second.log_magnitude),
-        )
-    return {"cases": cases, "max_gap": worst, "all_ok": worst <= bn.LOG_SLACK}
+    axes = np.arange(family.dimension)
+
+    def gaps(case):
+        g, h = (_draw(uniform01_nd(seed, (tag,), [case[:, None], axes]), span) for tag in (6, 7))
+        return lt.cocycle_gaps(family, spawn_vec(seed, case), g, h)
+
+    return _fuzz(cases, gaps, bn.LOG_SLACK)
 
 
 def _box_average(family, seed, f, n_max):
@@ -587,7 +594,7 @@ _HANDLERS: dict[str, dict[str, tuple[dict, Callable, Callable]]] = {
     "rn_derivative": _on("bernoulli", _rn_derivative, n=(parse_int, ...)),
     "cocycle_fuzz": _on(
         "bernoulli", _cocycle_fuzz, _CASES,
-        cases=(_at_least(1, "cases"), 1000), span=(parse_int, 8),
+        cases=(_at_least(1, "cases"), 1000), span=(_at_least(0, "span"), 8),
         tol=(_float, "0.000000000001"),
     ),
     "homoclinic_scan": _on(
@@ -677,7 +684,8 @@ _HANDLERS: dict[str, dict[str, tuple[dict, Callable, Callable]]] = {
         "zd", _zd_kakutani, axis=(parse_int, 0), horizon=(_at_least(1, "horizon"), 64)
     ),
     "zd_cocycle_fuzz": _on(
-        "zd", _zd_cocycle_fuzz, _CASES, cases=(_at_least(1, "cases"), 200), span=(parse_int, 4)
+        "zd", _zd_cocycle_fuzz, _CASES,
+        cases=(_at_least(1, "cases"), 200), span=(_at_least(0, "span"), 4),
     ),
     "box_ratio_average": _on(
         "zd", _box_average,

@@ -179,7 +179,7 @@ def spawn_vec(seed: int, indices: np.ndarray) -> np.ndarray:
 
 
 def uniform01_nd(seed: int, parts: tuple[int, ...], key_arrays) -> np.ndarray:
-    """Uniforms over same-shape key arrays folded in sequence.
+    """Uniforms over key arrays folded in sequence, broadcast together.
 
     Entry [idx] equals uniform01(seed, *parts, k1[idx], k2[idx], ...); keys
     must already be nonnegative.
@@ -207,14 +207,16 @@ def _keyed_counts(
     states: np.ndarray, salted: np.ndarray, levels: np.ndarray, out: np.ndarray
 ) -> None:
     """Add to ``out[r, j]`` the number of rows l of ``levels`` with
-    levels[l, j] <= key >> 11, the key's top 53 bits, for the key
+    levels[l, ..., j] <= key >> 11, the key's top 53 bits, for the key
     ``fold(states[r], k_j)``; ``levels`` is (levels, len(salted)), or one
     (levels, 1) column shared by every key.  ``salted[j]`` is k_j + _GOLDEN,
-    the half of ``fold`` that depends on the key only.  Rows are keyed,
-    mixed and counted a cache-sized block at a time through reused buffers;
-    a cell depends on its own key only, so blocking cannot change a bit.
+    the half of ``fold`` that depends on the key only.  With one key per
+    cell, ``salted`` is (rows, width) and ``levels`` (levels, rows, width).
+    Rows are keyed, mixed and counted a cache-sized block at a time through
+    reused buffers; a cell depends on its own key only, so blocking cannot
+    change a bit.
     """
-    width = len(salted)
+    width = out.shape[1]
     rows = max(1, GRID_BLOCK // max(width, 1))
     z = np.empty(min(rows, len(states)) * width, dtype=np.uint64)
     scratch = np.empty(min(z.size, GRID_BLOCK), dtype=np.uint64)
@@ -222,11 +224,11 @@ def _keyed_counts(
     for r0 in range(0, len(states), rows):
         block = states[r0 : r0 + rows]
         zb = z[: len(block) * width].reshape(len(block), width)
-        np.add(block[:, None], salted, out=zb)
+        np.add(block[:, None], salted[r0 : r0 + rows] if salted.ndim == 2 else salted, out=zb)
         _mix(zb, scratch)
         zb >>= np.uint64(11)
         hb, ob = hit[: zb.size].reshape(zb.shape), out[r0 : r0 + rows]
-        for level in levels:
+        for level in levels[:, r0 : r0 + rows] if levels.ndim == 3 else levels:
             ob += np.greater_equal(zb, level, out=hb)
 
 
@@ -263,3 +265,31 @@ def keyed_symbols(
         salted += np.uint64(_GOLDEN)
         _keyed_counts(states, salted, levels_at(lo + c0, b), out[:, c0 : c0 + b])
     return out
+
+
+def keyed_gather(
+    states: np.ndarray, coords: np.ndarray, levels_of: Callable[[tuple], np.ndarray]
+) -> np.ndarray:
+    """(rows, k) int16 symbols at per-row points: ``coords`` is (rows, k, d)
+    int64, and entry [r, j] is drawn from the key that extends ``states[r]``
+    by the zigzag of each component of the point coords[r, j] in turn,
+    against ``levels_of(point)``, its (levels, 1) thresholds, taken once per
+    distinct point; one ``_keyed_counts`` with a key and a thresholds column
+    per cell counts them all, so the cost is O(rows x k) whatever the points.
+    """
+    rows, k, d = coords.shape
+    keys = zigzag_vec(coords)
+    cells = np.broadcast_to(states[:, None], (rows, k))
+    for axis in range(d - 1):
+        cells = fold(cells, keys[..., axis])
+    # distinct points by a lexicographic sort: np.unique(axis=0) is far slower
+    points = coords.reshape(-1, d)
+    order = np.lexsort(points.T)
+    new = np.r_[True, (np.diff(points[order], axis=0) != 0).any(axis=1)]
+    which = np.empty(len(order), dtype=np.intp)
+    which[order] = np.cumsum(new) - 1
+    table = np.concatenate([levels_of(tuple(p)) for p in points[order[new]].tolist()], axis=1)
+    out = np.ones((rows * k, 1), dtype=np.int16)
+    salted = keys[..., -1].reshape(-1, 1) + np.uint64(_GOLDEN)
+    _keyed_counts(cells.reshape(-1), salted, table[:, which, None], out)
+    return out.reshape(rows, k)

@@ -20,6 +20,7 @@ from .seeding import (
     TAG_SYMBOL,
     combine,
     combine_seeds,
+    keyed_gather,
     keyed_symbols,
     thresholds,
     uniform01,
@@ -117,19 +118,13 @@ class LazyTail:
     of thresholds at or below the top 53 bits of the key (seed, k).  Scalar
     reads and ``keyed_symbols`` blocks count the same thresholds, so the two
     agree bit for bit and never depend on access order.
-
-    Scalar reads are kept in ``reads``, keyed by coordinate, so that each
-    is drawn once; a draw is a pure function of (seed, k), so a kept read
-    is the read itself.  Once ``GRID_BLOCK`` reads are kept, further ones
-    are drawn each time.
     """
 
-    __slots__ = ("seed", "levels_at", "reads")
+    __slots__ = ("seed", "levels_at")
 
     def __init__(self, seed: int, levels_at: LevelsAt) -> None:
         self.seed = seed
         self.levels_at = levels_at
-        self.reads: dict[int, int] = {}
 
     @classmethod
     def constant(cls, seed: int, probs) -> "LazyTail":
@@ -137,14 +132,9 @@ class LazyTail:
         return cls(seed, window_levels(thresholds(np.cumsum([float(p) for p in probs])), {}))
 
     def symbol(self, i: int) -> int:
-        s = self.reads.get(i)
-        if s is None:
-            # u * 2^53 is the key's top 53 bits, exactly
-            u = uniform01(self.seed, TAG_SYMBOL, zigzag(i))
-            s = 1 + bisect_right(self.levels_at(i, 1).ravel().tolist(), u * 2.0**53)
-            if len(self.reads) < GRID_BLOCK:
-                self.reads[i] = s
-        return s
+        # u * 2^53 is the key's top 53 bits, exactly
+        u = uniform01(self.seed, TAG_SYMBOL, zigzag(i))
+        return 1 + bisect_right(self.levels_at(i, 1).ravel().tolist(), u * 2.0**53)
 
     def block(self, lo: int, hi: int) -> np.ndarray:
         """Symbols on [lo, hi] inclusive, as int16."""
@@ -238,3 +228,35 @@ class Configuration:
         for i in block.coords():
             new[i + self.offset] = block.symbol(i)
         return Configuration(self.tail, new, self.offset)
+
+
+class PointRows:
+    """A batch of lazy points, one per row: row r reads coordinate i (an int
+    on Z, a d-vector on Z^d) where the point with key state ``states[r]``
+    reads i + offsets[r], against the thresholds ``levels_of(coordinate)``.
+    ``symbol`` and ``block`` draw one array per row by one
+    ``seeding.keyed_gather``; ``moved`` and ``take`` are views."""
+
+    __slots__ = ("states", "offsets", "levels_of")
+
+    def __init__(self, states: np.ndarray, offsets: np.ndarray, levels_of: Callable) -> None:
+        self.states, self.offsets, self.levels_of = states, offsets, levels_of
+
+    def moved(self, delta) -> "PointRows":
+        """Each row's offset moved by its entry of ``delta``."""
+        offsets = self.offsets + np.reshape(delta, (len(self.states), -1))
+        return PointRows(self.states, offsets, self.levels_of)
+
+    def take(self, rows) -> "PointRows":
+        return PointRows(self.states[rows], self.offsets[rows], self.levels_of)
+
+    def _read(self, coords: np.ndarray) -> np.ndarray:
+        points = coords.astype(np.int64) + self.offsets[:, None, :]
+        return keyed_gather(self.states, points, self.levels_of)
+
+    def symbol(self, i) -> np.ndarray:
+        """Row r's symbol at i, or at i[r] when i holds one coordinate a row."""
+        return self._read(np.reshape(i, (-1, 1, self.offsets.shape[1])))[:, 0]
+
+    def block(self, lo: int, hi: int) -> np.ndarray:
+        return self._read(np.arange(lo, hi + 1)[None, :, None])

@@ -1,11 +1,12 @@
-"""Scalar reads are drawn once per point and agree with the block kernel.
+"""Scalar reads and batch gathers agree with the block kernel.
 
-``LazyTail.symbol`` and ``LatticeConfiguration.symbol`` keep each read,
-keyed by absolute coordinate and shared by every view of the point
-(``shifted``, ``rewired``, ``translated``); ``seeding.combine`` keeps the
-(seed, first part) head of a key path.  Blocks and boxes go through
-``seeding.keyed_symbols`` and keep nothing, so they are the reference here:
-every memoized read, in any order and repeated, must equal them with ``==``.
+``LazyTail.symbol`` and ``LatticeConfiguration.symbol`` draw one key each,
+through every view of the point (``shifted``, ``rewired``, ``translated``);
+``seeding.combine`` keeps the (seed, first part) head of a key path, and
+``PointRows`` reads rows of points at per-row coordinates through
+``seeding.keyed_gather``.  Blocks and boxes go through
+``seeding.keyed_symbols``, so they are the reference here: every read, in
+any order and repeated, must equal them with ``==``.
 """
 
 import random
@@ -17,7 +18,6 @@ from test_symbol_kernel import compact, periodic
 
 from ergolab import bernoulli as bn
 from ergolab import seeding
-from ergolab.seeding import GRID_BLOCK
 from ergolab.shift_core import Cylinder
 
 F = Fraction
@@ -72,20 +72,32 @@ def views_1d(x):
 
 
 @pytest.mark.parametrize("name", list(FAMILIES))
-def test_memoized_reads_equal_blocks_through_shifted_and_rewired_views(name):
+def test_scalar_reads_equal_blocks_through_shifted_and_rewired_views(name):
     x = FAMILIES[name]().configuration(seeding.spawn(3, 1))
     views = views_1d(x)
     blocks = [v.block(-40, 40) for v in views]
-    assert all(v.tail.reads is x.tail.reads for v in views)
     rng = random.Random(name)
     for _ in range(3000):
         j = rng.randrange(len(views))
         i = rng.randrange(-40, 41)
         assert views[j].symbol(i) == blocks[j][i + 40], (j, i)
-    # every view's reads landed in the one shared record, by absolute coordinate
-    assert x.tail.reads and all(
-        x.tail.reads[a] == x.tail.block(a, a)[0] for a in x.tail.reads
-    )
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_gathered_rows_equal_blocks_at_per_row_offsets(name):
+    family = FAMILIES[name]()
+    seeds = seeding.spawn_vec(3, np.arange(7))
+    offsets = np.array([0, 5, -3, 2**20, -(2**20), 7, 0])
+    rows = family.rows(seeds).moved(offsets)
+    blocks = np.array([family.configuration(int(s)).shifted(int(o)).block(-40, 40)
+                       for s, o in zip(seeds, offsets)])
+    assert np.array_equal(rows.block(-40, 40), blocks)
+    rng = np.random.default_rng(1)
+    at = rng.integers(-40, 41, len(seeds))
+    assert np.array_equal(rows.symbol(at), blocks[np.arange(len(seeds)), at + 40])
+    assert np.array_equal(rows.symbol(-7), blocks[:, 33])
+    picked = rows.take(np.array([4, 1]))
+    assert np.array_equal(picked.block(-40, 40), blocks[[4, 1]])
 
 
 def views_zd(x, d):
@@ -99,11 +111,10 @@ def views_zd(x, d):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("shape", [compact, periodic])
-def test_memoized_reads_equal_boxes_through_translated_views(shape, d):
+def test_scalar_reads_equal_boxes_through_translated_views(shape, d):
     x = shape(d).configuration(29)
     views = views_zd(x, d)
     boxes = [v.box(3) for v in views]
-    assert all(v.reads is x.reads for v in views)
     rng = random.Random(d)
     for _ in range(3000):
         j = rng.randrange(len(views))
@@ -111,28 +122,39 @@ def test_memoized_reads_equal_boxes_through_translated_views(shape, d):
         assert views[j].symbol(g) == boxes[j][tuple(v + 3 for v in g)], (j, g)
 
 
-def test_a_long_scalar_scan_keeps_grid_block_reads_and_matches_the_block():
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("shape", [compact, periodic])
+def test_gathered_lattice_rows_equal_boxes_through_translations(shape, d):
+    family = shape(d)
+    seeds = seeding.spawn_vec(8, np.arange(5))
+    moves = np.array([(5, -7, 2), (0, 0, 0), (-1, 4, 3), (9, 9, -9), (2, 0, 1)])[:, :d]
+    rows = family.rows(seeds).moved(-moves)
+    boxes = [family.configuration(int(s)).translated(tuple(g)).box(3) for s, g in zip(seeds, moves.tolist())]
+    rng = np.random.default_rng(d)
+    for _ in range(20):
+        at = rng.integers(-3, 4, (len(seeds), d))
+        want = [box[tuple(v + 3 for v in g)] for box, g in zip(boxes, at.tolist())]
+        assert rows.symbol(at).tolist() == want
+
+
+def test_a_long_scalar_scan_matches_the_block():
     x = FAMILIES["compact"]().configuration(11)
     lo, hi = -(2**15), 2**15 - 1
     want = x.block(lo, hi).tolist()
     assert [x.symbol(i) for i in range(lo, hi + 1)] == want
-    assert len(x.tail.reads) == GRID_BLOCK
-    # read again backwards through a shift: kept or drawn again, still right
+    # read again backwards through a shift
     y = x.shifted(1)
     assert [y.symbol(i - 1) for i in range(hi, lo - 1, -1)] == want[::-1]
-    assert len(x.tail.reads) == GRID_BLOCK
 
 
 @pytest.mark.parametrize("d, radius", [(2, 128), (3, 20)])
-def test_a_long_lattice_scan_keeps_grid_block_reads_and_matches_the_box(d, radius):
+def test_a_long_lattice_scan_matches_the_box(d, radius):
     x = compact(d).configuration(17)
     box = x.box(radius)
     assert box.size >= 2**16
     for idx in np.ndindex(box.shape):
         assert x.symbol(tuple(i - radius for i in idx)) == box[idx]
-    assert len(x.reads) == GRID_BLOCK
     y = x.translated((1,) * d)
     for idx in np.ndindex(box.shape):
         g = tuple(i - radius for i in idx)
         assert y.symbol(tuple(v + 1 for v in g)) == box[idx]
-    assert len(x.reads) == GRID_BLOCK

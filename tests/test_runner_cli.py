@@ -284,6 +284,22 @@ REJECTED = {
         config_on(ZD, {"name": "zd_cocycle_fuzz", "cases": 10**9}),
         "operation zd_cocycle_fuzz: cases = 1000000000 cells exceeds the cap",
     ),
+    # a negative span drew from a reversed range and reported all_ok
+    "cocycle-fuzz-span-negative": (
+        config_on(BERNOULLI, {"name": "cocycle_fuzz", "span": -3}), "span -3 is below 0"
+    ),
+    "zd-cocycle-fuzz-span-negative": (
+        config_on(ZD, {"name": "zd_cocycle_fuzz", "span": -3}), "span -3 is below 0"
+    ),
+    # a span past the cap keyed coordinates past 2^64, which alias
+    "zd-cocycle-fuzz-span-over-cap": (
+        config_on(ZD, {"name": "zd_cocycle_fuzz", "cases": 3, "span": 2**70}),
+        "invalid input: |g| exceeds cap 16777216",
+    ),
+    "cocycle-fuzz-span-over-cap": (
+        config_on(BERNOULLI, {"name": "cocycle_fuzz", "cases": 3, "span": 2**70}),
+        "invalid input: |n| exceeds cap 16777216",
+    ),
     "mixing-gap-fuzz-points-over-cap": (
         config_on(POISSON, {"name": "mixing_gap_fuzz", "points": 10**9}),
         "operation mixing_gap_fuzz: cases x (1 + points) = 500000000500 cells exceeds the cap",

@@ -150,6 +150,18 @@ def test_keyed_counts_add_the_thresholds_each_key_reaches(n_states, n_keys, shar
     assert np.array_equal(out, 3 + _ref_counts(states, keys, levels))
 
 
+@pytest.mark.parametrize("n_states, n_keys", [(0, 3), (4, 0), (5, 3), (seeding.GRID_BLOCK // 3 + 2, 3)])
+def test_keyed_counts_with_one_key_and_one_column_per_cell(n_states, n_keys):
+    states = seeding.combine_seeds(np.arange(n_states), (9,))
+    rng = np.random.default_rng(5)
+    keys = seeding.zigzag_vec(rng.integers(-50, 50, (n_states, n_keys)))
+    levels = np.sort(rng.integers(0, 2**53, (3, n_states, n_keys), dtype=np.uint64), axis=0)
+    out = np.zeros((n_states, n_keys), dtype=np.int16)
+    seeding._keyed_counts(states, keys + np.uint64(seeding._GOLDEN), levels, out)
+    top = seeding.fold(states[:, None], keys) >> np.uint64(11)
+    assert np.array_equal(out, (levels <= top[None]).sum(axis=0))
+
+
 def test_keyed_symbols_with_no_cells_or_no_rows():
     levels_at = lambda a, b: np.zeros((1, 1), dtype=np.uint64)  # noqa: E731
     states = seeding.combine_seeds(np.arange(3), (9,))
