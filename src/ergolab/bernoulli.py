@@ -39,7 +39,6 @@ from .shift_core import (
     Alphabet,
     Configuration,
     Cylinder,
-    LazyTail,
     LevelsAt,
     PointRows,
     periodic_levels,
@@ -121,11 +120,6 @@ class SiteMeasure:
         return SiteFloats(tuple(math.log(p) for p in probs), tuple(levels))
 
 
-def _column(levels: tuple[int, ...]) -> np.ndarray:
-    """Sampling thresholds as the (levels, 1) column that keyed draws count."""
-    return np.array(levels, dtype=np.uint64)[:, None]
-
-
 class SiteFloats(NamedTuple):
     """The float data of a site that the cocycles and the sampler read: the
     log of each probability and the sampling thresholds
@@ -186,7 +180,9 @@ class BernoulliFamily:
     def require_nonsingular(self) -> None:
         """Raise ``NonSingularError`` unless the shift is certified non-singular."""
 
-    def uniformity(self, horizon: int) -> UniformityBound:
+    @cached_property
+    def uniformity(self) -> UniformityBound:
+        """The exact sup of the site ratios; no shape needs a horizon."""
         return UniformityBound(float(self.uniformity_fraction()), True)
 
     def kakutani_cost(self, horizon: int) -> tuple[str, int]:
@@ -194,21 +190,20 @@ class BernoulliFamily:
         return "horizon", horizon
 
     def configuration(self, seed: int) -> Configuration:
-        return Configuration(LazyTail(seed, self.levels_at))
+        return Configuration(seed, self.levels_at)
 
     def run_configuration(self, master_seed: int, run: int) -> Configuration:
         return self.configuration(spawn(master_seed, run))
 
     def rows(self, seeds: np.ndarray) -> PointRows:
         """``configuration(seeds[r])`` for every row r, as one batch."""
-        levels_of = lambda p: _column(self.site_floats(p[0]).levels)  # noqa: E731
+        levels_of = lambda p: self.levels_at(p[0], 1)  # noqa: E731
         return PointRows(combine_seeds(seeds, (TAG_SYMBOL,)), np.zeros((len(seeds), 1), np.int64), levels_of)
 
     def run_grid(self, master_seed: int, n_runs: int, lo: int, hi: int) -> np.ndarray:
         """(n_runs, hi - lo + 1) symbols; row r is
         ``run_configuration(master_seed, r).block(lo, hi)``."""
-        seeds = spawn_vec(master_seed, np.arange(n_runs))
-        return LazyTail(master_seed, self.levels_at).grid(seeds, lo, hi)
+        return self.configuration(master_seed).grid(spawn_vec(master_seed, np.arange(n_runs)), lo, hi)
 
 
 class CompactFamily(BernoulliFamily):
@@ -251,8 +246,7 @@ class CompactFamily(BernoulliFamily):
     @cached_property
     def term_log_floor(self) -> float:
         """Each perturbed site moves log (T^n)'(x) by at most 2 log L."""
-        L = float(self.uniformity_fraction())
-        return -2.0 * len(self.window) * math.log(L) if self.window else 0.0
+        return -2.0 * len(self.window) * math.log(self.uniformity.value) if self.window else 0.0
 
     def effective_window(self, tol: float) -> tuple[dict[int, SiteFloats], float]:
         """The perturbed sites' float records; nothing is truncated."""
@@ -460,11 +454,12 @@ class SummableFamily(BernoulliFamily):
         terms = logs[ks - n - lo, s] - logs[ks - lo, s]
         return np.cumsum(terms, axis=-1)[..., -1] + 0.0
 
-    def uniformity(self, horizon: int) -> UniformityBound:
-        """The supremum of the site ratios over |k| <= horizon, flagged
-        ``exact=False``.  The ratio (1/2 + c r^|k|) / (1/2 - c r^|k|) falls
-        as |k| grows and rounding to float is monotone, so at any horizon
-        the supremum is site 0's."""
+    @cached_property
+    def uniformity(self) -> UniformityBound:
+        """The supremum of the site ratios, flagged ``exact=False``.  The
+        ratio (1/2 + c r^|k|) / (1/2 - c r^|k|) falls as |k| grows and
+        rounding to float is monotone, so at any horizon the supremum is
+        site 0's."""
         return UniformityBound(float(self.site(0).ratio), False)
 
     @cached_property
@@ -780,12 +775,13 @@ def _checkpoint_sums(terms: Iterable[tuple], at: Sequence[int]) -> np.ndarray:
 def uniformity_constant(family: BernoulliFamily, horizon: int = 0) -> UniformityBound:
     """Uniform bound on per-site max/min probability ratios.
 
-    Exact for compact and periodic families; a horizon-scan supremum
-    flagged ``exact=False`` for summable ones.
+    Exact for compact and periodic families; for summable ones the
+    supremum over every site, site 0's, flagged ``exact=False``.  No shape
+    reads ``horizon``, so each family's bound is computed once.
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
-    return family.uniformity(horizon)
+    return family.uniformity
 
 
 @dataclass(frozen=True)
@@ -888,8 +884,7 @@ def _homoclinic_bounds(family: BernoulliFamily, radius: int, n: int) -> tuple[fl
     product_bound = 0.0
     for k in range(-radius, radius + 1):
         product_bound += family.site(k).log_ratio + family.site(k - n).log_ratio
-    L = uniformity_constant(family, horizon=radius + abs(n)).value
-    return product_bound, 2.0 * (2 * radius + 1) * math.log(L)
+    return product_bound, 2.0 * (2 * radius + 1) * math.log(family.uniformity.value)
 
 
 # ---------------------------------------------------------------------------

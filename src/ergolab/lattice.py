@@ -27,7 +27,6 @@ from .bernoulli import (
     LogValue,
     SiteMeasure,
     _chain_gaps,
-    _column,
     _periodic_kakutani,
     _window_kakutani,
     _window_log_ratio,
@@ -45,7 +44,7 @@ from .seeding import (
     zigzag,
     zigzag_vec,
 )
-from .shift_core import RANGE_CAP, Alphabet, LevelsAt, PointRows, periodic_levels
+from .shift_core import RANGE_CAP, Alphabet, LevelsAt, PointRows, _column, periodic_levels
 
 
 def _as_vec(g) -> tuple[int, ...]:
@@ -285,7 +284,7 @@ class LatticeConfiguration:
     def symbol(self, g) -> int:
         vec = tuple(map(add, map(int, g), self.offset))
         key = combine(self.seed, TAG_LATTICE, *map(zigzag, vec))
-        return 1 + bisect_right(self.family.site(vec).floats.levels, key >> 11)
+        return 1 + bisect_right(self.family.levels_of(vec).ravel().tolist(), key >> 11)
 
     def box(self, radius: int, margins=None) -> np.ndarray:
         """Symbols on the product of ranges [-radius - m_i, radius + m_i].

@@ -21,13 +21,13 @@ import numpy as np
 
 from .errors import CertifiedFailure
 from .seeding import (
-    _GOLDEN,
     GRID_BLOCK,
     TAG_POISSON,
     _keyed_counts,
     combine_seeds,
     fold,
     spawn_vec,
+    thresholds,
     uniform01_grid,  # noqa: F401  no count reads it; perfbench traces it at this name
     zigzag,
 )
@@ -268,7 +268,8 @@ def _count_thresholds(means: Sequence[float], size: int) -> np.ndarray:
     count #{k : threshold k <= z >> 11}, the smallest k < size with u <
     CDF(k), or size, for its uniform u, bit for bit (``seeding.thresholds``).
     A column ends before its first entry that rounds to 1.0, whose threshold
-    2^53 no key reaches; shorter columns are padded with 2^53."""
+    2^53 no key reaches; shorter columns are padded with 1.0s, up to the
+    last, which ``thresholds`` drops.  ``_keyed_counts`` walks the rows."""
     columns = []
     for mean in means:
         pmf = cdf = math.exp(-mean)
@@ -280,26 +281,25 @@ def _count_thresholds(means: Sequence[float], size: int) -> np.ndarray:
             pmf *= mean / k
             cdf += pmf
         columns.append(column)
-    rows = max(map(len, columns), default=0)
-    table = np.array([c + [1.0] * (rows - len(c)) for c in columns], ndmin=2).T
-    return np.ceil(table * 2.0**53).astype(np.uint64)
+    rows = max(map(len, columns), default=0) + 1
+    cdfs = np.array([c + [1.0] * (rows - len(c)) for c in columns], ndmin=2)
+    return np.ascontiguousarray(thresholds(cdfs).T)
 
 
 @lru_cache(maxsize=1)
 def _plan(gs: GroundSpace, points: tuple[int, ...], cap: int | None) -> tuple:
     """What a count read needs of its points, built once per read (only the
-    last read's is kept): (salted, levels, split).
+    last read's is kept): (keys, levels, split).
 
-    - salted: zigzag(p) + the mixer's golden step per point, as uint64;
+    - keys: zigzag(p) per point, as uint64;
     - levels: the points' ``_count_thresholds``, one column per point or
       one for all when they share a mean, the first cap rows when capped;
-    - split: (column, zigzag(p), salted sub-draw keys, sub-mean levels) per
+    - split: (column, zigzag(p), sub-draw keys, sub-mean levels) per
       point of mean over ``_SPLIT_MEAN``, whose column in ``levels`` is a
       mean-0 one: its single draw reads 0.
     """
     means = np.array([float(gs.weight(p)) for p in points])
-    salted = np.array([zigzag(p) % 2**64 for p in points], dtype=np.uint64)
-    salted += np.uint64(_GOLDEN)
+    keys = np.array([zigzag(p) % 2**64 for p in points], dtype=np.uint64)
     size = 4 * COUNT_CAP if cap is None else min(cap, 4 * COUNT_CAP)
     over = means > _SPLIT_MEAN
     distinct, which = np.unique(np.where(over, 0.0, means), return_inverse=True)
@@ -309,10 +309,9 @@ def _plan(gs: GroundSpace, points: tuple[int, ...], cap: int | None) -> tuple:
     split = []
     for j in np.flatnonzero(over):
         chunks = math.ceil(means[j] / _SPLIT_MEAN)
-        keys = np.arange(chunks, dtype=np.uint64) + np.uint64(_GOLDEN)
         sub = _count_thresholds([float(means[j]) / chunks], size)
-        split.append((j, np.uint64(zigzag(points[j]) % 2**64), keys, sub))
-    return salted, levels, split
+        split.append((j, keys[j], np.arange(chunks, dtype=np.uint64), sub))
+    return keys, levels, split
 
 
 def _count_rows(
@@ -331,15 +330,15 @@ def _count_rows(
     clipped at ``cap`` each, and their sum is clipped again.
     """
     points = tuple(points)
-    salted, levels, split = _plan(gs, points, cap)
+    keys, levels, split = _plan(gs, points, cap)
     out = np.zeros((len(seeds), len(points)), dtype=np.int16)
     states = combine_seeds(seeds, (TAG_POISSON,))
-    _keyed_counts(states, salted, levels, out)
-    for j, key, keys, sub in split:
-        rows = max(1, GRID_BLOCK // len(keys))
+    _keyed_counts(states, keys, levels, out)
+    for j, key, subkeys, sub in split:
+        rows = max(1, GRID_BLOCK // len(subkeys))
         for lo in range(0, len(seeds), rows):
-            draws = np.zeros((min(rows, len(seeds) - lo), len(keys)), dtype=np.int16)
-            _keyed_counts(fold(states[lo : lo + rows], key), keys, sub, draws)
+            draws = np.zeros((min(rows, len(seeds) - lo), len(subkeys)), dtype=np.int16)
+            _keyed_counts(fold(states[lo : lo + rows], key), subkeys, sub, draws)
             total = draws.sum(axis=1)
             if cap is not None:
                 np.minimum(total, cap, out=total)

@@ -576,6 +576,8 @@ def _on_paths(handler: Callable, cost: Callable, f_default=..., **keys) -> dict[
 #: a cocycle fuzz case reads its configuration at a few sites or a bounded
 #: block, whose length the library guards
 _CASES = lambda system, cases, **_: ("cases", cases)  # noqa: E731
+#: a fuzz draws its shifts through float(2 span + 1), which overflows from span 2^1023 - 2^969 up
+_SPAN = _checked(_at_least(0, "span"), lambda s: s < 2**1023 - 2**969, "span is past the float range")
 _RUNS_X_HORIZON = _runs_x("horizon", lambda horizon, **_: horizon)
 _RUNS_X_BLOCK = _runs_x("largest block", lambda blocks, **_: max(blocks))
 _BLOCKS = {"blocks": (_nonempty(_list_of(_at_least(1, "blocks")), "blocks"), [16, 64, 256])}
@@ -594,7 +596,7 @@ _HANDLERS: dict[str, dict[str, tuple[dict, Callable, Callable]]] = {
     "rn_derivative": _on("bernoulli", _rn_derivative, n=(parse_int, ...)),
     "cocycle_fuzz": _on(
         "bernoulli", _cocycle_fuzz, _CASES,
-        cases=(_at_least(1, "cases"), 1000), span=(_at_least(0, "span"), 8),
+        cases=(_at_least(1, "cases"), 1000), span=(_SPAN, 8),
         tol=(_float, "0.000000000001"),
     ),
     "homoclinic_scan": _on(
@@ -685,7 +687,7 @@ _HANDLERS: dict[str, dict[str, tuple[dict, Callable, Callable]]] = {
     ),
     "zd_cocycle_fuzz": _on(
         "zd", _zd_cocycle_fuzz, _CASES,
-        cases=(_at_least(1, "cases"), 200), span=(_at_least(0, "span"), 4),
+        cases=(_at_least(1, "cases"), 200), span=(_SPAN, 4),
     ),
     "box_ratio_average": _on(
         "zd", _box_average,

@@ -19,7 +19,8 @@ the same bits.
 Symbols and Poisson counts are counts of integer inverse-CDF ``thresholds``,
 and one private loop, ``_keyed_counts``, forms, mixes and counts their keys
 one cache-sized block at a time without forming the uniforms; the result
-equals ``searchsorted`` on the uniforms bit for bit.
+equals ``searchsorted`` on the uniforms bit for bit.  Its callers pass plain
+keys; it adds the mixer's golden step to the states, once per call.
 """
 
 from __future__ import annotations
@@ -204,18 +205,19 @@ def thresholds(cdf: np.ndarray) -> np.ndarray:
 
 
 def _keyed_counts(
-    states: np.ndarray, salted: np.ndarray, levels: np.ndarray, out: np.ndarray
+    states: np.ndarray, keys: np.ndarray, levels: np.ndarray, out: np.ndarray
 ) -> None:
     """Add to ``out[r, j]`` the number of rows l of ``levels`` with
     levels[l, ..., j] <= key >> 11, the key's top 53 bits, for the key
-    ``fold(states[r], k_j)``; ``levels`` is (levels, len(salted)), or one
-    (levels, 1) column shared by every key.  ``salted[j]`` is k_j + _GOLDEN,
-    the half of ``fold`` that depends on the key only.  With one key per
-    cell, ``salted`` is (rows, width) and ``levels`` (levels, rows, width).
-    Rows are keyed, mixed and counted a cache-sized block at a time through
-    reused buffers; a cell depends on its own key only, so blocking cannot
-    change a bit.
+    ``fold(states[r], keys[j])``; ``levels`` is (levels, len(keys)), or one
+    (levels, 1) column shared by every key.  ``keys`` are nonnegative
+    uint64; the golden step of ``fold`` is added to the states once, as
+    (s + G) + k == s + (k + G) mod 2^64.  With one key per cell, ``keys`` is
+    (rows, width) and ``levels`` (levels, rows, width).  Rows are keyed,
+    mixed and counted a cache-sized block at a time through reused buffers;
+    a cell depends on its own key only, so blocking cannot change a bit.
     """
+    states = states + np.uint64(_GOLDEN)
     width = out.shape[1]
     rows = max(1, GRID_BLOCK // max(width, 1))
     z = np.empty(min(rows, len(states)) * width, dtype=np.uint64)
@@ -224,7 +226,7 @@ def _keyed_counts(
     for r0 in range(0, len(states), rows):
         block = states[r0 : r0 + rows]
         zb = z[: len(block) * width].reshape(len(block), width)
-        np.add(block[:, None], salted[r0 : r0 + rows] if salted.ndim == 2 else salted, out=zb)
+        np.add(block[:, None], keys[r0 : r0 + rows] if keys.ndim == 2 else keys, out=zb)
         _mix(zb, scratch)
         zb >>= np.uint64(11)
         hb, ob = hit[: zb.size].reshape(zb.shape), out[r0 : r0 + rows]
@@ -261,9 +263,7 @@ def keyed_symbols(
         np.left_shift(nb, 1, out=kb)
         nb >>= 63
         kb ^= nb
-        salted = kb.view(np.uint64)
-        salted += np.uint64(_GOLDEN)
-        _keyed_counts(states, salted, levels_at(lo + c0, b), out[:, c0 : c0 + b])
+        _keyed_counts(states, kb.view(np.uint64), levels_at(lo + c0, b), out[:, c0 : c0 + b])
     return out
 
 
@@ -290,6 +290,5 @@ def keyed_gather(
     which[order] = np.cumsum(new) - 1
     table = np.concatenate([levels_of(tuple(p)) for p in points[order[new]].tolist()], axis=1)
     out = np.ones((rows * k, 1), dtype=np.int16)
-    salted = keys[..., -1].reshape(-1, 1) + np.uint64(_GOLDEN)
-    _keyed_counts(cells.reshape(-1), salted, table[:, which, None], out)
+    _keyed_counts(cells.reshape(-1), keys[..., -1].reshape(-1, 1), table[:, which, None], out)
     return out.reshape(rows, k)

@@ -109,22 +109,30 @@ def _check_range(lo: int, hi: int, cap: int = RANGE_CAP) -> None:
 LevelsAt = Callable[[int, int], np.ndarray]
 
 
-class LazyTail:
-    """Pure (seed, coordinate) -> symbol source.
+def _column(levels: Sequence[int]) -> np.ndarray:
+    """Sampling thresholds as the (levels, 1) column that keyed draws count."""
+    return np.array(levels, dtype=np.uint64)[:, None]
 
-    Coordinate k is drawn against column k of the thresholds table
-    ``levels_at`` (built once per family by ``window_levels``,
-    ``periodic_levels`` or ``rule_levels``): the symbol is 1 plus the number
-    of thresholds at or below the top 53 bits of the key (seed, k).  Scalar
-    reads and ``keyed_symbols`` blocks count the same thresholds, so the two
-    agree bit for bit and never depend on access order.
+
+class LazyTail:
+    """Immutable point of the shift space: pinned coordinates over a pure
+    (seed, coordinate) -> symbol tail, read from an origin offset.
+
+    Logical coordinate i reads a = i + offset: its pin, else 1 plus the
+    number of thresholds in column a of ``levels_at`` (built once per family
+    by ``window_levels``, ``periodic_levels`` or ``rule_levels``) at or below
+    the top 53 bits of the key (seed, a).  Scalar reads and ``keyed_symbols``
+    blocks count the same thresholds, so the two agree bit for bit and never
+    depend on access order.
     """
 
-    __slots__ = ("seed", "levels_at")
+    __slots__ = ("seed", "levels_at", "overrides", "offset")
 
-    def __init__(self, seed: int, levels_at: LevelsAt) -> None:
-        self.seed = seed
-        self.levels_at = levels_at
+    def __init__(
+        self, seed: int, levels_at: LevelsAt, overrides: Mapping[int, int] | None = None, offset: int = 0
+    ) -> None:
+        self.seed, self.levels_at, self.offset = seed, levels_at, offset
+        self.overrides: dict[int, int] = dict(overrides) if overrides else {}
 
     @classmethod
     def constant(cls, seed: int, probs) -> "LazyTail":
@@ -132,29 +140,48 @@ class LazyTail:
         return cls(seed, window_levels(thresholds(np.cumsum([float(p) for p in probs])), {}))
 
     def symbol(self, i: int) -> int:
+        a = i + self.offset
+        v = self.overrides.get(a)
+        if v is not None:
+            return v
         # u * 2^53 is the key's top 53 bits, exactly
-        u = uniform01(self.seed, TAG_SYMBOL, zigzag(i))
-        return 1 + bisect_right(self.levels_at(i, 1).ravel().tolist(), u * 2.0**53)
+        u = uniform01(self.seed, TAG_SYMBOL, zigzag(a))
+        return 1 + bisect_right(self.levels_at(a, 1).ravel().tolist(), u * 2.0**53)
 
     def block(self, lo: int, hi: int) -> np.ndarray:
-        """Symbols on [lo, hi] inclusive, as int16."""
-        _check_range(lo, hi)
-        state = np.array([combine(self.seed, TAG_SYMBOL)], dtype=np.uint64)
-        return keyed_symbols(state, lo, hi - lo + 1, self.levels_at)[0]
+        """Symbols on logical coordinates [lo, hi] inclusive, as int16."""
+        out = self._rows(np.array([combine(self.seed, TAG_SYMBOL)], dtype=np.uint64), lo, hi)[0]
+        for a, v in self.overrides.items():
+            if 0 <= a - self.offset - lo < len(out):
+                out[a - self.offset - lo] = v
+        return out
 
     def grid(self, seeds: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        """(len(seeds), hi - lo + 1) symbols; row r is the ``block(lo, hi)``
-        of this tail's distribution drawn at seed ``seeds[r]``."""
+        """(len(seeds), hi - lo + 1) symbols; row r is this point's
+        ``block(lo, hi)`` drawn at seed ``seeds[r]``, without the pins."""
+        return self._rows(combine_seeds(seeds, (TAG_SYMBOL,)), lo, hi)
+
+    def _rows(self, states: np.ndarray, lo: int, hi: int) -> np.ndarray:
         _check_range(lo, hi)
-        states = combine_seeds(seeds, (TAG_SYMBOL,))
-        return keyed_symbols(states, lo, hi - lo + 1, self.levels_at)
+        return keyed_symbols(states, lo + self.offset, hi - lo + 1, self.levels_at)
+
+    def shifted(self, n: int) -> "LazyTail":
+        return LazyTail(self.seed, self.levels_at, self.overrides, self.offset + n)
+
+    def rewired(self, block: Cylinder) -> "LazyTail":
+        pins = {i + self.offset: block.symbol(i) for i in block.coords()}
+        return LazyTail(self.seed, self.levels_at, {**self.overrides, **pins}, self.offset)
+
+
+#: the package's name for a point of the shift space
+Configuration = LazyTail
 
 
 def window_levels(base: Sequence[int], sites: Mapping[int, Sequence[int]]) -> LevelsAt:
     """``levels_at`` of a base plus finite window: coordinate k draws against
     the thresholds ``sites[k]`` at a window site, else against ``base``."""
-    base = np.array(base, dtype=np.uint64)[:, None]
-    columns = {k: np.array(v, dtype=np.uint64)[:, None] for k, v in sites.items()}
+    base = _column(base)
+    columns = {k: _column(v) for k, v in sites.items()}
 
     def levels_at(a: int, b: int) -> np.ndarray:
         if b == 1:
@@ -189,45 +216,6 @@ def rule_levels(levels_of: Callable[[int], Sequence[int]]) -> LevelsAt:
         return np.ascontiguousarray(table.T)
 
     return levels_at
-
-
-class Configuration:
-    """Immutable point of the shift space: pinned window + lazy tail."""
-
-    __slots__ = ("tail", "overrides", "offset")
-
-    def __init__(
-        self,
-        tail: LazyTail,
-        overrides: Mapping[int, int] | None = None,
-        offset: int = 0,
-    ) -> None:
-        self.tail = tail
-        self.overrides: dict[int, int] = dict(overrides) if overrides else {}
-        self.offset = offset
-
-    def symbol(self, i: int) -> int:
-        a = i + self.offset
-        v = self.overrides.get(a)
-        return v if v is not None else self.tail.symbol(a)
-
-    def block(self, lo: int, hi: int) -> np.ndarray:
-        """Symbols on logical coordinates [lo, hi] inclusive."""
-        a_lo, a_hi = lo + self.offset, hi + self.offset
-        out = self.tail.block(a_lo, a_hi)
-        for a, v in self.overrides.items():
-            if a_lo <= a <= a_hi:
-                out[a - a_lo] = v
-        return out
-
-    def shifted(self, n: int) -> "Configuration":
-        return Configuration(self.tail, self.overrides, self.offset + n)
-
-    def rewired(self, block: Cylinder) -> "Configuration":
-        new = dict(self.overrides)
-        for i in block.coords():
-            new[i + self.offset] = block.symbol(i)
-        return Configuration(self.tail, new, self.offset)
 
 
 class PointRows:

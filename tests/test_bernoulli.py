@@ -336,6 +336,18 @@ class TestHomoclinicRatioBounds:
         assert got == loop(fam.configuration(4))
         assert (got[1] > 0) == violated
 
+    def test_scan_takes_the_exact_ratio_max_once(self, monkeypatch):
+        # every (radius, n) of a scan, and the conservativity floor, read the
+        # family's one uniformity bound
+        calls, exact = [], bn.CompactFamily.uniformity_fraction
+        monkeypatch.setattr(
+            bn.CompactFamily, "uniformity_fraction", lambda self: calls.append(self) or exact(self)
+        )
+        fam = wide_family()
+        assert bn.homoclinic_scan(fam, fam.configuration(4), 2, 5) == (11 * (2 + 8 + 32), 0)
+        assert fam.term_log_floor == -6 * math.log(3) and calls == [fam]
+        assert bn.uniformity_constant(fam, 7) == (3.0, True) and calls == [fam]
+
     def test_product_bound_below_uniform_bound(self):
         fam = wide_family()
         x = fam.configuration(1)

@@ -472,6 +472,27 @@ class TestCountKernel:
         ref = np.searchsorted(table, tops * 2.0**-53, side="right")
         assert np.array_equal(counts, np.minimum(ref, size))
 
+    @pytest.mark.parametrize("size", [3, 4 * ps.COUNT_CAP], ids=["capped", "uncapped"])
+    def test_count_thresholds_round_as_ceil_of_the_scaled_table(self, size):
+        means = [0.0, 1.0, 3 / 7, 49.5, 50.0]
+        columns = []
+        for mean in means:
+            # the CDF accumulated by summation, up to its first 1.0
+            pmf = cdf = math.exp(-mean)
+            column = []
+            for k in range(1, size + 1):
+                if cdf >= 1.0:
+                    break
+                column.append(cdf)
+                pmf *= mean / k
+                cdf += pmf
+            columns.append(column)
+        rows = max(map(len, columns))
+        table = np.array([c + [1.0] * (rows - len(c)) for c in columns]).T
+        levels = ps._count_thresholds(means, size)
+        assert levels.dtype == np.uint64 and levels.flags.c_contiguous
+        assert np.array_equal(levels, np.ceil(table * 2.0**53).astype(np.uint64))
+
     def test_unreached_thresholds_are_dropped(self):
         assert ps._count_thresholds([1.0], 4 * ps.COUNT_CAP).shape == (18, 1)
         assert ps._count_thresholds([0.0, 0.0], 4 * ps.COUNT_CAP).shape == (0, 2)

@@ -300,6 +300,15 @@ REJECTED = {
         config_on(BERNOULLI, {"name": "cocycle_fuzz", "cases": 3, "span": 2**70}),
         "invalid input: |n| exceeds cap 16777216",
     ),
+    # a span whose 2 span + 1 no float holds ended in an OverflowError
+    "cocycle-fuzz-span-past-floats": (
+        config_on(BERNOULLI, {"name": "cocycle_fuzz", "cases": 3, "span": 10**309}),
+        "span is past the float range",
+    ),
+    "zd-cocycle-fuzz-span-past-floats": (
+        config_on(ZD, {"name": "zd_cocycle_fuzz", "cases": 3, "span": (2**1024 - 2**970) // 2}),
+        "span is past the float range",
+    ),
     "mixing-gap-fuzz-points-over-cap": (
         config_on(POISSON, {"name": "mixing_gap_fuzz", "points": 10**9}),
         "operation mixing_gap_fuzz: cases x (1 + points) = 500000000500 cells exceeds the cap",

@@ -146,7 +146,7 @@ def test_keyed_counts_add_the_thresholds_each_key_reaches(n_states, n_keys, shar
     rng = np.random.default_rng(4)
     levels = np.sort(rng.integers(0, 2**53, (5, 1 if shared else n_keys), dtype=np.uint64), axis=0)
     out = np.full((n_states, n_keys), 3, dtype=np.int16)
-    seeding._keyed_counts(states, keys + np.uint64(seeding._GOLDEN), levels, out)
+    seeding._keyed_counts(states, keys, levels, out)
     assert np.array_equal(out, 3 + _ref_counts(states, keys, levels))
 
 
@@ -157,9 +157,22 @@ def test_keyed_counts_with_one_key_and_one_column_per_cell(n_states, n_keys):
     keys = seeding.zigzag_vec(rng.integers(-50, 50, (n_states, n_keys)))
     levels = np.sort(rng.integers(0, 2**53, (3, n_states, n_keys), dtype=np.uint64), axis=0)
     out = np.zeros((n_states, n_keys), dtype=np.int16)
-    seeding._keyed_counts(states, keys + np.uint64(seeding._GOLDEN), levels, out)
+    seeding._keyed_counts(states, keys, levels, out)
     top = seeding.fold(states[:, None], keys) >> np.uint64(11)
     assert np.array_equal(out, (levels <= top[None]).sum(axis=0))
+
+
+def test_keyed_counts_wrap_around_two_to_the_64():
+    # states and keys near 2^64 - 1: the golden step added to the states and
+    # the key added next both wrap, as the two adds of ``fold`` do
+    top = np.uint64(2**64 - 1)
+    states = top - np.arange(4, dtype=np.uint64)
+    keys = top - np.arange(0, 2**40, 2**37, dtype=np.uint64)
+    levels = np.arange(2**50, 2**53, 2**50, dtype=np.uint64)[:, None]
+    out = np.zeros((len(states), len(keys)), dtype=np.int16)
+    seeding._keyed_counts(states, keys, levels, out)
+    drawn = seeding.fold(states[:, None], keys) >> np.uint64(11)
+    assert np.array_equal(out, (levels[:, None, :] <= drawn[None]).sum(axis=0))
 
 
 def test_keyed_symbols_with_no_cells_or_no_rows():

@@ -18,7 +18,7 @@ from ergolab.shift_core import (
 
 
 def coin_config(seed=7, overrides=None):
-    return Configuration(LazyTail.constant(seed, [0.5, 0.5]), overrides)
+    return Configuration(seed, LazyTail.constant(seed, [0.5, 0.5]).levels_at, overrides)
 
 
 def read_range(x, lo, hi):
@@ -87,6 +87,17 @@ class TestDeterminism:
     def test_shifted_block_matches_symbols(self):
         x = coin_config(overrides={3: 2}).shifted(4)
         assert list(x.block(-6, 6)) == read_range(x, -6, 6)
+
+    @pytest.mark.parametrize("shift", [0, 4, -9])
+    def test_pinned_and_shifted_point_reads_alike_everywhere(self, shift):
+        x = coin_config(11, overrides={3: 2, -5: 1, 40: 2}).rewired(Cylinder.of([1, 1], 6))
+        x = x.shifted(shift)
+        block = x.block(-12, 12)
+        assert list(block) == read_range(x, -12, 12)
+        # the grid at the point's own seed is its block off the pins
+        row = x.grid(np.array([x.seed]), -12, 12)[0]
+        pinned = [a - x.offset + 12 for a in x.overrides if -12 <= a - x.offset <= 12]
+        assert pinned and np.array_equal(np.delete(row, pinned), np.delete(block, pinned))
 
     def test_range_cap(self):
         with pytest.raises(RangeCapError):
