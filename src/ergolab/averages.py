@@ -220,10 +220,16 @@ def _event_values(
     obs: Observable, times: Sequence[int], indicators: Callable, lead: tuple[int, ...]
 ) -> np.ndarray:
     """f(T_*^t nu) for each t in times, shape ``lead + (len(times),)``, over
-    the event indicators ``indicators(event, times)`` returns, of that shape."""
+    the event indicators ``indicators(event, times)`` returns, of that shape:
+    each fresh indicator array is scaled by its coefficient in place."""
     out = np.zeros(lead + (len(times),))
     for c, ev in obs.terms:
-        out += c * indicators(ev, times) if ev.constraints else c
+        if ev.constraints:
+            ind = indicators(ev, times)
+            ind *= c
+            out += ind
+        else:
+            out += c
     return out
 
 

@@ -25,6 +25,7 @@ from .seeding import (
     TAG_POISSON,
     _keyed_counts,
     combine_seeds,
+    distinct_rows,
     fold,
     spawn_vec,
     thresholds,
@@ -44,8 +45,9 @@ class GroundSpace:
     """Countable point set with nonnegative weights and an invertible map.
 
     ``jump(p, k)`` is the k-fold application of the map (negative k for the
-    inverse); ``weight`` is nonnegative wherever events look and raises
-    ValueError at a point outside the ground.
+    inverse), on ints or broadcast over int64 arrays (a jump that ignores k
+    may return p as it is); ``weight`` is nonnegative wherever events look
+    and raises ValueError at a point outside the ground.
     """
 
     weight: Callable[[int], Fraction]
@@ -84,16 +86,18 @@ def finite_cycle(length: int) -> GroundSpace:
     if length < 1:
         raise ValueError("cycle length must be >= 1")
 
-    def check(p: int) -> None:
+    def weight(p: int) -> Fraction:
         if not 0 <= p < length:
             raise ValueError(f"point {p} outside cycle of length {length}")
-
-    def weight(p: int) -> Fraction:
-        check(p)
         return _UNIT
 
-    def jump(p: int, k: int) -> int:
-        check(p)
+    def jump(p, k):
+        # a point outside the cycle is refused by ``weight``, in array order
+        if type(p) is np.ndarray:
+            for q in p[(p < 0) | (p >= length)][:1].tolist():
+                weight(q)
+        elif not 0 <= p < length:
+            weight(p)
         return (p + k) % length
 
     return GroundSpace(weight=weight, jump=jump)
@@ -146,13 +150,10 @@ class PoissonEvent:
 
     def pulled_back(self, gs: GroundSpace, n: int) -> "PoissonEvent":
         """Event whose truth at nu equals our truth at the n-fold suspension
-        image of nu: regions are replaced by their n-fold preimages."""
-        return PoissonEvent(
-            tuple(
-                (frozenset(gs.jump(p, -n) for p in region), k)
-                for region, k in self.constraints
-            )
-        )
+        image of nu: regions are replaced by their n-fold preimages.  The
+        scalar form of what ``_pull_back`` does for all times at once."""
+        pulled = ((frozenset(gs.jump(p, -n) for p in region), k) for region, k in self.constraints)
+        return PoissonEvent(tuple(pulled))
 
 
 def _poisson_pmf(mean: float, k: int) -> float:
@@ -253,13 +254,12 @@ class PointSample:
     def counts(self, points: Sequence[int], cap: int | None = None) -> np.ndarray:
         """(1, len(points)) counts: the one row of ``sample_count_grid`` that
         this sample's seed (masked to 64 bits, as ``combine`` does) draws."""
-        return _count_rows(self.gs, np.array([self.seed % 2**64], dtype=np.uint64), points, cap)
+        return _count_rows(self.gs, np.array([self.seed % 2**64], dtype=np.uint64), points, cap).T
 
     def indicators(self, event: PoissonEvent, times: Sequence[int]) -> np.ndarray:
         """Indicators of the times[j]-fold suspension image lying in the event."""
-        return _indicators(
-            self.gs, lambda rows, points, cap, first: self.counts(points, cap), 1, event, times
-        )[0]
+        read = lambda rows, points, cap, first: self.counts(points, cap)  # noqa: E731
+        return _indicators(self.gs, read, 1, event, times)[0]
 
 
 def _count_thresholds(means: Sequence[float], size: int) -> np.ndarray:
@@ -292,20 +292,21 @@ def _plan(gs: GroundSpace, points: tuple[int, ...], cap: int | None) -> tuple:
     last read's is kept): (keys, levels, split).
 
     - keys: zigzag(p) per point, as uint64;
-    - levels: the points' ``_count_thresholds``, one column per point or
-      one for all when they share a mean, the first cap rows when capped;
-    - split: (column, zigzag(p), sub-draw keys, sub-mean levels) per
-      point of mean over ``_SPLIT_MEAN``, whose column in ``levels`` is a
-      mean-0 one: its single draw reads 0.
+    - levels: the points' ``_count_thresholds``, (levels, points, 1), or
+      (levels, 1) when they share a mean, the first cap rows when capped;
+    - split: (row, zigzag(p), sub-draw keys, sub-mean levels) per point of
+      mean over ``_SPLIT_MEAN``, whose own levels are a mean 0's: it reads 0.
     """
-    means = np.array([float(gs.weight(p)) for p in points])
+    weights = list(map(gs.weight, points))  # often one shared object, converted once:
+    as_float = {id(w): float(w) for w in {id(w): w for w in weights}.values()}
+    means = np.array([as_float[id(w)] for w in weights])
     keys = np.array([zigzag(p) % 2**64 for p in points], dtype=np.uint64)
     size = 4 * COUNT_CAP if cap is None else min(cap, 4 * COUNT_CAP)
     over = means > _SPLIT_MEAN
     distinct, which = np.unique(np.where(over, 0.0, means), return_inverse=True)
     levels = _count_thresholds([float(mean) for mean in distinct], size)
     if len(distinct) > 1:
-        levels = np.take(levels, which, axis=1)
+        levels = np.take(levels, which, axis=1)[..., None]
     split = []
     for j in np.flatnonzero(over):
         chunks = math.ceil(means[j] / _SPLIT_MEAN)
@@ -317,23 +318,23 @@ def _plan(gs: GroundSpace, points: tuple[int, ...], cap: int | None) -> tuple:
 def _count_rows(
     gs: GroundSpace, seeds: np.ndarray, points: Sequence[int], cap: int | None
 ) -> np.ndarray:
-    """(len(seeds), len(points)) counts: cell [r, j] inverts the keyed
-    uniform of (seeds[r], TAG_POISSON, zigzag(points[j])) on the Poisson CDF
-    of the point's mean, by one ``seeding._keyed_counts`` over the ``_plan``
-    thresholds; with ``cap`` set, only the first cap thresholds are counted,
-    which is ``min(count, cap)`` bit for bit.
+    """(len(points), len(seeds)) counts, point-major: cell [j, r] inverts
+    the keyed uniform of (seeds[r], TAG_POISSON, zigzag(points[j])) on the
+    Poisson CDF of the point's mean, by one ``seeding._keyed_counts`` over
+    the ``_plan`` thresholds with the point keys as its states and the run
+    states as its keys ((k + G) + s = (s + G) + k mod 2^64); with ``cap``
+    set, only the first cap thresholds count: ``min(count, cap)`` bit for bit.
 
     A mean above ``_SPLIT_MEAN`` is split by additivity into ``chunks`` equal
-    sub-means, with sub-draw i keyed (seed, TAG_POISSON, zigzag(p), i): a sum
-    of independent Poissons stays exact in distribution and needs no
-    rejection loop.  The sub-draws of a block of runs take one more count,
-    clipped at ``cap`` each, and their sum is clipped again.
+    sub-means, sub-draw i keyed (seed, TAG_POISSON, zigzag(p), i): a sum of
+    independent Poissons is exact in law, and each sub-draw and their sum
+    are clipped at ``cap``.
     """
     points = tuple(points)
     keys, levels, split = _plan(gs, points, cap)
-    out = np.zeros((len(seeds), len(points)), dtype=np.int16)
+    out = np.zeros((len(points), len(seeds)), dtype=np.int16)
     states = combine_seeds(seeds, (TAG_POISSON,))
-    _keyed_counts(states, keys, levels, out)
+    _keyed_counts(keys, states, levels, out)
     for j, key, subkeys, sub in split:
         rows = max(1, GRID_BLOCK // len(subkeys))
         for lo in range(0, len(seeds), rows):
@@ -344,23 +345,19 @@ def _count_rows(
                 np.minimum(total, cap, out=total)
             elif total.max() > np.iinfo(out.dtype).max:
                 raise ValueError(f"count at point {points[j]} overflows {out.dtype}")
-            out[lo : lo + rows, j] = total
+            out[j, lo : lo + rows] = total
     return out
 
 
 def sample_count_grid(
-    gs: GroundSpace,
-    master_seed: int,
-    n_runs: int,
-    points: Sequence[int],
-    cap: int | None = None,
-    *,
-    first: int = 0,
+    gs: GroundSpace, master_seed: int, n_runs: int, points: Sequence[int],
+    cap: int | None = None, *, first: int = 0,
 ) -> np.ndarray:
     """(n_runs, len(points)) per-run point counts, clipped at ``cap`` when
-    set: row r is ``PointSample(gs, spawn(master_seed, first + r)).counts(points, cap)``."""
+    set: row r is ``PointSample(gs, spawn(master_seed, first + r)).counts(points, cap)``.
+    It is the transposed view of the point-major grid of ``_count_rows``."""
     runs = np.arange(first, first + n_runs, dtype=np.int64)
-    return _count_rows(gs, spawn_vec(master_seed, runs), points, cap)
+    return _count_rows(gs, spawn_vec(master_seed, runs), points, cap).T
 
 
 #: count cells per block of runs that ``_indicators`` draws and reduces at
@@ -368,66 +365,75 @@ def sample_count_grid(
 _BLOCK_CELLS = 4 * GRID_BLOCK
 
 
+def _pull_back(gs: GroundSpace, regions: list[list[int]], times: list[int]) -> np.ndarray:
+    """(points of all regions, times) int64 grid: column j holds each region
+    pulled back by times[j], sorted within the region.  A point, time or
+    corner pull-back (the maps are affine) of 2^62 or more in magnitude is
+    refused, and so is a map that overflows int64 on the way."""
+    pulled = np.empty((sum(map(len, regions)), len(times)), dtype=np.int64)
+    try:
+        if max(max(map(abs, r), default=0) for r in [*regions, times]) >= 2**62:
+            raise OverflowError
+        back = -np.array(times, dtype=np.int64)
+        for r, block in zip(regions, np.split(pulled, np.cumsum([len(r) for r in regions])[:-1])):
+            block[:] = gs.jump(np.array(r, dtype=np.int64)[:, None], back)
+            block.sort(axis=0)
+        ends = [p for r in regions if r for p in (min(r), max(r))]
+        if any(abs(gs.jump(p, -t)) >= 2**62 for p in ends for t in (min(times), max(times))):
+            raise OverflowError
+    except OverflowError:
+        raise ValueError("an event point, time or pull-back reaches 2^62 in magnitude") from None
+    return pulled
+
+
 def _indicators(
-    gs: GroundSpace,
-    read_counts: Callable,
-    n_rows: int,
-    event: PoissonEvent,
-    times: Sequence[int],
+    gs: GroundSpace, read_counts: Callable, n_rows: int, event: PoissonEvent, times: Sequence[int]
 ) -> np.ndarray:
     """(n_rows, len(times)) 0/1 matrix: entry [r, j] is the indicator of the
     times[j]-fold suspension image of row r's sample lying in the event,
     over the counts ``read_counts(rows, points, cap, first=lo)`` returns for
-    the rows lo .. lo + rows - 1.
+    the rows lo .. lo + rows - 1 (the transpose of a point-major grid).
 
-    One streamed pass: the counts of a block of about ``_BLOCK_CELLS`` cells
-    are read, reduced to that block's rows of the (rows, distinct events)
-    result and dropped, so no (n_rows, points) array is held.
-
-    Point counts are read clipped at ``K + 1``, K the largest constraint
-    count.  That is exact: a point whose count exceeds K reads K + 1, so every
-    region holding it sums above every k <= K whether clipped or not, and a
-    region without such a point sums the same counts either way.
-
-    Each distinct pulled-back event is evaluated once (on the identity map
-    every time pulls back to the same event).  A constraint's region sums
-    are |region| column takes added into one int32 accumulator, one column
-    per distinct event; integer sums do not depend on their order.
+    The distinct columns of ``_pull_back`` are the distinct pulled-back
+    events; each of their points is drawn once, in one pass over blocks of
+    about ``_BLOCK_CELLS`` counts, each reduced to its columns of the
+    (events, rows) result and dropped.  Region sums add whole rows of point
+    counts, about a block per take, in int32 (integer sums need no order).
+    The counts are clipped at K + 1, K the largest constraint count, which
+    is exact: a point whose count exceeds K puts every region holding it
+    above every k <= K either way, and other regions sum the same counts.
     """
-    pulled = {t: event.pulled_back(gs, t) for t in dict.fromkeys(int(t) for t in times)}
-    distinct = list(dict.fromkeys(pulled.values()))
-    points = tuple(sorted({p for ev in distinct for p in ev.support()}))
-    col = {p: i for i, p in enumerate(points)}
+    times = [int(t) for t in times]
+    if not times:
+        return np.zeros((n_rows, 0))
+    regions = [list(region) for region, _ in event.constraints]
+    distinct, which = distinct_rows(_pull_back(gs, regions, times).T)
+    points = np.unique(distinct)
+    # per constraint: k and its (|region|, distinct events) rows of counts
+    rows_of, at = np.searchsorted(points, distinct.T), np.cumsum([0, *map(len, regions)])
+    sums = [(k, rows_of[i:j]) for (_, k), i, j in zip(event.constraints, at, at[1:])]
     cap = 1 + max((k for _, k in event.constraints), default=0)
-    # per constraint: k and the (distinct events, |region|) column indices
-    regions = [
-        (k, np.array([[col[p] for p in ev.constraints[c][0]] for ev in distinct], np.intp, ndmin=2))
-        for c, (_, k) in enumerate(event.constraints)
-    ]
-    rows = max(1, _BLOCK_CELLS // max(len(points), len(distinct), 1))
-    ok = np.empty((n_rows, len(distinct)), dtype=bool)
-    acc = np.empty((min(rows, n_rows), len(distinct)), dtype=np.int32)
-    term = np.empty(acc.shape, dtype=np.int16)
+    points = tuple(points.tolist())
+    rows = max(1, _BLOCK_CELLS // max(len(points), len(distinct)))
+    ok = np.empty((len(distinct), n_rows), dtype=bool)
+    acc = np.empty(len(distinct) * min(rows, n_rows), dtype=np.int32)
     for lo in range(0, n_rows, rows):
-        counts = read_counts(min(rows, n_rows - lo), points, cap, first=lo)
-        n = len(counts)
-        block, a, t = ok[lo : lo + n], acc[:n], term[:n]
+        counts = read_counts(min(rows, n_rows - lo), points, cap, first=lo).T
+        block = ok[:, lo : lo + counts.shape[1]]
+        a = acc[: block.size].reshape(block.shape)
+        step = max(1, _BLOCK_CELLS // block.size)
         block.fill(True)
-        for k, idx in regions:
+        for k, idx in sums:
             a.fill(0)
-            for cols in idx.T:
-                a += np.take(counts, cols, axis=1, out=t)
+            for i in range(0, len(idx), step):
+                part = np.take(counts, idx[i : i + step], axis=0)
+                a += part.sum(axis=0, dtype=np.int32) if len(part) > 1 else part[0]
             block &= a == k
-    row = {ev: i for i, ev in enumerate(distinct)}
-    return ok[:, [row[pulled[int(t)]] for t in times]].astype(np.float64)
+    return ok[which].T.astype(np.float64)
 
 
 def indicator_grid(
-    gs: GroundSpace,
-    master_seed: int,
-    n_runs: int,
-    event: PoissonEvent,
-    times: Sequence[int],
+    gs: GroundSpace, master_seed: int, n_runs: int, event: PoissonEvent, times: Sequence[int]
 ) -> np.ndarray:
     """(n_runs, len(times)) 0/1 matrix: row r is
     ``PointSample(gs, spawn(master_seed, r)).indicators(event, times)``."""
@@ -567,12 +573,6 @@ def weak_mixing_probe(
         for (c, _), grid in zip(f_terms, f_grids):
             f_vals += c * grid[:, j]
         prod = f_vals * g_vals
-        out.append(
-            CorrelationPoint(
-                t,
-                float(prod.mean()),
-                3.0 * float(prod.std(ddof=1)) / math.sqrt(n_runs),
-                limit,
-            )
-        )
+        half_width = 3.0 * float(prod.std(ddof=1)) / math.sqrt(n_runs)
+        out.append(CorrelationPoint(t, float(prod.mean()), half_width, limit))
     return out

@@ -573,6 +573,12 @@ def _on_paths(handler: Callable, cost: Callable, f_default=..., **keys) -> dict[
     }
 
 
+def _times_x_points(times, f, g, **_) -> int:
+    """Each time reads a count at every point of every constraint region of
+    f and of g (at least one cell a time, for the result matrix)."""
+    return len(times) * max(1, sum(len(r) for _, event in f + g for r, _ in event.constraints))
+
+
 #: a cocycle fuzz case reads its configuration at a few sites or a bounded
 #: block, whose length the library guards
 _CASES = lambda system, cases, **_: ("cases", cases)  # noqa: E731
@@ -676,7 +682,7 @@ _HANDLERS: dict[str, dict[str, tuple[dict, Callable, Callable]]] = {
         runs=(_at_least(2, "runs"), 10000),
     ),
     "weak_mixing_probe": _on(
-        "poisson", _weak_mixing, _runs_x("times", lambda times, **_: len(times)),
+        "poisson", _weak_mixing, _runs_x("times x region points", _times_x_points),
         f=(_WEAK_MIXING_TERMS, ...),
         g=(_WEAK_MIXING_TERMS, ...),
         times=(_nonempty(_ints, "times"), ...),

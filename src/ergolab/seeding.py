@@ -267,6 +267,18 @@ def keyed_symbols(
     return out
 
 
+def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-D array, in the order of one lexicographic
+    sort (np.unique(axis=0) is far slower), and the index of each row among
+    them: rows[i] == distinct[which[i]]."""
+    order = np.lexsort(rows.T) if rows.shape[1] else np.arange(len(rows))
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (np.diff(rows[order], axis=0) != 0).any(axis=1)
+    which = np.empty(len(rows), dtype=np.intp)
+    which[order] = np.cumsum(new) - 1
+    return rows[order[new]], which
+
+
 def keyed_gather(
     states: np.ndarray, coords: np.ndarray, levels_of: Callable[[tuple], np.ndarray]
 ) -> np.ndarray:
@@ -282,13 +294,8 @@ def keyed_gather(
     cells = np.broadcast_to(states[:, None], (rows, k))
     for axis in range(d - 1):
         cells = fold(cells, keys[..., axis])
-    # distinct points by a lexicographic sort: np.unique(axis=0) is far slower
-    points = coords.reshape(-1, d)
-    order = np.lexsort(points.T)
-    new = np.r_[True, (np.diff(points[order], axis=0) != 0).any(axis=1)]
-    which = np.empty(len(order), dtype=np.intp)
-    which[order] = np.cumsum(new) - 1
-    table = np.concatenate([levels_of(tuple(p)) for p in points[order[new]].tolist()], axis=1)
+    distinct, which = distinct_rows(coords.reshape(-1, d))
+    table = np.concatenate([levels_of(tuple(p)) for p in distinct.tolist()], axis=1)
     out = np.ones((rows * k, 1), dtype=np.int16)
     _keyed_counts(cells.reshape(-1), keys[..., -1].reshape(-1, 1), table[:, which, None], out)
     return out.reshape(rows, k)

@@ -668,6 +668,153 @@ class TestStreamedIndicators:
         assert peak < 10_000 * 640 * 2 / 4
 
 
+#: a translation whose means repeat with period 6, one of them split into
+#: two keyed sub-draws, so that a moving region holds a split point at some
+#: times and not at others
+SPLIT_LINE = ps.GroundSpace(
+    weight=lambda p: [F(51), F(1, 2), F(1, 3), F(120), F(1), F(2)][p % 6], jump=lambda p, n: p + n
+)
+
+
+class TestPointMajorIndicators:
+    """The point-major read against ``ref_indicator``, cell for cell, where
+    the pulled-back events overlap, share points, repeat, or stand still."""
+
+    CASES = {
+        # spacing 1 < span 6: neighbouring events share five points
+        "overlapping_pull_backs": (unit_line(), ps.PoissonEvent.count(range(6), 2), range(-3, 17)),
+        # three constraints sharing points 2, 3 and 4, moved by 3 per time
+        "constraints_share_points": (
+            ps.integer_translation(3),
+            ps.PoissonEvent.of([([0, 1, 2, 3], 2), ([2, 3, 4, 5], 1), ([3, 4], 0)]),
+            [0, 1, 2, 5, 7, 1],
+        ),
+        # time t and t + 5 pull back to the same event
+        "cycle_period": (
+            ps.finite_cycle(5),
+            ps.PoissonEvent.of([([0, 1], 1), ([3], 0)]),
+            [0, 1, 5, 6, 10, 2, 7, -3, 12, 4, 9, -1],
+        ),
+        "identity": (ps.integer_identity(), ps.PoissonEvent.count([0, 1, 2], 2), [0, 4, -9]),
+        "weighted": (
+            ps.weighted_points({p: [F(3, 2), F(1, 3), F(7, 2)][p % 3] for p in range(-4, 5)}),
+            ps.PoissonEvent.of([([-4, 0, 3], 4), ([0, 1], 1)]),
+            [0, 2, 11],
+        ),
+        # sums of means near 52 where the region holds the mean-51 point
+        "split_point_in_region": (SPLIT_LINE, ps.PoissonEvent.count([0, 1, 2], 52), range(6)),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_matches_scalar(self, name):
+        gs, ev, times = self.CASES[name]
+        times = list(times)
+        grid = ps.indicator_grid(gs, 37, 300, ev, times)
+        assert grid.shape == (300, len(times)) and grid.dtype == np.float64
+        assert np.array_equal(grid, _scalar_indicators(gs, 37, 300, ev, times))
+        assert 0 < grid.sum() < grid.size
+        for r in (0, 299):
+            assert np.array_equal(grid[r], run_sample(gs, 37, r).indicators(ev, times))
+        if name == "cycle_period":
+            for j, t in enumerate(times):
+                assert np.array_equal(grid[:, j], grid[:, times.index(t % 5)])
+        if name in ("identity", "weighted"):
+            assert (grid == grid[:, :1]).all()
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_matches_scalar_across_row_blocks_and_takes(self, monkeypatch, name):
+        # 64-cell blocks: every block holds a few runs at most, and a region
+        # wider than a take sums in several takes
+        gs, ev, times = self.CASES[name]
+        _streamed(monkeypatch, 64)
+        grid = ps.indicator_grid(gs, 37, 50, ev, list(times))
+        assert np.array_equal(grid, _scalar_indicators(gs, 37, 50, ev, list(times)))
+
+    def test_region_wider_than_a_take(self, monkeypatch):
+        # 40 points: a take holds 64 // 3 = 21 region rows at one run a block
+        gs = ps.weighted_points({p: F(1, 40) for p in range(40)})
+        ev = ps.PoissonEvent.count(range(40), 1)
+        _streamed(monkeypatch, 64)
+        grid = ps.indicator_grid(gs, 8, 200, ev, [0, 1, 2])
+        assert 0 < grid.sum() < grid.size
+        assert np.array_equal(grid, _scalar_indicators(gs, 8, 200, ev, [0, 1, 2]))
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_runs_at_the_row_block_edge(self, extra):
+        # overlapping events on the line: 25 points, 20 distinct events
+        gs, ev, times = self.CASES["overlapping_pull_backs"]
+        rows = ps._BLOCK_CELLS // 25
+        n_runs = rows + extra
+        grid = ps.indicator_grid(gs, 5, n_runs, ev, list(times))
+        assert grid.shape == (n_runs, 20)
+        for r in sorted({0, rows - 2, rows - 1, rows} & set(range(n_runs))):
+            assert list(grid[r]) == [ref_indicator(run_sample(gs, 5, r), ev, t) for t in times]
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_no_times(self, name):
+        gs, ev, _ = self.CASES[name]
+        for grid in (ps.indicator_grid(gs, 3, 7, ev, []), ps.PointSample(gs, 3).indicators(ev, [])):
+            assert grid.shape[-1] == 0 and grid.dtype == np.float64
+        assert ps.indicator_grid(gs, 3, 7, ev, []).shape == (7, 0)
+
+    def test_no_times_reads_no_point(self):
+        # as before: without a time no region is pulled back or weighed
+        ev = ps.PoissonEvent.count([9], 0)
+        for gs in (ps.finite_cycle(3), ps.weighted_points({0: 1})):
+            assert ps.indicator_grid(gs, 3, 4, ev, []).shape == (4, 0)
+
+    def test_a_point_outside_the_cycle_is_named_in_region_order(self):
+        gs = ps.finite_cycle(3)
+        ev = ps.PoissonEvent.of([([1], 0), ([1, 7, -1, 4], 0)])
+        first = next(p for p in ev.constraints[1][0] if not 0 <= p < 3)
+        with pytest.raises(ValueError, match=f"point {first} outside cycle of length 3"):
+            ps.indicator_grid(gs, 3, 4, ev, [2])
+        with pytest.raises(ValueError, match=f"point {first} outside cycle of length 3"):
+            ev.pulled_back(gs, 2)
+        with pytest.raises(ValueError, match="point 5 outside cycle of length 3"):
+            ps.find_null_subsequence(gs, [[0], [5]], 1, 10)
+        assert np.array_equal(gs.jump(np.array([[0], [2]]), np.array([-1, 4])), [[2, 1], [1, 0]])
+
+    @pytest.mark.parametrize(
+        "gs, region, times",
+        [
+            (ps.integer_translation(2**61), [0], [1, 2]),
+            (ps.integer_translation(2**61), [0], [-2]),
+            (unit_line(), [2**62], [0]),
+            (unit_line(), [-(2**62)], [0]),
+            (unit_line(), [0], [2**62]),
+            (unit_line(), [2**61], [-(2**61)]),
+            (ps.integer_translation(2**70), [1], [0]),
+            (ps.finite_cycle(2**70), [1], [0, 5]),
+            (ps.integer_identity(), [2**64], [1]),
+        ],
+    )
+    def test_pull_backs_past_two_to_the_62_are_refused(self, gs, region, times):
+        with pytest.raises(ValueError, match=r"reaches 2\^62 in magnitude"):
+            ps.indicator_grid(gs, 1, 2, ps.PoissonEvent.count(region, 0), times)
+
+    def test_pull_backs_just_inside_two_to_the_62_are_read(self):
+        gs = ps.integer_translation(2**60)
+        ev = ps.PoissonEvent.count([2**61], 0)
+        times = [0, -1, 1]  # points 2^61, 2^61 + 2^60 and 2^60
+        grid = ps.indicator_grid(gs, 4, 30, ev, times)
+        assert np.array_equal(grid, _scalar_indicators(gs, 4, 30, ev, times))
+
+    def test_count_grid_is_a_view_of_a_point_major_grid(self):
+        means = [F(1, 2), F(2), F(51), F(3, 2)]
+        gs = ps.weighted_points({p: means[p % 4] for p in range(-6, 6)})
+        points = [5, -6, 0, 2, -1, 3, 4]
+        grid = ps.sample_count_grid(gs, 19, 33, points, first=4)
+        assert grid.shape == (33, len(points)) and grid.dtype == np.int16
+        assert grid.T.flags["C_CONTIGUOUS"]
+        for r in (0, 16, 32):
+            sample = run_sample(gs, 19, 4 + r)
+            assert list(grid[r]) == [ref_count(sample, p) for p in points]
+            assert np.array_equal(sample.counts(points), grid[r : r + 1])
+        assert ps.PointSample(gs, 1).counts(points).shape == (1, len(points))
+        assert ps.sample_count_grid(gs, 19, 0, points).shape == (0, len(points))
+
+
 class TestNullSubsequence:
     def test_translation_block_region(self):
         gs = unit_line()

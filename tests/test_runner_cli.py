@@ -106,6 +106,9 @@ GOLDEN_MEAN = {
 }
 
 #: config -> the words its one stderr line must hold; every one exits 2
+#: an observable of one event on one point
+ONE_POINT = [{"constraints": [[[0], 1]]}]
+
 REJECTED = {
     # rules of the JSON schema that the key tables replace
     "seed-bool": (minimal_config(seed=True), "bad integer True"),
@@ -246,7 +249,7 @@ REJECTED = {
             {"name": "weak_mixing_probe", "f": [{"constraints": [[[0], 0]]}],
              "g": [{"constraints": [[[0], 0]]}], "times": [1], "runs": 10**9},
         ),
-        "operation weak_mixing_probe: runs x times = 1000000000 cells exceeds the cap",
+        "operation weak_mixing_probe: runs x times x region points = 2000000000 cells exceeds the cap",
     ),
     # 6.6e12 golden-mean words of length 61, which the scan enumerated
     # without end
@@ -308,6 +311,22 @@ REJECTED = {
     "zd-cocycle-fuzz-span-past-floats": (
         config_on(ZD, {"name": "zd_cocycle_fuzz", "cases": 3, "span": (2**1024 - 2**970) // 2}),
         "span is past the float range",
+    ),
+    # indicator reads pull regions back in int64: Python ints carried these
+    "variance-decay-pull-back-past-int64": (
+        config_on(dict(POISSON, step=2**61), {"name": "variance_decay", "region": [0], "blocks": [4],
+                                              "spacing": 1, "runs": 2}),
+        "an event point, time or pull-back reaches 2^62 in magnitude",
+    ),
+    "weak-mixing-point-past-int64": (
+        config_on(POISSON, {"name": "weak_mixing_probe", "f": [{"constraints": [[[2**62], 0]]}],
+                            "g": ONE_POINT, "times": [1], "runs": 2}),
+        "an event point, time or pull-back reaches 2^62 in magnitude",
+    ),
+    "weak-mixing-step-past-int64-at-time-0": (
+        config_on(dict(POISSON, step=2**70), {"name": "weak_mixing_probe", "f": ONE_POINT,
+                                              "g": ONE_POINT, "times": [0], "runs": 2}),
+        "an event point, time or pull-back reaches 2^62 in magnitude",
     ),
     "mixing-gap-fuzz-points-over-cap": (
         config_on(POISSON, {"name": "mixing_gap_fuzz", "points": 10**9}),
@@ -477,6 +496,7 @@ CERTIFIED_FAILURES = {
 }
 
 EVENT_F = [{"constraints": [[[0], 1]]}]
+EVENT_F3 = [{"constraints": [[[0, 1, 2], 1]]}]
 
 
 def _cases(results):
@@ -1006,9 +1026,13 @@ BOUNDARIES = {
         (POISSON, {"runs": 4096, "blocks": [4096]}, CAP,
          {"runs": 97, "blocks": [172961]}, CAP + 1)
     ],
+    # runs x times x the region points of f and g: one point each, then a
+    # three-point f
     "weak_mixing_probe": [
-        (POISSON, {"f": EVENT_F, "g": EVENT_F, "times": [1, 2], "runs": CAP // 2}, CAP,
-         {"f": EVENT_F, "g": EVENT_F, "times": [1], "runs": CAP + 1}, CAP + 1)
+        (POISSON, {"f": EVENT_F, "g": EVENT_F, "times": [1], "runs": CAP // 2}, CAP,
+         {"f": EVENT_F, "g": EVENT_F, "times": [1], "runs": CAP // 2 + 1}, CAP + 2),
+        (POISSON, {"f": EVENT_F3, "g": EVENT_F, "times": [1, 2], "runs": CAP // 8}, CAP,
+         {"f": EVENT_F3, "g": EVENT_F, "times": [1, 2], "runs": CAP // 8 + 1}, CAP + 8),
     ],
     # 2 (2 n_max + 1) pairs at radius 0, 10 (2 n_max + 1) up to radius 1
     "homoclinic_scan": [
