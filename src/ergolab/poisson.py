@@ -297,8 +297,8 @@ def _plan(gs: GroundSpace, points: tuple[int, ...], cap: int | None) -> tuple:
     - split: (row, zigzag(p), sub-draw keys, sub-mean levels) per point of
       mean over ``_SPLIT_MEAN``, whose own levels are a mean 0's: it reads 0.
     """
-    weights = list(map(gs.weight, points))  # often one shared object, converted once:
-    as_float = {id(w): float(w) for w in {id(w): w for w in weights}.values()}
+    weights = list(map(gs.weight, points))  # grounds often share one weight object
+    as_float = {id(w): float(w) for w in {id(w): w for w in weights}.values()}  # once each
     means = np.array([as_float[id(w)] for w in weights])
     keys = np.array([zigzag(p) % 2**64 for p in points], dtype=np.uint64)
     size = 4 * COUNT_CAP if cap is None else min(cap, 4 * COUNT_CAP)

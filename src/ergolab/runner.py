@@ -576,7 +576,8 @@ def _on_paths(handler: Callable, cost: Callable, f_default=..., **keys) -> dict[
 def _times_x_points(times, f, g, **_) -> int:
     """Each time reads a count at every point of every constraint region of
     f and of g (at least one cell a time, for the result matrix)."""
-    return len(times) * max(1, sum(len(r) for _, event in f + g for r, _ in event.constraints))
+    points = sum(len(region) for _, event in f + g for region, _ in event.constraints)
+    return len(times) * max(1, points)
 
 
 #: a cocycle fuzz case reads its configuration at a few sites or a bounded

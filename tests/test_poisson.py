@@ -512,6 +512,14 @@ def _scalar_indicators(gs, seed, n_runs, ev, times):
     )
 
 
+#: a translation whose means repeat with period 6, one of them split into
+#: two keyed sub-draws, so that a moving region holds a split point at some
+#: times and not at others
+SPLIT_LINE = ps.GroundSpace(
+    weight=lambda p: [F(51), F(1, 2), F(1, 3), F(120), F(1), F(2)][p % 6], jump=lambda p, n: p + n
+)
+
+
 class TestIndicatorGridEdges:
     """``indicator_grid`` cell by cell against ``ref_indicator`` where
     its column map and its deduplication of pulled-back events matter."""
@@ -544,11 +552,34 @@ class TestIndicatorGridEdges:
             ps.PoissonEvent.of([([0, 1, 2, 3], 2), ([2, 3, 4], 1)]),
             [1, 0, 6, 2, 1],
         ),
+        # spacing 1 < span 6: neighbouring events share five points
+        "overlapping_pull_backs": (unit_line(), ps.PoissonEvent.count(range(6), 2), range(-3, 17)),
+        # three constraints sharing points 2, 3 and 4, moved by 3 per time
+        "constraints_share_points": (
+            ps.integer_translation(3),
+            ps.PoissonEvent.of([([0, 1, 2, 3], 2), ([2, 3, 4, 5], 1), ([3, 4], 0)]),
+            [0, 1, 2, 5, 7, 1],
+        ),
+        # time t and t + 5 pull back to the same event
+        "cycle_period": (
+            ps.finite_cycle(5),
+            ps.PoissonEvent.of([([0, 1], 1), ([3], 0)]),
+            [0, 1, 5, 6, 10, 2, 7, -3, 12, 4, 9, -1],
+        ),
+        "identity": (ps.integer_identity(), ps.PoissonEvent.count([0, 1, 2], 2), [0, 4, -9]),
+        "weighted": (
+            ps.weighted_points({p: [F(3, 2), F(1, 3), F(7, 2)][p % 3] for p in range(-4, 5)}),
+            ps.PoissonEvent.of([([-4, 0, 3], 4), ([0, 1], 1)]),
+            [0, 2, 11],
+        ),
+        # sums of means near 52 where the region holds the mean-51 point
+        "split_point_in_region": (SPLIT_LINE, ps.PoissonEvent.count([0, 1, 2], 52), range(6)),
     }
 
     @pytest.mark.parametrize("name", CASES)
     def test_matches_scalar(self, name):
         gs, ev, times = self.CASES[name]
+        times = list(times)
         grid = ps.indicator_grid(gs, 29, 400, ev, times)
         assert grid.shape == (400, len(times)) and grid.dtype == np.float64
         assert np.array_equal(grid, _scalar_indicators(gs, 29, 400, ev, times))
@@ -558,13 +589,18 @@ class TestIndicatorGridEdges:
             assert not grid.any()
         else:
             assert 0 < grid.sum() < grid.size
-        if name in ("identity_one_event", "large_means"):
+        if name in ("identity_one_event", "large_means", "identity", "weighted"):
             assert (grid == grid[:, :1]).all()
+        if name == "cycle_period":
+            for j, t in enumerate(times):
+                assert np.array_equal(grid[:, j], grid[:, times.index(t % 5)])
 
-    def test_no_times(self):
-        ev = ps.PoissonEvent.count([0, 1], 1)
-        grid = ps.indicator_grid(unit_line(), 3, 50, ev, [])
+    @pytest.mark.parametrize("name", CASES)
+    def test_no_times(self, name):
+        gs, ev, _ = self.CASES[name]
+        grid = ps.indicator_grid(gs, 3, 50, ev, [])
         assert grid.shape == (50, 0) and grid.dtype == np.float64
+        assert ps.PointSample(gs, 3).indicators(ev, []).shape == (0,)
 
     def test_memory_stays_block_sized(self):
         # 10^4 runs x 640 points: the int16 counts are 12.8 MB; a float or
@@ -640,12 +676,17 @@ class TestStreamedIndicators:
         hit = grid.any(axis=0)
         assert not hit[2] and hit[[1] if k else [3, 5]].all()
 
+    @pytest.mark.parametrize("cells", [64, 256])
     @pytest.mark.parametrize("name", TestIndicatorGridEdges.CASES)
-    def test_edge_cases_in_streamed_blocks(self, monkeypatch, name):
+    def test_edge_cases_in_streamed_blocks(self, monkeypatch, name, cells):
+        # 64-cell blocks hold a few runs at most, and a region wider than a
+        # take sums in several takes
         gs, ev, times = TestIndicatorGridEdges.CASES[name]
-        _streamed(monkeypatch, 256)
-        grid = ps.indicator_grid(gs, 29, 400, ev, times)
-        assert np.array_equal(grid, _scalar_indicators(gs, 29, 400, ev, times))
+        _streamed(monkeypatch, cells)
+        grid = ps.indicator_grid(gs, 29, 400, ev, list(times))
+        assert np.array_equal(grid, _scalar_indicators(gs, 29, 400, ev, list(times)))
+        for r in (0, 399):
+            assert np.array_equal(grid[r], run_sample(gs, 29, r).indicators(ev, list(times)))
 
     def test_point_sample_reads_the_grid_rows(self, monkeypatch):
         gs, ev, times = TestIndicatorGridEdges.CASES["shared_points"]
@@ -668,67 +709,9 @@ class TestStreamedIndicators:
         assert peak < 10_000 * 640 * 2 / 4
 
 
-#: a translation whose means repeat with period 6, one of them split into
-#: two keyed sub-draws, so that a moving region holds a split point at some
-#: times and not at others
-SPLIT_LINE = ps.GroundSpace(
-    weight=lambda p: [F(51), F(1, 2), F(1, 3), F(120), F(1), F(2)][p % 6], jump=lambda p, n: p + n
-)
-
-
 class TestPointMajorIndicators:
-    """The point-major read against ``ref_indicator``, cell for cell, where
-    the pulled-back events overlap, share points, repeat, or stand still."""
-
-    CASES = {
-        # spacing 1 < span 6: neighbouring events share five points
-        "overlapping_pull_backs": (unit_line(), ps.PoissonEvent.count(range(6), 2), range(-3, 17)),
-        # three constraints sharing points 2, 3 and 4, moved by 3 per time
-        "constraints_share_points": (
-            ps.integer_translation(3),
-            ps.PoissonEvent.of([([0, 1, 2, 3], 2), ([2, 3, 4, 5], 1), ([3, 4], 0)]),
-            [0, 1, 2, 5, 7, 1],
-        ),
-        # time t and t + 5 pull back to the same event
-        "cycle_period": (
-            ps.finite_cycle(5),
-            ps.PoissonEvent.of([([0, 1], 1), ([3], 0)]),
-            [0, 1, 5, 6, 10, 2, 7, -3, 12, 4, 9, -1],
-        ),
-        "identity": (ps.integer_identity(), ps.PoissonEvent.count([0, 1, 2], 2), [0, 4, -9]),
-        "weighted": (
-            ps.weighted_points({p: [F(3, 2), F(1, 3), F(7, 2)][p % 3] for p in range(-4, 5)}),
-            ps.PoissonEvent.of([([-4, 0, 3], 4), ([0, 1], 1)]),
-            [0, 2, 11],
-        ),
-        # sums of means near 52 where the region holds the mean-51 point
-        "split_point_in_region": (SPLIT_LINE, ps.PoissonEvent.count([0, 1, 2], 52), range(6)),
-    }
-
-    @pytest.mark.parametrize("name", CASES)
-    def test_matches_scalar(self, name):
-        gs, ev, times = self.CASES[name]
-        times = list(times)
-        grid = ps.indicator_grid(gs, 37, 300, ev, times)
-        assert grid.shape == (300, len(times)) and grid.dtype == np.float64
-        assert np.array_equal(grid, _scalar_indicators(gs, 37, 300, ev, times))
-        assert 0 < grid.sum() < grid.size
-        for r in (0, 299):
-            assert np.array_equal(grid[r], run_sample(gs, 37, r).indicators(ev, times))
-        if name == "cycle_period":
-            for j, t in enumerate(times):
-                assert np.array_equal(grid[:, j], grid[:, times.index(t % 5)])
-        if name in ("identity", "weighted"):
-            assert (grid == grid[:, :1]).all()
-
-    @pytest.mark.parametrize("name", CASES)
-    def test_matches_scalar_across_row_blocks_and_takes(self, monkeypatch, name):
-        # 64-cell blocks: every block holds a few runs at most, and a region
-        # wider than a take sums in several takes
-        gs, ev, times = self.CASES[name]
-        _streamed(monkeypatch, 64)
-        grid = ps.indicator_grid(gs, 37, 50, ev, list(times))
-        assert np.array_equal(grid, _scalar_indicators(gs, 37, 50, ev, list(times)))
+    """The point-major read where a take, a row block or the int64 range
+    ends, and its refusals."""
 
     def test_region_wider_than_a_take(self, monkeypatch):
         # 40 points: a take holds 64 // 3 = 21 region rows at one run a block
@@ -742,20 +725,13 @@ class TestPointMajorIndicators:
     @pytest.mark.parametrize("extra", [-1, 0, 1])
     def test_runs_at_the_row_block_edge(self, extra):
         # overlapping events on the line: 25 points, 20 distinct events
-        gs, ev, times = self.CASES["overlapping_pull_backs"]
+        gs, ev, times = TestIndicatorGridEdges.CASES["overlapping_pull_backs"]
         rows = ps._BLOCK_CELLS // 25
         n_runs = rows + extra
         grid = ps.indicator_grid(gs, 5, n_runs, ev, list(times))
         assert grid.shape == (n_runs, 20)
         for r in sorted({0, rows - 2, rows - 1, rows} & set(range(n_runs))):
             assert list(grid[r]) == [ref_indicator(run_sample(gs, 5, r), ev, t) for t in times]
-
-    @pytest.mark.parametrize("name", CASES)
-    def test_no_times(self, name):
-        gs, ev, _ = self.CASES[name]
-        for grid in (ps.indicator_grid(gs, 3, 7, ev, []), ps.PointSample(gs, 3).indicators(ev, [])):
-            assert grid.shape[-1] == 0 and grid.dtype == np.float64
-        assert ps.indicator_grid(gs, 3, 7, ev, []).shape == (7, 0)
 
     def test_no_times_reads_no_point(self):
         # as before: without a time no region is pulled back or weighed

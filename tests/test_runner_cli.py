@@ -249,7 +249,7 @@ REJECTED = {
             {"name": "weak_mixing_probe", "f": [{"constraints": [[[0], 0]]}],
              "g": [{"constraints": [[[0], 0]]}], "times": [1], "runs": 10**9},
         ),
-        "operation weak_mixing_probe: runs x times x region points = 2000000000 cells exceeds the cap",
+        "operation weak_mixing_probe: runs x times x region points = 2000000000 cells exceeds",
     ),
     # 6.6e12 golden-mean words of length 61, which the scan enumerated
     # without end
@@ -314,8 +314,10 @@ REJECTED = {
     ),
     # indicator reads pull regions back in int64: Python ints carried these
     "variance-decay-pull-back-past-int64": (
-        config_on(dict(POISSON, step=2**61), {"name": "variance_decay", "region": [0], "blocks": [4],
-                                              "spacing": 1, "runs": 2}),
+        config_on(
+            dict(POISSON, step=2**61),
+            {"name": "variance_decay", "region": [0], "blocks": [4], "spacing": 1, "runs": 2},
+        ),
         "an event point, time or pull-back reaches 2^62 in magnitude",
     ),
     "weak-mixing-point-past-int64": (
