@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .bernoulli import _as_fraction
@@ -236,6 +237,21 @@ class MarkovFamily:
         self._evolved: list[tuple[Fraction, ...]] = []
         self._evolved_bits = 0
         self._settled = False
+        # what the couplings on the family share, kept as they ask for it:
+        # the hub of each radius n, and each max-weight path to or from a hub
+        # by its (start, end, first index, steps)
+        self._hubs: dict[int, _HubCoupling] = {}
+        self._paths: dict[tuple[int, int, int, int], tuple[tuple[int, ...], Fraction]] = {}
+
+    @cached_property
+    def primitivity(self) -> int | None:
+        """``primitivity_index(self.sft)``: the couplings' path length."""
+        return primitivity_index(self.sft)
+
+    @cached_property
+    def ratio_constant(self) -> "RatioConstant":
+        """``transition_ratio_constant(self)``, which the coupling bounds read."""
+        return transition_ratio_constant(self)
 
     def transition(self, n: int) -> tuple[tuple[Fraction, ...], ...]:
         return self.window.get(n, self.base_transition)
@@ -419,7 +435,10 @@ def _best_path(
     """Max-weight admissible state path start -> end using the transition
     matrices at indices first_index .. first_index+steps-1; deterministic
     lexicographic tie-break.  Existence is guaranteed when steps is at least
-    the primitivity index."""
+    the primitivity index.  A path found is kept on the family."""
+    key = (start, end, first_index, steps)
+    if key in family._paths:
+        return family._paths[key]
     best: dict[int, tuple[Fraction, tuple[int, ...]]] = {start: (Fraction(1), (start,))}
     for step in range(steps):
         mat = family.transition(first_index + step)
@@ -438,6 +457,7 @@ def _best_path(
             f"no admissible path of length {steps} from {start} to {end}"
         )
     weight, path = best[end]
+    family._paths[key] = path, weight
     return path, weight
 
 
@@ -481,24 +501,28 @@ class _WordCoupling(NamedTuple):
 
 
 def _hub_coupling(family: MarkovFamily, n: int) -> _HubCoupling:
-    index = primitivity_index(family.sft)
+    """The hub of radius n, built once per family and n."""
+    if n in family._hubs:
+        return family._hubs[n]
+    index = family.primitivity
     if index is None:
         raise NonSingularError("SFT is not primitive: no coupling path length")
     pi = family.marginal(-n - index)
-    hub = max(family.sft.states, key=lambda s: (pi[s - 1], -s))
-    assert pi[hub - 1] >= Fraction(1, family.sft.n_states)
+    state = max(family.sft.states, key=lambda s: (pi[s - 1], -s))
+    assert pi[state - 1] >= Fraction(1, family.sft.n_states)
     size = family.sft.n_states
-    big_l = transition_ratio_constant(family).value
-    return _HubCoupling(
+    big_l = family.ratio_constant.value
+    family._hubs[n] = _HubCoupling(
         n=n,
         path_length=index,
-        state=hub,
+        state=state,
         ratio_constant=big_l,
         bound_strong=Fraction(1, size) / big_l ** (size * index),
         bound_weak=Fraction(1, size) / big_l ** (2 * size * index),
-        left_exts=tuple(sorted(family.sft.predecessors(hub))),
-        right_exts=tuple(sorted(family.sft.successors(hub))),
+        left_exts=tuple(sorted(family.sft.predecessors(state))),
+        right_exts=tuple(sorted(family.sft.successors(state))),
     )
+    return family._hubs[n]
 
 
 def _word_coupling(family: MarkovFamily, hub: _HubCoupling, cyl: Cylinder) -> _WordCoupling:
@@ -635,12 +659,12 @@ def tail_triviality_probe(
     into C for genuinely tail-invariant sets, so finding such a pair reports
     a violation.  Trivial candidates (null or co-null unions) report none.
     """
-    index = primitivity_index(family.sft)
+    index = family.primitivity
     if index is None:
         raise NonSingularError("SFT is not primitive")
     size = family.sft.n_states
     if eps is None:
-        big_l = transition_ratio_constant(family).value
+        big_l = family.ratio_constant.value
         eps = Fraction(1, size) / big_l ** (2 * size * index)
 
     radius = max(

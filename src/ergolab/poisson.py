@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -254,12 +254,15 @@ class PointSample:
     def counts(self, points: Sequence[int], cap: int | None = None) -> np.ndarray:
         """(1, len(points)) counts: the one row of ``sample_count_grid`` that
         this sample's seed (masked to 64 bits, as ``combine`` does) draws."""
-        return _count_rows(self.gs, np.array([self.seed % 2**64], dtype=np.uint64), points, cap).T
+        return self._read(_plan(self.gs, tuple(points), cap))
 
     def indicators(self, event: PoissonEvent, times: Sequence[int]) -> np.ndarray:
         """Indicators of the times[j]-fold suspension image lying in the event."""
-        read = lambda rows, points, cap, first: self.counts(points, cap)  # noqa: E731
+        read = lambda rows, plan, first: self._read(plan)  # noqa: E731
         return _indicators(self.gs, read, 1, event, times)[0]
+
+    def _read(self, plan: _Plan) -> np.ndarray:
+        return _count_rows(plan, np.array([self.seed % 2**64], dtype=np.uint64)).T
 
 
 def _count_thresholds(means: Sequence[float], size: int) -> np.ndarray:
@@ -286,10 +289,21 @@ def _count_thresholds(means: Sequence[float], size: int) -> np.ndarray:
     return np.ascontiguousarray(thresholds(cdfs).T)
 
 
+class _Plan(NamedTuple):
+    """What a count read needs of its points (``_plan``)."""
+
+    points: tuple[int, ...]
+    cap: int | None
+    keys: np.ndarray
+    levels: np.ndarray
+    split: list
+
+
 @lru_cache(maxsize=1)
-def _plan(gs: GroundSpace, points: tuple[int, ...], cap: int | None) -> tuple:
+def _plan(gs: GroundSpace, points: tuple[int, ...], cap: int | None) -> _Plan:
     """What a count read needs of its points, built once per read (only the
-    last read's is kept): (keys, levels, split).
+    last read's is kept, which a static ground's next read may share): the
+    points and cap, and
 
     - keys: zigzag(p) per point, as uint64;
     - levels: the points' ``_count_thresholds``, (levels, points, 1), or
@@ -312,26 +326,24 @@ def _plan(gs: GroundSpace, points: tuple[int, ...], cap: int | None) -> tuple:
         chunks = math.ceil(means[j] / _SPLIT_MEAN)
         sub = _count_thresholds([float(means[j]) / chunks], size)
         split.append((j, keys[j], np.arange(chunks, dtype=np.uint64), sub))
-    return keys, levels, split
+    return _Plan(points, cap, keys, levels, split)
 
 
-def _count_rows(
-    gs: GroundSpace, seeds: np.ndarray, points: Sequence[int], cap: int | None
-) -> np.ndarray:
-    """(len(points), len(seeds)) counts, point-major: cell [j, r] inverts
-    the keyed uniform of (seeds[r], TAG_POISSON, zigzag(points[j])) on the
-    Poisson CDF of the point's mean, by one ``seeding._keyed_counts`` over
-    the ``_plan`` thresholds with the point keys as its states and the run
-    states as its keys ((k + G) + s = (s + G) + k mod 2^64); with ``cap``
-    set, only the first cap thresholds count: ``min(count, cap)`` bit for bit.
+def _count_rows(plan: _Plan, seeds: np.ndarray) -> np.ndarray:
+    """(len(points), len(seeds)) counts of the plan's points, point-major:
+    cell [j, r] inverts the keyed uniform of (seeds[r], TAG_POISSON,
+    zigzag(points[j])) on the Poisson CDF of the point's mean, by one
+    ``seeding._keyed_counts`` over the plan's thresholds with the point keys
+    as its states and the run states as its keys ((k + G) + s = (s + G) + k
+    mod 2^64); with the plan's ``cap`` set, only the first cap thresholds
+    count: ``min(count, cap)`` bit for bit.
 
     A mean above ``_SPLIT_MEAN`` is split by additivity into ``chunks`` equal
     sub-means, sub-draw i keyed (seed, TAG_POISSON, zigzag(p), i): a sum of
     independent Poissons is exact in law, and each sub-draw and their sum
     are clipped at ``cap``.
     """
-    points = tuple(points)
-    keys, levels, split = _plan(gs, points, cap)
+    points, cap, keys, levels, split = plan
     out = np.zeros((len(points), len(seeds)), dtype=np.int16)
     states = combine_seeds(seeds, (TAG_POISSON,))
     _keyed_counts(keys, states, levels, out)
@@ -351,13 +363,16 @@ def _count_rows(
 
 def sample_count_grid(
     gs: GroundSpace, master_seed: int, n_runs: int, points: Sequence[int],
-    cap: int | None = None, *, first: int = 0,
+    cap: int | None = None, *, first: int = 0, plan: _Plan | None = None,
 ) -> np.ndarray:
     """(n_runs, len(points)) per-run point counts, clipped at ``cap`` when
     set: row r is ``PointSample(gs, spawn(master_seed, first + r)).counts(points, cap)``.
-    It is the transposed view of the point-major grid of ``_count_rows``."""
+    It is the transposed view of the point-major grid of ``_count_rows``.
+    ``plan``, the ``_plan`` of these points and cap, spares a caller that
+    reads them block by block from hashing them again on every block."""
     runs = np.arange(first, first + n_runs, dtype=np.int64)
-    return _count_rows(gs, spawn_vec(master_seed, runs), points, cap).T
+    plan = _plan(gs, tuple(points), cap) if plan is None else plan
+    return _count_rows(plan, spawn_vec(master_seed, runs)).T
 
 
 #: count cells per block of runs that ``_indicators`` draws and reduces at
@@ -391,8 +406,9 @@ def _indicators(
 ) -> np.ndarray:
     """(n_rows, len(times)) 0/1 matrix: entry [r, j] is the indicator of the
     times[j]-fold suspension image of row r's sample lying in the event,
-    over the counts ``read_counts(rows, points, cap, first=lo)`` returns for
-    the rows lo .. lo + rows - 1 (the transpose of a point-major grid).
+    over the counts ``read_counts(rows, plan, first=lo)`` returns for the
+    rows lo .. lo + rows - 1 (the transpose of a point-major grid) and the
+    points of ``plan``, which is built once.
 
     The distinct columns of ``_pull_back`` are the distinct pulled-back
     events; each of their points is drawn once, in one pass over blocks of
@@ -413,12 +429,12 @@ def _indicators(
     rows_of, at = np.searchsorted(points, distinct.T), np.cumsum([0, *map(len, regions)])
     sums = [(k, rows_of[i:j]) for (_, k), i, j in zip(event.constraints, at, at[1:])]
     cap = 1 + max((k for _, k in event.constraints), default=0)
-    points = tuple(points.tolist())
+    plan = _plan(gs, tuple(points.tolist()), cap)
     rows = max(1, _BLOCK_CELLS // max(len(points), len(distinct)))
     ok = np.empty((len(distinct), n_rows), dtype=bool)
     acc = np.empty(len(distinct) * min(rows, n_rows), dtype=np.int32)
     for lo in range(0, n_rows, rows):
-        counts = read_counts(min(rows, n_rows - lo), points, cap, first=lo).T
+        counts = read_counts(min(rows, n_rows - lo), plan, first=lo).T
         block = ok[:, lo : lo + counts.shape[1]]
         a = acc[: block.size].reshape(block.shape)
         step = max(1, _BLOCK_CELLS // block.size)
@@ -437,7 +453,10 @@ def indicator_grid(
 ) -> np.ndarray:
     """(n_runs, len(times)) 0/1 matrix: row r is
     ``PointSample(gs, spawn(master_seed, r)).indicators(event, times)``."""
-    return _indicators(gs, partial(sample_count_grid, gs, master_seed), n_runs, event, times)
+    def read(rows, plan, first):
+        return sample_count_grid(gs, master_seed, rows, plan.points, plan.cap, first=first, plan=plan)
+
+    return _indicators(gs, read, n_runs, event, times)
 
 
 # ---------------------------------------------------------------------------

@@ -6,16 +6,19 @@ parser and default, in `_SYSTEMS` or `_HANDLERS`; validation and parsing
 both come from these tables, so an unknown key, a missing required key or
 a wrong-typed value is a ConfigError at any level.  `_HANDLERS` also holds
 each operation's cost, which `run` refuses past the cap before it starts.
+`run` builds each system once per process (`_system`).
 Numbers are decimal or rational strings ("0.75", "3/4"), so exact systems
 get exact inputs; integers may also be plain JSON integers.
 """
 
 from __future__ import annotations
 
+import json
 import re
 import time
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
+from itertools import compress
 from typing import Any, Callable, Mapping
 
 import numpy as np
@@ -24,7 +27,7 @@ from . import __version__, averages, bernoulli as bn, lattice as lt, markov_sft 
 from . import poisson as ps
 from .errors import ConfigError
 from .reporting import jsonable, series_rows
-from .seeding import GRID_BLOCK, spawn, spawn_vec, uniform01, uniform01_nd, uniform01_vec
+from .seeding import GRID_BLOCK, _fair_coins, spawn, spawn_vec, uniform01, uniform01_nd, uniform01_vec
 from .shift_core import RANGE_CAP, Cylinder
 
 _INTEGER = re.compile(r"-?\d+")
@@ -247,6 +250,47 @@ def build_system(spec: Mapping[str, Any]):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+#: built systems kept per process, the least recently used dropped first.  An
+#: entry holds its parsed rationals and the tables and memos its reads fill,
+#: a few KB; the most one can hold is a Markov family whose marginals never
+#: settle, stopped at its ``markov_sft._MARGINAL_BITS`` budget, about 20 MB.
+#: So 32 entries hold well under 1 MB in a usual sweep and about 640 MB at
+#: worst, the size of a few of the 2^24-cell float arrays one report may fill
+_SYSTEM_CACHE = 32
+
+
+def _plain(value) -> bool:
+    """Whether ``value`` is made of JSON's own types only: dicts with str
+    keys, lists, str, int, bool and None, each of exactly that type, so that
+    it equals its JSON round trip and parses as its JSON text does.  No
+    system key takes a float, so a spec with one is refused either way."""
+    kind = type(value)
+    if kind is dict:
+        return all(type(k) is str and _plain(v) for k, v in value.items())
+    if kind is list:
+        return all(map(_plain, value))
+    return kind in (str, int, bool, type(None))
+
+
+def _system(spec):
+    """``build_system(spec)``, built once per process for a plain spec: the
+    key is its JSON text with the keys in the order given, since a window's
+    sites are summed in that order, so two orders may differ in the last
+    bit.  Any other spec (a tuple, a non-str key, a ``Fraction``, a float, a
+    subclass, an int past ``str``'s digit limit, a spec nested past the
+    recursion limit) is built each time.  A build that raises is not kept."""
+    try:
+        key = json.dumps(spec) if _plain(spec) else None
+    except (ValueError, RecursionError):
+        key = None
+    return build_system(spec) if key is None else _built(key)
+
+
+@lru_cache(maxsize=_SYSTEM_CACHE)
+def _built(key: str):
+    return build_system(json.loads(key))
+
+
 # ---------------------------------------------------------------------------
 # Operation handlers: each takes the built system, the seed and the parsed
 # operation keys, and returns a JSON-able result dict
@@ -409,7 +453,7 @@ def _random_event(seed: int, tag: int, n_points: int) -> ps.PoissonEvent:
     n_constraints = 1 + int(uniform01(seed, 3, tag) * 3)
     constraints = []
     for i in range(n_constraints):
-        region = [p for p in range(n_points) if uniform01(seed, 4, tag, i, p) < 0.5]
+        region = list(compress(range(n_points), _fair_coins(seed, (4, tag, i), n_points)))
         k = int(uniform01(seed, 5, tag, i) * 3)
         constraints.append((region, k))
     return ps.PoissonEvent.of(constraints)
@@ -545,7 +589,7 @@ def _coupling_cost(family, n) -> tuple[str, int]:
     # primitivity index, 0 without one) and weighs |S|^2 margins; the words
     # are counted until they pass the cap (the scan refuses a negative n)
     length, size = 2 * n + 1, family.sft.n_states
-    work = (length + 2 * (mk.primitivity_index(family.sft) or 0)) * size**2
+    work = (length + 2 * (family.primitivity or 0)) * size**2
     words = family.sft.count_words(length, RANGE_CAP // work) if n >= 0 else 0
     return f"words of length {length}, counted to {words}, x {work}", words * work
 
@@ -741,7 +785,7 @@ def run(config: Mapping[str, Any], seed_override: int | None = None) -> dict[str
     seed, handler, keys, cost = validate_config(config)
     if seed_override is not None:
         seed = seed_override
-    system = build_system(config["system"])
+    system = _system(config["system"])
     what, cells = cost(system, **keys)
     if cells > RANGE_CAP:
         name = config["operation"]["name"]

@@ -82,6 +82,14 @@ def uniform01(seed: int, *parts: int) -> float:
     return (combine(seed, *parts) >> 11) * 2.0**-53
 
 
+def _fair_coins(seed: int, parts: tuple[int, ...], n: int) -> list[bool]:
+    """``uniform01(seed, *parts, p) < 0.5`` for p in range(n), bit for bit:
+    the path ``combine(seed, *parts)`` is mixed once, and u < 1/2 iff the
+    top bit of the key is 0, so no float is formed."""
+    h = combine(seed, *parts) + _GOLDEN
+    return [_finalize(h + p) < 1 << 63 for p in range(n)]
+
+
 def spawn(seed: int, index: int) -> int:
     """Derive an independent child seed (used for per-run seeds)."""
     return combine(seed, TAG_SPAWN, index)

@@ -742,3 +742,59 @@ class TestAlgebraicKernels:
         scan = mk.coupling_scan(fam, 1)
         assert scan == pairwise_scan(expected)
         assert scan.pushforward_all is False
+
+
+# --- a family keeps what its couplings share ---------------------------------
+
+
+def _pairs(family, n):
+    """Every symmetric n-cylinder paired with the one opposite in word order."""
+    words = [Cylinder(-n, n, w) for w in family.sft.words(2 * n + 1)]
+    return list(zip(words, words[::-1]))
+
+
+class TestCouplingMemo:
+    """A family keeps its hub per radius and each hub path it finds, so the
+    couplings on one family compute them once; a warm family must answer as
+    a fresh one does."""
+
+    @pytest.mark.parametrize("window_at", WINDOWS, ids=lambda k: f"window{k}")
+    @pytest.mark.parametrize("name", list(REFERENCE_FAMILIES))
+    def test_warm_family_matches_fresh(self, name, window_at, monkeypatch):
+        index = mk.primitivity_index
+        calls = []
+        monkeypatch.setattr(mk, "primitivity_index", lambda sft: calls.append(sft) or index(sft))
+        warm = reference_family(name, window_at)
+        probe = [Cylinder.of([1, 2], -1)]
+        # warm up in the order opposite to the checks
+        for n in (2, 1):
+            mk.coupling_scan(warm, n)
+            for b, c in _pairs(warm, n):
+                mk.couple_cylinders(warm, b, c)
+        assert len(calls) == 1 and sorted(warm._hubs) == [1, 2]
+        got = {
+            n: (mk.coupling_scan(warm, n), [mk.couple_cylinders(warm, b, c) for b, c in _pairs(warm, n)])
+            for n in (1, 2)
+        }
+        tail = mk.tail_triviality_probe(warm, probe)
+        assert len(calls) == 1
+        for n in (1, 2):
+            assert got[n][0] == mk.coupling_scan(reference_family(name, window_at), n)
+            fresh = [
+                mk.couple_cylinders(reference_family(name, window_at), b, c)
+                for b, c in _pairs(warm, n)
+            ]
+            assert got[n][1] == fresh
+        assert tail == mk.tail_triviality_probe(reference_family(name, window_at), probe)
+
+    def test_refused_hub_is_not_kept(self, monkeypatch):
+        # the hub of radius n reads the marginal at -n - N; past the bit
+        # budget it is refused, and refused again, as on a fresh family
+        monkeypatch.setattr(mk, "_MARGINAL_BITS", 2000)
+        fam = mk.MarkovFamily(mk.golden_mean(), [[F(3, 4), F(1, 4)], [F(1), F(0)]], None,
+                              {-(10**6): [[F(1, 2), F(1, 2)], [F(1), F(0)]]})
+        b = Cylinder(-1, 1, (1, 1, 1))
+        for _ in range(2):
+            with pytest.raises(RangeCapError, match="pass 2000 bits"):
+                mk.couple_cylinders(fam, b, b)
+        assert fam._hubs == {} and fam._paths == {}

@@ -1,14 +1,19 @@
+import importlib.util
 import json
 import math
+import random
 import re
 import subprocess
 import sys
 import tracemalloc
+from collections import OrderedDict
+from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from ergolab import cli, runner
+from ergolab import cli, markov_sft, runner
 from ergolab.errors import CertifiedFailure, ConfigError, NonSingularError, ToleranceError
 from ergolab.experiments import CATALOG, get_config, list_experiments
 from ergolab.reporting import render_report
@@ -1131,3 +1136,169 @@ class TestSizeBudget:
         )
         assert proc.returncode == 3
         assert proc.stderr == says + "\n"
+
+
+# --- one build per system per process ---------------------------------------
+
+_WALL_TIME = re.compile(r',\n  "wall_time_s": [^\n]*')
+
+
+def _outcome(config) -> str:
+    """The rendered report without its wall time, or the error it raises."""
+    try:
+        return _WALL_TIME.sub("", render_report(runner.run(config)))
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _fresh_outcome(config, monkeypatch) -> str:
+    """``_outcome`` with the system built afresh, past the cache."""
+    with monkeypatch.context() as m:
+        m.setattr(runner, "_system", runner.build_system)
+        return _outcome(config)
+
+
+def _sweep() -> list[dict]:
+    """The catalog's configs and the seed-0 configs of every benchmark workload."""
+    path = README.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    configs = [get_config(name) for name in sorted(CATALOG)]
+    return configs + [cfg for name in workloads.WORKLOADS for cfg in workloads.generate(name, 0)]
+
+
+#: the perturbed golden-mean family, whose marginals never return to the
+#: base one right of its window
+UNSETTLED_MARKOV = {
+    "type": "markov",
+    "sft": [[1, 1], [1, 0]],
+    "transition": [["3/4", "1/4"], ["1", "0"]],
+    "transition_window": {"0": [["1/2", "1/2"], ["1", "0"]]},
+}
+
+
+class TestSystemCache:
+    @pytest.fixture(autouse=True)
+    def empty_cache(self):
+        runner._built.cache_clear()
+        yield
+        runner._built.cache_clear()
+
+    def test_sweeps_in_any_order_match_fresh_builds(self, monkeypatch):
+        # more distinct systems than the cache holds, so entries are dropped
+        # and built again within each order
+        configs = _sweep()
+        fresh = [_fresh_outcome(cfg, monkeypatch) for cfg in configs]
+        assert len({json.dumps(cfg["system"]) for cfg in configs}) > runner._SYSTEM_CACHE
+        order = list(range(len(configs)))
+        for run_order in (order, order[::-1], random.Random(28).sample(order, len(order))):
+            for i in run_order:
+                assert _outcome(configs[i]) == fresh[i], configs[i].get("name")
+        info = runner._built.cache_info()
+        assert info.currsize == runner._SYSTEM_CACHE and info.hits > 3 * info.misses
+
+    def test_bad_spec_raises_the_same_error_each_time(self):
+        # every rejected config, sent twice: a bad system is built twice and
+        # not kept, a bad operation on a good system reads the kept one
+        for config, says in REJECTED.values():
+            first, second = _outcome(config), _outcome(config)
+            assert first == second and first.split(":")[0] in ("ConfigError", "ValueError")
+            assert re.sub("^invalid (input|config): ", "", says) in first
+        # only the systems that build are kept
+        valid, built = 0, set()
+        for config, _ in REJECTED.values():
+            try:
+                runner.validate_config(config)
+                valid += 1
+                runner.build_system(config["system"])
+            except (ConfigError, ValueError):
+                continue
+            built.add(json.dumps(config["system"]))
+        assert runner._built.cache_info().currsize == len(built) < valid
+
+    @pytest.mark.parametrize(
+        "system, usual",
+        [
+            # a tuple where a list goes: refused, as a JSON config never is
+            ({**MARKOV, "sft": ((1, 1), (1, 1))}, "system markov: expected a list"),
+            # an int key: the same family as its str-keyed spec
+            ({**UNSETTLED_MARKOV, "transition_window": {0: [["1/2", "1/2"], ["1", "0"]]}}, None),
+            # a Fraction where a number string goes: refused
+            (
+                {"type": "poisson", "ground": "weighted", "weights": {"0": Fraction(1, 2)}},
+                "system poisson/weighted: bad number Fraction(1, 2)",
+            ),
+            # a dict subclass: the same family as its plain spec
+            (OrderedDict(MARKOV), None),
+        ],
+        ids=["tuple", "int-key", "fraction", "dict-subclass"],
+    )
+    def test_specs_that_are_not_plain_json_bypass_the_cache(self, system, usual, tmp_path, monkeypatch):
+        name = "cylinder_measure" if system["type"] == "markov" else "event_probability"
+        operation = (
+            {"name": name, "word": [1, 2, 1], "left": 3}
+            if name == "cylinder_measure"
+            else {"name": name, "constraints": [[["0"], "1"]]}
+        )
+        config = config_on(system, operation)
+        first, second = _outcome(config), _outcome(config)
+        info = runner._built.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+        assert first == second == _fresh_outcome(config, monkeypatch)
+        if usual is None:
+            plain = config_on(json.loads(json.dumps(system)), operation)
+            assert json.loads(first)["results"] == json.loads(_outcome(plain))["results"]
+        else:
+            assert first.startswith(f"ConfigError: {usual}")
+            # as the CLI would get it from a JSON loader that kept the value
+            path = tmp_path / "c.json"
+            path.write_text("{}")
+            loader = SimpleNamespace(loads=lambda text: config, JSONDecodeError=json.JSONDecodeError)
+            monkeypatch.setattr(cli, "json", loader)
+            assert cli.main(["--config", str(path)]) == 2
+
+    def test_marginal_budget_refusal_leaves_the_family_as_fresh(self, monkeypatch):
+        monkeypatch.setattr(markov_sft, "_MARGINAL_BITS", 2000)
+        far = {"name": "cylinder_measure", "word": [1], "left": 10**9}
+        operations = [
+            far,
+            {"name": "cylinder_measure", "word": [1, 2, 1], "left": 3},
+            far,
+            {"name": "cylinder_measure", "word": [2, 1], "left": 40},
+            {"name": "couple_cylinders", "b_word": [1, 2, 1], "c_word": [2, 1, 1]},
+            {"name": "coupling_scan", "n": 2},
+            {"name": "martingale_check", "radius": 3},
+            {"name": "tail_triviality_probe", "cylinders": [{"word": [2], "left": 0}]},
+            far,
+        ]
+        outcomes = [_outcome(config_on(UNSETTLED_MARKOV, op)) for op in operations]
+        assert runner._built.cache_info().currsize == 1
+        assert outcomes[0].startswith("RangeCapError") and "pass 2000 bits" in outcomes[0]
+        assert outcomes[0] == outcomes[2] == outcomes[-1]
+        assert outcomes[3].startswith("RangeCapError")
+        for op, outcome in zip(operations, outcomes):
+            assert outcome == _fresh_outcome(config_on(UNSETTLED_MARKOV, op), monkeypatch)
+
+    def test_window_order_is_part_of_the_key(self, monkeypatch):
+        # a compact window's log ratios are summed in the order its sites are
+        # given, so two orders of one window may differ in the last bit
+        sites = {
+            "0": ["1/7", "6/7"], "1": ["2/5", "3/5"], "2": ["5/11", "6/11"],
+            "-3": ["3/10", "7/10"], "7": ["1/9", "8/9"],
+        }
+        values = []
+        for window in (sites, dict(reversed(sites.items()))):
+            system = {"type": "bernoulli", "kind": "compact", "base": ["1/3", "2/3"], "window": window}
+            config = minimal_config(seed="3", system=system, operation={"name": "rn_derivative", "n": 5})
+            assert _outcome(config) == _fresh_outcome(config, monkeypatch)
+            values.append(runner.run(config)["results"]["log_value"])
+        assert values[0] != values[1]
+        assert runner._built.cache_info().currsize == 2
+
+    def test_the_cache_is_bounded(self):
+        for step in range(1, 2 * runner._SYSTEM_CACHE + 1):
+            system = {"type": "poisson", "ground": "translation", "step": step}
+            runner.run(config_on(system, {"name": "event_probability", "constraints": [[["0"], "1"]]}))
+        info = runner._built.cache_info()
+        assert info.maxsize == info.currsize == runner._SYSTEM_CACHE and info.misses == 2 * info.maxsize

@@ -180,3 +180,18 @@ def test_keyed_symbols_with_no_cells_or_no_rows():
     states = seeding.combine_seeds(np.arange(3), (9,))
     assert seeding.keyed_symbols(states, 5, 0, levels_at).shape == (3, 0)
     assert seeding.keyed_symbols(states[:0], 5, 4, levels_at).shape == (0, 4)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1, -12345, 2**70 + 3])
+def test_fair_coins_match_the_uniform_draw(seed):
+    # u < 1/2 iff the key's top bit is 0; the runner's mixing-gap fuzz draws
+    # each point of a region this way, under (seed, 4, tag, constraint)
+    flips = 0
+    for tag in range(40):
+        for parts in ((4, tag, tag % 3), (4, 2**64 + tag), (-tag, 7)):
+            coins = seeding._fair_coins(seed, parts, 64)
+            assert coins == [seeding.uniform01(seed, *parts, p) < 0.5 for p in range(64)]
+            flips += sum(coins)
+    # both sides are drawn, near half of the time each
+    assert 0.45 < flips / (40 * 3 * 64) < 0.55
+    assert seeding._fair_coins(seed, (4, 0, 0), 0) == []
