@@ -791,8 +791,8 @@ class TestCouplingMemo:
         # the hub of radius n reads the marginal at -n - N; past the bit
         # budget it is refused, and refused again, as on a fresh family
         monkeypatch.setattr(mk, "_MARGINAL_BITS", 2000)
-        fam = mk.MarkovFamily(mk.golden_mean(), [[F(3, 4), F(1, 4)], [F(1), F(0)]], None,
-                              {-(10**6): [[F(1, 2), F(1, 2)], [F(1), F(0)]]})
+        base, window = [[F(3, 4), F(1, 4)], [F(1), F(0)]], [[F(1, 2), F(1, 2)], [F(1), F(0)]]
+        fam = mk.MarkovFamily(mk.golden_mean(), base, None, {-(10**6): window})
         b = Cylinder(-1, 1, (1, 1, 1))
         for _ in range(2):
             with pytest.raises(RangeCapError, match="pass 2000 bits"):
