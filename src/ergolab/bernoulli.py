@@ -714,8 +714,6 @@ def _walk(
         add = _window_log_ratios(family.base.floats, window, lambda i: block[..., i - lo, None])
     else:
         add = lambda out, there: out  # noqa: E731
-    if steps:
-        offsets = np.arange(offsets.start, offsets.stop, offsets.step)
     rows = max(1, math.prod(lead))
     width = max(1, GRID_BLOCK // rows)
     idx = np.empty(min(width, len(offsets)), dtype=np.intp)
@@ -725,9 +723,13 @@ def _walk(
         for c0 in range(0, len(offsets), width):
             cols = slice(c0, min(c0 + width, len(offsets)))
             shape = lead + (cols.stop - c0,)
+            # a range's chunk becomes an array here, one chunk at a time
+            here = offsets[cols]
+            if steps:
+                here = np.arange(here.start, here.stop, here.step)
 
             def at(j: int) -> np.ndarray:
-                there = np.add(offsets[cols], j - lo, out=idx[: shape[-1]])
+                there = np.add(here, j - lo, out=idx[: shape[-1]])
                 out = buf[: rows * shape[-1]].reshape(shape)
                 return np.take(block, there, axis=-1, out=out, mode="clip")
 

@@ -16,7 +16,7 @@ from bisect import bisect_right
 from functools import cached_property, reduce
 from itertools import product
 from operator import add
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from .bernoulli import (
 )
 from .errors import NonSingularError
 from .seeding import (
+    GRID_BLOCK,
     TAG_LATTICE,
     combine,
     combine_seeds,
@@ -63,7 +64,7 @@ class LatticeFamily:
     """Base interface for Z^d product families; use the concrete shapes.
     Each shape answers its own ``kakutani_generator``, ``log_derivative``,
     ``require_box_nonsingular``, ``box_reach`` (the sup-norm radius the box
-    weights read) and ``box_weights``."""
+    weights read) and ``slab_weights``."""
 
     dimension: int
     alphabet: Alphabet
@@ -136,12 +137,13 @@ class LatticeCompact(LatticeFamily):
     def box_reach(self) -> int:
         return max((_norm(g) for g in self.window), default=0)
 
-    def box_weights(self, x: "LatticeConfiguration", read, shape) -> np.ndarray:
-        """exp of ``log_derivative`` at each g of the box, where ``read(i)``
-        holds x_{i - g} over the box."""
+    def slab_weights(self, x: "LatticeConfiguration") -> Callable:
+        """``weights(read, shape)``: exp of ``log_derivative`` at each g of a
+        slab of the box, where ``read(i)`` holds x_{i - g} over the slab; the
+        window's tables and its reads at x are made once, here."""
         window = {g: m.floats for g, m in self.window.items()}
         add = _window_log_ratios(self.base.floats, window, x.symbol)
-        return np.exp(add(np.zeros(shape), read))
+        return lambda read, shape: np.exp(add(np.zeros(shape), read))
 
     def levels_of(self, g: tuple[int, ...]) -> np.ndarray:
         return self._columns.get(g, self._columns[None])
@@ -218,8 +220,8 @@ class LatticePeriodic(LatticeFamily):
         if not all(self.preserved_by(_unit_vector(d, axis)) for axis in range(d)):
             raise NonSingularError("periodic lattice family is singular under some box translation")
 
-    def box_weights(self, x: "LatticeConfiguration", read, shape) -> np.ndarray:
-        return np.ones(shape)
+    def slab_weights(self, x: "LatticeConfiguration") -> Callable:
+        return lambda read, shape: np.ones(shape)
 
     def box_symbols(self, states: np.ndarray, axes: list[np.ndarray]) -> np.ndarray:
         *prefix, last = axes
@@ -372,25 +374,40 @@ def box_ratio_average(
     reach = max([_norm(g) for _, atom in atoms for g in atom] + [family.box_reach])
 
     block = x.box(n_max, margins=(reach,) * d)
-    lows = (-n_max - reach,) * d
+    # on each axis, x_{shift - g} at g = k - n_max sits at block index
+    # shift + top - k, the block starting at -n_max - reach
+    top = 2 * n_max + reach
+    width = 2 * n_max + 1
 
-    # the sup-norm radius of each cell, broadcast from the d axis vectors
+    # the sup-norm radius of a cell is the larger of its axis-0 radius and
+    # its radius on the plane of the other axes
     span = np.abs(np.arange(-n_max, n_max + 1, dtype=np.int64))
-    radius = reduce(np.maximum, np.ix_(*(span,) * d))
+    plane = reduce(np.maximum, np.ix_(*(span,) * (d - 1)), np.int64(0))
+    weights = family.slab_weights(x)
 
-    def read(shift_vec: tuple[int, ...]) -> np.ndarray:
-        # symbols x_{shift - g} arranged over the g grid
-        slices = tuple(
-            slice(s - n_max - lo, s + n_max + 1 - lo)
-            for s, lo in zip(shift_vec, lows)
-        )
-        return block[slices][tuple(slice(None, None, -1) for _ in range(d))]
+    # the box is walked in slabs of whole planes along axis 0, about
+    # GRID_BLOCK cells each; np.add.at adds cell by cell in C order from
+    # 0.0, as one np.bincount over the whole box would, so every sum keeps
+    # its bits
+    num, den = np.zeros(n_max + 1), np.zeros(n_max + 1)
+    rows = max(1, GRID_BLOCK // plane.size)
+    for a in range(0, width, rows):
+        b = min(a + rows, width)
 
-    values = _add_patterns(np.zeros(radius.shape), atoms, read)
-    weights = family.box_weights(x, read, radius.shape)
+        def read(shift_vec: tuple[int, ...]) -> np.ndarray:
+            # symbols x_{shift - g} arranged over the slab's g grid
+            first, *rest = (s + top for s in shift_vec)
+            slices = (
+                slice(first + 1 - b, first + 1 - a),
+                *(slice(t + 1 - width, t + 1) for t in rest),
+            )
+            return block[slices][(slice(None, None, -1),) * d]
 
-    num = np.bincount(radius.ravel(), (weights * values).ravel(), minlength=n_max + 1)
-    den = np.bincount(radius.ravel(), weights.ravel(), minlength=n_max + 1)
+        radius = np.maximum(span[a:b].reshape((-1,) + (1,) * (d - 1)), plane)
+        values = _add_patterns(np.zeros(radius.shape), atoms, read)
+        w = weights(read, radius.shape)
+        np.add.at(num, radius.ravel(), (w * values).ravel())
+        np.add.at(den, radius.ravel(), w.ravel())
     num_c, den_c = np.cumsum(num), np.cumsum(den)
     pts = tuple(range(1, n_max + 1))
     return SumSeries(pts, tuple(float(num_c[n] / den_c[n]) for n in pts))

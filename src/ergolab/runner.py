@@ -609,19 +609,31 @@ _PATHS = (
 )
 
 
-def _on_paths(handler: Callable, cost: Callable, f_default=..., **keys) -> dict[str, tuple]:
-    """An operation on the sampled paths of a shift or a suspension."""
+def _on_paths(
+    handler: Callable, cost: Callable, f_default=..., poisson_cost: Callable | None = None, **keys
+) -> dict[str, tuple]:
+    """An operation on the sampled paths of a shift or a suspension; a
+    suspension's cost is ``poisson_cost`` where one is given."""
     return {
-        system_type: ({"f": (observable, f_default), **keys}, _with(engine, handler), cost)
+        system_type: (
+            {"f": (observable, f_default), **keys},
+            _with(engine, handler),
+            (poisson_cost or cost) if system_type == "poisson" else cost,
+        )
         for system_type, observable, engine in _PATHS
     }
 
 
+def _region_points(terms) -> int:
+    """The points of every constraint region of the events in ``terms``, at
+    least 1 (one cell a time, for the result matrix)."""
+    return max(1, sum(len(region) for _, event in terms for region, _ in event.constraints))
+
+
 def _times_x_points(times, f, g, **_) -> int:
     """Each time reads a count at every point of every constraint region of
-    f and of g (at least one cell a time, for the result matrix)."""
-    points = sum(len(region) for _, event in f + g for region, _ in event.constraints)
-    return len(times) * max(1, points)
+    f and of g."""
+    return len(times) * _region_points(f + g)
 
 
 #: a cocycle fuzz case reads its configuration at a few sites or a bounded
@@ -630,6 +642,10 @@ _CASES = lambda system, cases, **_: ("cases", cases)  # noqa: E731
 #: a fuzz draws its shifts through float(2 span + 1), which overflows from span 2^1023 - 2^969 up
 _SPAN = _checked(_at_least(0, "span"), lambda s: s < 2**1023 - 2**969, "span is past the float range")
 _RUNS_X_HORIZON = _runs_x("horizon", lambda horizon, **_: horizon)
+#: a suspension's series time pulls back every region point of f's events
+_RUNS_X_HORIZON_X_POINTS = _runs_x(
+    "horizon x region points", lambda horizon, f, **_: horizon * _region_points(f.terms)
+)
 _RUNS_X_BLOCK = _runs_x("largest block", lambda blocks, **_: max(blocks))
 _BLOCKS = {"blocks": (_nonempty(_list_of(_at_least(1, "blocks")), "blocks"), [16, 64, 256])}
 _WEAK_MIXING_TERMS = _records({**_COEF, "constraints": (_event, ...)}, _values)
@@ -659,18 +675,21 @@ _HANDLERS: dict[str, dict[str, tuple[dict, Callable, Callable]]] = {
     ),
     "birkhoff_series": _on_paths(
         _series("birkhoff", averages.birkhoff_series), _RUNS_X_HORIZON, [{"coef": "1"}],
+        poisson_cost=_RUNS_X_HORIZON_X_POINTS,
         horizon=(_at_least(1, "horizon"), 1024),
     ),
     "dual_series": _on_paths(
         _series("dual", averages.dual_series), _RUNS_X_HORIZON, [{"coef": "1"}],
+        poisson_cost=_RUNS_X_HORIZON_X_POINTS,
         horizon=(_at_least(1, "horizon"), 1024),
     ),
     "ratio_series": _on_paths(
         _series("ratio", averages.hurewicz_ratio_series), _RUNS_X_HORIZON, [{"coef": "1"}],
+        poisson_cost=_RUNS_X_HORIZON_X_POINTS,
         horizon=(_at_least(1, "horizon"), 1024),
     ),
     "maximal_inequality": _on_paths(
-        _maximal, _RUNS_X_HORIZON,
+        _maximal, _RUNS_X_HORIZON, poisson_cost=_RUNS_X_HORIZON_X_POINTS,
         t=(_float, ...), runs=(_at_least(1, "runs"), 2000), horizon=(_at_least(1, "horizon"), 128),
     ),
     "two_subsequence_probe": _on_paths(

@@ -10,6 +10,7 @@ from ergolab import poisson as ps
 from ergolab.shift_core import Cylinder
 from test_cocycle_kernel import ref_dual_log_weights
 from test_poisson import ref_indicator
+from test_symbol_kernel import _peak
 
 F = Fraction
 
@@ -110,6 +111,13 @@ class TestDualSeries:
         sys = iid_system()
         series = av.dual_series(sys, letter_indicator(), sys.sample(9), 100_000)
         assert abs(series.final_value / series.checkpoints[-1] - 0.5) < 0.01
+
+    def test_long_series_memory_stays_block_sized(self):
+        # 10^6 terms read 2 MB of int16 symbols; an int64 array of their
+        # offsets alone would be 8 MB
+        sys = perturbed_system()
+        x = sys.sample(3)
+        assert _peak(lambda: av.dual_series(sys, letter_indicator(), x, 10**6)) < 6 * 2**20
 
     def test_linearity(self):
         sys = perturbed_system()

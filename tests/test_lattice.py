@@ -1,14 +1,18 @@
 import math
 import tracemalloc
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
 
 from ergolab import bernoulli as bn
 from ergolab import lattice as lt
+from ergolab.averages import _add_patterns
 from ergolab.bernoulli import CONVERGENT, DIVERGENT, SiteMeasure
 from ergolab.errors import NonSingularError
+from test_symbol_kernel import TRANSLATION, _peak
+from test_symbol_kernel import compact as compact_window
 
 F = Fraction
 
@@ -37,6 +41,44 @@ def oracle_rn_log(family, x, g, radius):
             float(family.site(h).prob(s))
         )
     return total
+
+
+def whole_box_average(family, f_terms, x, n_max):
+    """``box_ratio_average`` in one pass over the whole box: the radius, the
+    values and the weights span the box, and one ``np.bincount`` per sum
+    adds each radius bin's cells."""
+    d = family.dimension
+    atoms = [(float(c), {tuple(g): s for g, s in atom.items()}) for c, atom in f_terms]
+    reach = max([max(map(abs, g)) for _, atom in atoms for g in atom] + [family.box_reach])
+    block = x.box(n_max, margins=(reach,) * d)
+    lows = (-n_max - reach,) * d
+    span = np.abs(np.arange(-n_max, n_max + 1, dtype=np.int64))
+    radius = reduce(np.maximum, np.ix_(*(span,) * d))
+
+    def read(shift_vec):
+        slices = tuple(
+            slice(s - n_max - lo, s + n_max + 1 - lo) for s, lo in zip(shift_vec, lows)
+        )
+        return block[slices][tuple(slice(None, None, -1) for _ in range(d))]
+
+    values = _add_patterns(np.zeros(radius.shape), atoms, read)
+    if isinstance(family, lt.LatticeCompact):
+        window = {g: m.floats for g, m in family.window.items()}
+        add = bn._window_log_ratios(family.base.floats, window, x.symbol)
+        weights = np.exp(add(np.zeros(radius.shape), read))
+    else:
+        weights = np.ones(radius.shape)
+    num = np.bincount(radius.ravel(), (weights * values).ravel(), minlength=n_max + 1)
+    den = np.bincount(radius.ravel(), weights.ravel(), minlength=n_max + 1)
+    num_c, den_c = np.cumsum(num), np.cumsum(den)
+    return tuple(float(num_c[n] / den_c[n]) for n in range(1, n_max + 1))
+
+
+def constant_periodic(d):
+    """A periodic family whose sites all share one measure: non-singular
+    under every translation, so its box weights are all 1."""
+    period = (2, 1, 3)[:d]
+    return lt.LatticePeriodic(period, {r: TILTED for r in lt._box_residues(period)})
 
 
 class TestConfiguration:
@@ -267,3 +309,64 @@ class TestBoxRatioAverage:
             fam, [(1.0, {(0, 0, 0): 1})], fam.configuration(5), 8
         )
         assert abs(series.final_value - 0.5) < 0.05
+
+
+#: f = a two-site pattern, and f = a constant next to a one-site pattern
+PATTERN = [(1.0, {(0, 0, 0): 1, (1, 0, 0): 2})]
+CONSTANT_AND_PATTERN = [(0.5, {}), (-2.0, {(0, 1, 0): 2})]
+CONSTANT_AND_PATTERN_2D = [(0.5, {}), (-2.0, {(0, 1): 2})]
+
+
+class TestBoxSlabs:
+    """The slab walk of ``box_ratio_average`` against ``whole_box_average``,
+    compared with ``==``: the slabs must not move a bit of any sum."""
+
+    @pytest.mark.parametrize("rows", [1, 4, None])
+    @pytest.mark.parametrize("n_max", [1, 7])
+    @pytest.mark.parametrize("terms", [PATTERN, CONSTANT_AND_PATTERN])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("shape", [compact_window, constant_periodic])
+    def test_slabs_match_the_whole_box(self, monkeypatch, shape, d, terms, n_max, rows):
+        # rows planes a slab: one-plane slabs, four-plane slabs (whose last
+        # of 15 planes is short at n_max 7), or the default (one slab here)
+        if rows is not None:
+            monkeypatch.setattr(lt, "GRID_BLOCK", rows * (2 * n_max + 1) ** (d - 1))
+        family = shape(d)
+        x = family.configuration(17).translated(TRANSLATION[:d])
+        terms = [(c, {g[:d]: s for g, s in atom.items()}) for c, atom in terms]
+        series = lt.box_ratio_average(family, terms, x, n_max)
+        assert series.values == whole_box_average(family, terms, x, n_max)
+
+    @pytest.mark.parametrize("grid_block", [1, 3 * 97 + 5, None])
+    def test_many_slabs_of_a_larger_box(self, monkeypatch, grid_block):
+        # 97 planes: one a slab, three a slab with a one-plane last slab, and
+        # the default's 337 planes a slab, which holds the whole box
+        if grid_block is not None:
+            monkeypatch.setattr(lt, "GRID_BLOCK", grid_block)
+        family = compact2()
+        x = family.configuration(5).translated((3, -4))
+        series = lt.box_ratio_average(family, CONSTANT_AND_PATTERN_2D, x, 48)
+        assert series.values == whole_box_average(family, CONSTANT_AND_PATTERN_2D, x, 48)
+
+    def test_one_box_read(self, monkeypatch):
+        calls = []
+        box = lt.LatticeConfiguration.box
+
+        def counted(self, radius, margins=None):
+            calls.append((radius, margins))
+            return box(self, radius, margins)
+
+        monkeypatch.setattr(lt.LatticeConfiguration, "box", counted)
+        monkeypatch.setattr(lt, "GRID_BLOCK", 1)
+        family = compact_window(3)
+        lt.box_ratio_average(family, PATTERN, family.configuration(1), 6)
+        assert calls == [(6, (9, 9, 9))]
+
+
+class TestBoxMemory:
+    def test_box_average_holds_its_symbols_and_one_slab(self):
+        # a 93^3 box (reach 0) holds 1.6 MB of int16 symbols; the box's
+        # radius grid alone would be 6.4 MB, and each float temporary as much
+        family = lt.LatticeCompact(3, HALF, {})
+        x = family.configuration(4)
+        assert _peak(lambda: lt.box_ratio_average(family, [(1.0, {(0, 0, 0): 1})], x, 46)) < 8 * 2**20

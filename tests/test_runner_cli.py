@@ -188,7 +188,8 @@ REJECTED = {
     ),
     "poisson-ratio-series-over-cap": (
         config_on(POISSON, {"name": "ratio_series", "horizon": 10**10}),
-        "operation ratio_series: runs x horizon = 10000000000 cells exceeds the cap",
+        "operation ratio_series: runs x horizon x region points = 10000000000 cells exceeds the "
+        "cap",
     ),
     "conservativity-over-cap": (
         config_on(BERNOULLI, {"name": "conservativity_probe", "horizon": 10**10}),
@@ -234,7 +235,18 @@ REJECTED = {
             {"name": "maximal_inequality", "f": [{"constraints": [[[0], 0]]}], "t": "1",
              "runs": 2, "horizon": 10**10},
         ),
-        "operation maximal_inequality: runs x horizon = 20000000000 cells exceeds the cap",
+        "operation maximal_inequality: runs x horizon x region points = 20000000000 cells exceeds "
+        "the cap",
+    ),
+    # each time of a suspension's series pulls back every region point: one
+    # 5,000-point constraint at horizon 4,096 ran 2.9 s under a 4,096-cell cost
+    "poisson-dual-series-region-over-cap": (
+        config_on(
+            POISSON,
+            {"name": "dual_series", "f": [{"constraints": [[list(range(5000)), 0]]}],
+             "horizon": 4096},
+        ),
+        "operation dual_series: runs x horizon x region points = 20480000 cells exceeds the cap",
     ),
     "poisson-two-subsequence-over-cap": (
         config_on(
@@ -504,6 +516,11 @@ CERTIFIED_FAILURES = {
 
 EVENT_F = [{"constraints": [[[0], 1]]}]
 EVENT_F3 = [{"constraints": [[[0, 1, 2], 1]]}]
+#: four region points in three constraints over two terms
+EVENT_F4 = [
+    {"constraints": [[[0, 1], 1], [[7], 0]]},
+    {"coef": "-1", "constraints": [[[5], 0]]},
+]
 
 
 def _cases(results):
@@ -1010,18 +1027,26 @@ BOUNDARIES = {
     "conservativity_probe": [
         (COMPACT, {"horizon": CAP}, CAP, {"horizon": CAP + 1}, CAP + 1)
     ],
+    # a suspension's series reads every region point of f at each time: the
+    # constant f, then a four-point f
     **{
         name: [
             (BERNOULLI, {"horizon": CAP}, CAP, {"horizon": CAP + 1}, CAP + 1),
             (POISSON, {"horizon": CAP}, CAP, {"horizon": CAP + 1}, CAP + 1),
+            (POISSON, {"f": EVENT_F4, "horizon": CAP // 4}, CAP,
+             {"f": EVENT_F4, "horizon": CAP // 4 + 1}, CAP + 4),
         ]
         for name in ("birkhoff_series", "dual_series", "ratio_series")
     },
-    # 2^24 + 1 = 97 x 172961
+    # 2^24 + 1 = 97 x 172961; a four-point f reads 4 cells a time
     "maximal_inequality": [
-        (system, {**MAX_TERM, "f": f, "runs": 4096, "horizon": 4096}, CAP,
-         {**MAX_TERM, "f": f, "runs": 97, "horizon": 172961}, CAP + 1)
-        for system, f in ((BERNOULLI, LETTER), (POISSON, EVENT_F))
+        *(
+            (system, {**MAX_TERM, "f": f, "runs": 4096, "horizon": 4096}, CAP,
+             {**MAX_TERM, "f": f, "runs": 97, "horizon": 172961}, CAP + 1)
+            for system, f in ((BERNOULLI, LETTER), (POISSON, EVENT_F))
+        ),
+        (POISSON, {**MAX_TERM, "f": EVENT_F4, "runs": 4096, "horizon": 1024}, CAP,
+         {**MAX_TERM, "f": EVENT_F4, "runs": 4096, "horizon": 1025}, CAP + 4 * 4096),
     ],
     "two_subsequence_probe": [
         (system, {"f": f, "runs": 4096, "blocks": [8, 4096]}, CAP,
